@@ -242,12 +242,20 @@ fn parse_cell(table: &Table, spec: &str) -> Result<CellRef, ArgError> {
     Ok(CellRef::new(row - 1, attr))
 }
 
+/// Resolve every constraint against the table's schema; the first
+/// attribute that does not resolve is the command's error.
+fn resolve_all(table: &Table, dcs: &[DenialConstraint]) -> Result<Vec<DenialConstraint>, ArgError> {
+    dcs.iter()
+        .map(|d| d.resolved(table.schema()))
+        .collect::<Result<_, _>>()
+        .map_err(|e| ArgError(e.to_string()))
+}
+
 fn cmd_violations(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
     let cfg = args.exec_config()?;
     args.reject_unknown()?;
-    let resolved: Result<Vec<_>, _> = dcs.iter().map(|d| d.resolved(table.schema())).collect();
-    let resolved = resolved.map_err(|e| ArgError(e.to_string()))?;
+    let resolved = resolve_all(&table, &dcs)?;
     println!("{}", render_input_screen(&table, &dcs));
     let violations = if cfg.prune_redundant() {
         trex_constraints::find_all_violations_par_pruned(&resolved, &table, cfg.threads())
@@ -388,6 +396,7 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     if http_threads == 0 {
         return Err(ArgError("--http-threads must be at least 1".to_string()));
     }
+    resolve_all(&table, &dcs)?;
     let session = Session::new(engine, table, dcs).with_config(cfg);
     let config = trex_server::ServerConfig { addr, http_threads };
     let handle = trex_server::serve(session, &config)

@@ -23,8 +23,8 @@
 //!    `t1↔t2` renaming and operator weakening, e.g. `=` implies `<=`): then
 //!    every *D*-violation is already a *C*-violation (`TREX-W103`).
 //! 4. **Plan report** — per-DC scan-cost estimates from
-//!    [`EncodedTable::distinct_counts`] (equality-partition fan-out), ranking
-//!    constraints by expected work.
+//!    [`trex_table::EncodedTable::distinct_counts`] (equality-partition
+//!    fan-out), ranking constraints by expected work.
 //!
 //! # Soundness
 //!
@@ -50,7 +50,7 @@ use crate::ast::{CmpOp, DenialConstraint, Operand, Predicate, TupleVar};
 use crate::diagnostics::{codes, json_str, Diagnostic, Severity};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use trex_table::{DType, EncodedTable, Schema, Table, Value};
+use trex_table::{DType, Schema, Table, Value};
 
 // ---------------------------------------------------------------------------
 // Relation-set model
@@ -483,7 +483,7 @@ pub fn analyze(dcs: &[DenialConstraint], schema: Option<&Schema>) -> Analysis {
 /// does, plus type inference over the table's contents (`TREX-W104`,
 /// sharper `TREX-E002` hints) and the per-DC scan-cost plan report.
 pub fn analyze_with_table(dcs: &[DenialConstraint], table: &Table) -> Analysis {
-    let enc = EncodedTable::encode(table);
+    let enc = table.encoded();
     let schema = table.schema();
     let numeric_text = (0..schema.arity())
         .map(|i| {
@@ -855,9 +855,10 @@ fn dc_scan_plan(dc: &DenialConstraint, schema: &Schema, n: u64, distinct: &[usiz
 /// This is the hook batch schedulers use to order coalition scans by
 /// expected work — e.g. `trex-repair`'s batched oracle dispatches the most
 /// expensive coalitions first — instead of treating every DC as equally
-/// expensive. One [`EncodedTable`] encode amortizes across all DCs.
+/// expensive. The distinct counts come from the table's own encoding
+/// ([`Table::encoded`]).
 pub fn scan_cost_estimates(dcs: &[DenialConstraint], table: &Table) -> Vec<u64> {
-    let enc = EncodedTable::encode(table);
+    let enc = table.encoded();
     let distinct = enc.distinct_counts();
     let schema = table.schema();
     let n = table.num_rows() as u64;

@@ -186,16 +186,14 @@ pub(crate) fn nested_loop_compiled(
 
 /// Find all violations of a resolved DC using equality-key partitioning when
 /// possible; falls back to the nested loop for DCs without an equality join
-/// or for unary DCs. Encodes the table once; callers scanning several DCs
-/// over one table should use [`find_all_violations_indexed`], which shares
-/// the encoding.
+/// or for unary DCs. Reads the table's own encoding ([`Table::encoded`]),
+/// so repeated scans of one table contents encode it once.
 ///
 /// Output is exactly the violation set of
 /// [`crate::eval::find_violations`], though the order may differ (callers
 /// needing a canonical order should sort).
 pub fn find_violations_indexed(dc: &DenialConstraint, table: &Table) -> Vec<Violation> {
-    let enc = EncodedTable::encode(table);
-    find_violations_indexed_with(dc, table, &enc)
+    find_violations_indexed_with(dc, table, table.encoded())
 }
 
 /// [`find_violations_indexed`] against a pre-built encoding of `table`.
@@ -215,12 +213,12 @@ pub(crate) fn find_violations_indexed_with(
     out
 }
 
-/// Indexed variant of [`crate::eval::find_all_violations`]. The table is
-/// encoded once and shared across all DC scans.
+/// Indexed variant of [`crate::eval::find_all_violations`]. Every DC scan
+/// shares the table's own encoding.
 pub fn find_all_violations_indexed(dcs: &[DenialConstraint], table: &Table) -> Vec<Violation> {
-    let enc = EncodedTable::encode(table);
+    let enc = table.encoded();
     dcs.iter()
-        .flat_map(|dc| find_violations_indexed_with(dc, table, &enc))
+        .flat_map(|dc| find_violations_indexed_with(dc, table, enc))
         .collect()
 }
 
@@ -233,19 +231,19 @@ pub fn find_all_violations_indexed_pruned(
     dcs: &[DenialConstraint],
     table: &Table,
 ) -> Vec<Violation> {
-    let enc = EncodedTable::encode(table);
+    let enc = table.encoded();
     dcs.iter()
         .filter(|dc| crate::analyze::statically_unviolable(dc).is_none())
-        .flat_map(|dc| find_violations_indexed_with(dc, table, &enc))
+        .flat_map(|dc| find_violations_indexed_with(dc, table, enc))
         .collect()
 }
 
 /// Indexed variant of [`crate::eval::is_clean`]: short-circuits on the first
 /// violation.
 pub fn is_clean_indexed(dcs: &[DenialConstraint], table: &Table) -> bool {
-    let enc = EncodedTable::encode(table);
+    let enc = table.encoded();
     dcs.iter()
-        .all(|dc| find_violations_indexed_with(dc, table, &enc).is_empty())
+        .all(|dc| find_violations_indexed_with(dc, table, enc).is_empty())
 }
 
 #[cfg(test)]

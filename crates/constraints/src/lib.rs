@@ -51,8 +51,8 @@ pub use index::{
 };
 pub use mine::{mine_dcs, MineConfig};
 pub use parallel::{
-    find_all_violations_par, find_all_violations_par_pruned, find_violations_par, is_clean_par,
-    noisy_cells_par,
+    find_all_violations_par, find_all_violations_par_pruned, find_violations_par,
+    find_violations_par_with, is_clean_par, noisy_cells_par,
 };
 pub use parser::{parse_dc, parse_dc_named, parse_dcs, ParseError};
 

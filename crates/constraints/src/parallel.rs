@@ -195,12 +195,14 @@ fn pair_blocks(groups: &[Vec<usize>], threads: usize) -> Vec<PairBlock> {
 /// equality-join path splits *within* buckets too ([`pair_blocks`]), so a
 /// degenerate table whose rows all share one key still parallelizes.
 pub fn find_violations_par(dc: &DenialConstraint, table: &Table, threads: usize) -> Vec<Violation> {
-    let enc = EncodedTable::encode(table);
-    find_violations_par_with(dc, table, &enc, threads)
+    find_violations_par_with(dc, table, table.encoded(), threads)
 }
 
-/// [`find_violations_par`] against a pre-built encoding of `table`.
-fn find_violations_par_with(
+/// [`find_violations_par`] against a caller-held encoding of `table`'s
+/// contents — the repair engine's working codes, which it updates in place
+/// as it writes. `enc` must decode cell-for-cell to `table`; its
+/// dictionaries may hold extra entries (see [`EncodedTable::try_set`]).
+pub fn find_violations_par_with(
     dc: &DenialConstraint,
     table: &Table,
     enc: &EncodedTable,
@@ -243,15 +245,15 @@ fn find_violations_par_with(
 
 /// Parallel variant of [`crate::index::find_all_violations_indexed`]: every
 /// DC's scan is split over `threads` workers, DCs are processed in order.
-/// The table is encoded once and shared across all DC scans.
+/// Every DC scan shares the table's own encoding.
 pub fn find_all_violations_par(
     dcs: &[DenialConstraint],
     table: &Table,
     threads: usize,
 ) -> Vec<Violation> {
-    let enc = EncodedTable::encode(table);
+    let enc = table.encoded();
     dcs.iter()
-        .flat_map(|dc| find_violations_par_with(dc, table, &enc, threads))
+        .flat_map(|dc| find_violations_par_with(dc, table, enc, threads))
         .collect()
 }
 
@@ -266,10 +268,10 @@ pub fn find_all_violations_par_pruned(
     table: &Table,
     threads: usize,
 ) -> Vec<Violation> {
-    let enc = EncodedTable::encode(table);
+    let enc = table.encoded();
     dcs.iter()
         .filter(|dc| crate::analyze::statically_unviolable(dc).is_none())
-        .flat_map(|dc| find_violations_par_with(dc, table, &enc, threads))
+        .flat_map(|dc| find_violations_par_with(dc, table, enc, threads))
         .collect()
 }
 
@@ -282,9 +284,9 @@ pub fn noisy_cells_par(dcs: &[DenialConstraint], table: &Table, threads: usize) 
 
 /// Parallel variant of [`crate::index::is_clean_indexed`].
 pub fn is_clean_par(dcs: &[DenialConstraint], table: &Table, threads: usize) -> bool {
-    let enc = EncodedTable::encode(table);
+    let enc = table.encoded();
     dcs.iter()
-        .all(|dc| find_violations_par_with(dc, table, &enc, threads).is_empty())
+        .all(|dc| find_violations_par_with(dc, table, enc, threads).is_empty())
 }
 
 #[cfg(test)]
@@ -463,8 +465,7 @@ mod tests {
         // One 61-row bucket at 4 threads must not be a single work unit.
         let t = giant_bucket_table(61);
         let dc = resolved(DCS[0], &t);
-        let enc = EncodedTable::encode(&t);
-        let (_, groups) = equality_groups(&dc, &t, &enc).unwrap();
+        let (_, groups) = equality_groups(&dc, &t, t.encoded()).unwrap();
         assert_eq!(groups.len(), 1, "all rows share the Team key");
         let blocks = pair_blocks(&groups, 4);
         assert!(blocks.len() >= 4, "got {} block(s)", blocks.len());

@@ -304,10 +304,11 @@ pub struct CellGameMasked<'a> {
     target: Value,
     players: Vec<CellRef>,
     mode: MaskMode,
-    /// Dictionary encoding of `dirty`: coalition fingerprints are packed
-    /// per-cell code vectors hashed straight from here — a cache hit never
-    /// clones or masks a table (see [`CellGameMasked::coalition_key`]).
-    enc: EncodedTable,
+    /// `dirty`'s own dictionary encoding ([`Table::encoded`]): coalition
+    /// fingerprints are packed per-cell code vectors hashed straight from
+    /// here — a cache hit never clones or masks a table (see
+    /// [`CellGameMasked::coalition_key`]).
+    enc: &'a EncodedTable,
     dirty_fp: u64,
     dcs_hash: u64,
     target_hash: u64,
@@ -329,7 +330,7 @@ impl<'a> CellGameMasked<'a> {
             cell,
             players: cell_players(dirty, cell),
             mode,
-            enc: EncodedTable::encode(dirty),
+            enc: dirty.encoded(),
             dirty_fp: dirty.fingerprint(),
             dcs_hash: trex_repair::hash_dcs(dcs),
             target_hash: hash_value(&target),

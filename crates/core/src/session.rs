@@ -419,8 +419,12 @@ impl Session {
         out
     }
 
-    /// User edit: add (or replace, by name) a constraint.
-    pub fn upsert_constraint(&mut self, dc: DenialConstraint) {
+    /// User edit: add (or replace, by name) a constraint. A constraint that
+    /// names an attribute the table does not have is rejected with its
+    /// [`ResolveError`] and the session is left unchanged, so no later
+    /// repair or explanation can trip over it.
+    pub fn upsert_constraint(&mut self, dc: DenialConstraint) -> Result<(), ResolveError> {
+        dc.resolved(self.table.schema())?;
         self.history.push(HistoryEntry {
             action: format!("upsert constraint {}", dc.name),
             cells_repaired: 0,
@@ -430,6 +434,7 @@ impl Session {
             Some(slot) => *slot = dc,
             None => self.dcs.push(dc),
         }
+        Ok(())
     }
 }
 
@@ -494,7 +499,7 @@ mod tests {
             "C3",
         )
         .unwrap();
-        s.upsert_constraint(replacement.clone());
+        s.upsert_constraint(replacement.clone()).unwrap();
         assert_eq!(s.constraints().len(), 4);
         assert_eq!(
             s.constraints()
@@ -506,8 +511,24 @@ mod tests {
         );
         // And adding a brand-new one grows the set.
         let extra = trex_constraints::parse_dc_named("C5: !(t1.Place < 1)", "C5").unwrap();
-        s.upsert_constraint(extra);
+        s.upsert_constraint(extra).unwrap();
         assert_eq!(s.constraints().len(), 5);
+    }
+
+    #[test]
+    fn upsert_rejects_unresolvable_constraints_and_changes_nothing() {
+        let mut s = session();
+        let cell = laliga::cell_of_interest(s.table());
+        let _ = s.explain_constraints(cell).unwrap();
+        let cached = s.oracle_cache().len();
+        let bad = trex_constraints::parse_dc_named("C1: !(t1.Nope = t2.Nope)", "C1").unwrap();
+        let err = s.upsert_constraint(bad).unwrap_err();
+        assert_eq!(err.attr, "Nope");
+        assert_eq!(s.constraints(), &laliga::constraints()[..]);
+        assert!(s.history().is_empty());
+        assert_eq!(s.oracle_cache().len(), cached, "no flush either");
+        // The next repair runs on the unchanged constraint set.
+        assert_eq!(s.repair().changes.len(), 2);
     }
 
     #[test]
@@ -722,7 +743,8 @@ mod tests {
                 "Dead",
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
         let a = s.analyze();
         assert!(a
             .verdicts
@@ -802,7 +824,8 @@ mod tests {
         assert!(s.oracle_cache().is_empty(), "set_cell must flush");
         // ...and a constraint upsert.
         let _ = s.explain_constraints(cell);
-        s.upsert_constraint(trex_constraints::parse_dc_named("C9: !(t1.Place < 1)", "C9").unwrap());
+        s.upsert_constraint(trex_constraints::parse_dc_named("C9: !(t1.Place < 1)", "C9").unwrap())
+            .unwrap();
         assert!(s.oracle_cache().is_empty(), "upsert must flush");
     }
 

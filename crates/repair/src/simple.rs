@@ -12,10 +12,11 @@
 //!   left by earlier rules. This is what makes the paper's Example 1.1 work:
 //!   "C1 caused the change of *Capital* to *Madrid* first and then C2 caused
 //!   the change of the value in the Country cell".
-//! * Within one rule application, the violating rows are computed on a
-//!   snapshot and all fixes derive from **that snapshot** (simultaneous
-//!   application): fixes of one row never feed into another row's statistics
-//!   in the same step, keeping the result independent of row order.
+//! * Within one rule application, the violating rows and every new value
+//!   are computed from the table as the rule found it, and only then
+//!   written (simultaneous application): fixes of one row never feed into
+//!   another row's statistics in the same step, keeping the result
+//!   independent of row order.
 //! * Modes are computed over **all rows** (the row under repair votes too,
 //!   matching `argmax_c P[...]` literally), but ties break **away from the
 //!   row's current value**: the rule fired because that value is suspicious,
@@ -23,19 +24,38 @@
 //!   This is what makes single-witness coalitions in the cell game behave
 //!   as Example 2.4 expects — the partner's value beats the dirty value
 //!   instead of tying with it. Remaining ties break toward the smaller
-//!   value, keeping the algorithm a deterministic function of its input.
+//!   **dictionary code** of the column (`trex_table::dict`): the smaller
+//!   value, with an `Int` before the `Float` it equals numerically (`Int(2)`
+//!   before `Float(2.0)`, `Int(2^53 + 1)` before `Float(2^53)`), which keeps
+//!   the algorithm a deterministic function of its input.
 //! * Nulls never vote and are never used as a repair value; a rule with no
-//!   non-null evidence is skipped for that row.
+//!   non-null evidence is skipped for that row. A conditional mode counts
+//!   the rows whose `given` value SQL-equals the repaired row's.
 //! * By default the rule list is applied in **one sequential pass**, exactly
 //!   as Algorithm 1 is written; an optional round bound re-applies the pass
 //!   until a fixpoint. (Degenerate 50/50 conflicts swap values every round
 //!   under the tie-break, so fixpoint mode bounds rounds and stays
 //!   deterministic.)
+//!
+//! # Execution
+//!
+//! The engine runs on dictionary codes. It keeps one working copy of the
+//! table and one of its codes (borrowed from the input's own encoding until
+//! the first write) and updates both on every write. Each rule scans the
+//! working copy through `trex_constraints::find_violations_par_with`, a
+//! mode is a count array over the column's codes, and the change list
+//! comes from the cells the engine wrote. A `const` rule that writes a
+//! value its column never held leaves the codes stale; they are rebuilt
+//! before the next rule.
 
 use crate::traits::{RepairAlgorithm, RepairResult};
 use std::collections::HashMap;
-use trex_constraints::{find_violations_par, DenialConstraint};
-use trex_table::{AttrId, CellRef, Table, Value};
+use std::sync::Arc;
+use trex_constraints::{find_violations_par_with, DenialConstraint};
+use trex_table::{CellChange, CellRef, CodeClass, Dictionary, EncodedTable, Table, Value};
+
+#[cfg(test)]
+mod reference;
 
 /// What to do to a violating tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,98 +204,204 @@ impl RuleRepair {
         out
     }
 
-    /// Pick the argmax of `counts` with the repair tie-break: highest count;
-    /// ties prefer values *different* from `current`; remaining ties prefer
-    /// the smaller value.
-    fn pick_mode(counts: HashMap<&Value, usize>, current: &Value) -> Option<Value> {
-        counts
-            .into_iter()
-            .max_by(|(va, ca), (vb, cb)| {
-                ca.cmp(cb)
-                    .then_with(|| (*va != current).cmp(&(*vb != current)))
-                    .then_with(|| vb.cmp(va))
-            })
-            .map(|(v, _)| v.clone())
-    }
-
-    /// Mode of `attr` over all rows of `table`, with the repair tie-break
-    /// relative to `current` (the repaired row's present value).
-    fn mode(table: &Table, attr: AttrId, current: &Value) -> Option<Value> {
-        let mut counts: HashMap<&Value, usize> = HashMap::new();
-        for r in 0..table.num_rows() {
-            let v = table.value(r, attr);
-            if v.is_concrete() {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-        }
-        Self::pick_mode(counts, current)
-    }
-
-    /// Conditional mode of `attr` given `given = g` over all rows, with the
-    /// repair tie-break relative to `current`.
-    fn conditional_mode(
-        table: &Table,
-        attr: AttrId,
-        given: AttrId,
-        g: &Value,
-        current: &Value,
-    ) -> Option<Value> {
-        if !g.is_concrete() {
-            return None;
-        }
-        let mut counts: HashMap<&Value, usize> = HashMap::new();
-        for r in 0..table.num_rows() {
-            if !table.value(r, given).sql_eq(g) {
-                continue;
-            }
-            let v = table.value(r, attr);
-            if v.is_concrete() {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-        }
-        Self::pick_mode(counts, current)
-    }
-
-    /// Apply one rule to the violations of one constraint on `table`.
-    /// Returns the number of cells changed.
-    fn apply_rule(&self, dc: &DenialConstraint, action: &FixAction, table: &mut Table) -> usize {
-        let snapshot = table.clone();
-        let mut rows: Vec<usize> = Vec::new();
-        for v in find_violations_par(dc, &snapshot, self.threads) {
-            for r in [Some(v.row1), v.row2].into_iter().flatten() {
-                if !rows.contains(&r) {
-                    rows.push(r);
-                }
-            }
-        }
-        rows.sort_unstable();
-
-        let Some(attr) = snapshot.schema().resolve(action.target_attr()) else {
+    /// Apply one rule to the violations of one constraint on the working
+    /// copy. Every new value is computed from the working state as it
+    /// stood before the rule, then all of them are written. Returns the
+    /// number of cells changed.
+    fn apply_rule(&self, dc: &DenialConstraint, action: &FixAction, work: &mut Work) -> usize {
+        let Some(attr) = work.table.schema().resolve(action.target_attr()) else {
             return 0;
         };
-        let mut changed = 0;
-        for r in rows {
-            let current = snapshot.value(r, attr).clone();
-            let new_value = match action {
-                FixAction::MostCommon { .. } => Self::mode(&snapshot, attr, &current),
-                FixAction::MostCommonGiven { given, .. } => {
-                    let Some(given_id) = snapshot.schema().resolve(given) else {
-                        continue;
-                    };
-                    let g = snapshot.value(r, given_id).clone();
-                    Self::conditional_mode(&snapshot, attr, given_id, &g, &current)
+        work.refresh();
+        let mut rows: Vec<usize> =
+            find_violations_par_with(dc, &work.table, &work.enc, self.threads)
+                .iter()
+                .flat_map(|v| [Some(v.row1), v.row2])
+                .flatten()
+                .collect();
+        rows.sort_unstable();
+        rows.dedup();
+
+        let enc = &*work.enc;
+        let (codes, dict) = (enc.codes(attr), enc.dict(attr));
+        let mut writes: Vec<(usize, Value)> = Vec::new();
+        match action {
+            FixAction::MostCommon { .. } => {
+                let mut votes = vec![0u32; dict.len()];
+                for &c in codes {
+                    votes[c as usize] += 1;
                 }
-                FixAction::SetConstant { value, .. } => Some(value.clone()),
-            };
-            if let Some(v) = new_value {
-                let cell = CellRef::new(r, attr);
-                if table.get(cell) != &v {
-                    table.set(cell, v);
-                    changed += 1;
+                if let Some(mode) = Mode::of(&votes, dict) {
+                    for &r in &rows {
+                        let to = mode.pick(codes[r]);
+                        if to != codes[r] {
+                            writes.push((r, dict.decode(to).clone()));
+                        }
+                    }
+                }
+            }
+            FixAction::MostCommonGiven { given, .. } => {
+                let Some(given) = work.table.schema().resolve(given) else {
+                    return 0;
+                };
+                let (given_codes, given_dict) = (enc.codes(given), enc.dict(given));
+                let mut votes = vec![0u32; dict.len()];
+                let mut modes: HashMap<u32, Option<Mode>> = HashMap::new();
+                for &r in &rows {
+                    let g = given_codes[r];
+                    if !votes_in_modes(given_dict.class(g)) {
+                        continue;
+                    }
+                    let mode = *modes.entry(g).or_insert_with(|| {
+                        votes.fill(0);
+                        for (&gc, &c) in given_codes.iter().zip(codes) {
+                            if given_dict.sql_eq_codes(g, gc) {
+                                votes[c as usize] += 1;
+                            }
+                        }
+                        Mode::of(&votes, dict)
+                    });
+                    if let Some(to) = mode.map(|m| m.pick(codes[r])) {
+                        if to != codes[r] {
+                            writes.push((r, dict.decode(to).clone()));
+                        }
+                    }
+                }
+            }
+            FixAction::SetConstant { value, .. } => {
+                for &r in &rows {
+                    if dict.decode(codes[r]) != value {
+                        writes.push((r, value.clone()));
+                    }
                 }
             }
         }
+        let changed = writes.len();
+        for (r, v) in writes {
+            work.write(CellRef::new(r, attr), v);
+        }
         changed
+    }
+}
+
+/// Whether values of this class vote in a mode and may be chosen by one:
+/// nulls and labeled nulls never do.
+fn votes_in_modes(class: CodeClass) -> bool {
+    !matches!(class, CodeClass::Null | CodeClass::Labeled)
+}
+
+/// The outcome of one mode count: the smallest code with the most votes,
+/// and the next code with as many votes, if any.
+#[derive(Debug, Clone, Copy)]
+struct Mode {
+    best: u32,
+    runner_up: Option<u32>,
+}
+
+impl Mode {
+    /// The mode of `votes` (indexed by code of `dict`) over the codes that
+    /// vote, `None` when none got a vote. Codes are scanned in ascending
+    /// order, so ties keep the smaller code.
+    fn of(votes: &[u32], dict: &Dictionary) -> Option<Mode> {
+        let mut top = 0u32;
+        let mut mode: Option<Mode> = None;
+        for (code, &n) in votes.iter().enumerate() {
+            let code = code as u32;
+            if n == 0 || n < top || !votes_in_modes(dict.class(code)) {
+                continue;
+            }
+            match &mut mode {
+                Some(m) if n == top => {
+                    m.runner_up.get_or_insert(code);
+                }
+                _ => {
+                    top = n;
+                    mode = Some(Mode {
+                        best: code,
+                        runner_up: None,
+                    });
+                }
+            }
+        }
+        mode
+    }
+
+    /// The repair value for a row holding `current`: the mode, unless the
+    /// row already holds it and another code ties with it.
+    fn pick(self, current: u32) -> u32 {
+        match self.runner_up {
+            Some(other) if self.best == current => other,
+            _ => self.best,
+        }
+    }
+}
+
+/// Algorithm 1's working state: one copy of the table and one of its
+/// codes, updated together on every write.
+struct Work {
+    table: Table,
+    /// Codes of `table`, shared with the input's own encoding until the
+    /// first write copies them. Dictionaries may hold entries no cell uses
+    /// any more (see [`EncodedTable::try_set`]).
+    enc: Arc<EncodedTable>,
+    /// A write stored a value new to its column: `enc` is out of date
+    /// until [`Work::refresh`].
+    stale: bool,
+    /// Every cell written, in write order (repeats allowed).
+    touched: Vec<CellRef>,
+}
+
+impl Work {
+    fn new(dirty: &Table) -> Work {
+        Work {
+            table: dirty.clone(),
+            enc: Arc::clone(dirty.encoded()),
+            stale: false,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Write `v` to `cell` in the table and in the codes.
+    fn write(&mut self, cell: CellRef, v: Value) {
+        // `set` drops the table's own reference to its encoding first, so
+        // `make_mut` copies the codes only while the input still shares them.
+        self.table.set(cell, v);
+        let v = self.table.get(cell);
+        if !Arc::make_mut(&mut self.enc).try_set(cell.row, cell.attr, v) {
+            self.stale = true;
+        }
+        self.touched.push(cell);
+    }
+
+    /// Re-encode after a write of a value new to its column (a `const`
+    /// rule; rare).
+    fn refresh(&mut self) {
+        if std::mem::take(&mut self.stale) {
+            self.enc = Arc::clone(self.table.encoded());
+        }
+    }
+
+    /// The repair result: the working table, and the touched cells whose
+    /// value differs from `dirty`'s, in cell order.
+    fn finish(mut self, dirty: &Table) -> RepairResult {
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        let changes = self
+            .touched
+            .iter()
+            .filter_map(|&cell| {
+                let (from, to) = (dirty.get(cell), self.table.get(cell));
+                (from != to).then(|| CellChange {
+                    cell,
+                    from: from.clone(),
+                    to: to.clone(),
+                })
+            })
+            .collect();
+        RepairResult {
+            clean: self.table,
+            changes,
+        }
     }
 }
 
@@ -383,19 +509,19 @@ impl RepairAlgorithm for RuleRepair {
                     .unwrap_or_else(|e| panic!("cannot resolve constraint: {e}"))
             })
             .collect();
-        let mut table = dirty.clone();
+        let mut work = Work::new(dirty);
         for _ in 0..self.max_rounds {
             let mut changed = 0;
             for dc in &resolved {
                 if let Some(rule) = self.rule_for(&dc.name) {
-                    changed += self.apply_rule(dc, &rule.action, &mut table);
+                    changed += self.apply_rule(dc, &rule.action, &mut work);
                 }
             }
             if changed == 0 {
                 break;
             }
         }
-        RepairResult::from_tables(dirty, table)
+        work.finish(dirty)
     }
 }
 
@@ -403,7 +529,7 @@ impl RepairAlgorithm for RuleRepair {
 mod tests {
     use super::*;
     use trex_constraints::parse_dcs;
-    use trex_table::TableBuilder;
+    use trex_table::{AttrId, TableBuilder};
 
     /// The paper's running example, reduced: Team→City (C1), City→Country
     /// (C2), League→Country (C3).
@@ -528,6 +654,33 @@ mod tests {
         // And the unbounded version is still deterministic.
         let full = RuleRepair::new(alg.rules.clone());
         assert_eq!(full.repair(&dcs, &t).clean, full.repair(&dcs, &t).clean);
+    }
+
+    #[test]
+    fn ties_between_numeric_aliases_break_by_code_order() {
+        // Int(2^53 + 1) and Float(2^53) are distinct values that
+        // `Value::cmp` calls equal and that hash differently, so only an
+        // order that tells them apart breaks their tie the same way every
+        // time. Code order puts the Int first.
+        let big = (1i64 << 53) + 1;
+        let t = Table::from_rows(
+            trex_table::Schema::of_strings(["K", "W", "V"].map(String::from)),
+            vec![
+                vec![Value::str("k"), Value::str("w1"), Value::int(1)],
+                vec![Value::str("k"), Value::str("w2"), Value::int(big)],
+                vec![
+                    Value::str("k"),
+                    Value::str("w3"),
+                    Value::Float(9007199254740992.0),
+                ],
+            ],
+        );
+        let dcs = parse_dcs("C1: !(t1.K = t2.K & t1.W != t2.W)").unwrap();
+        let alg = RuleRepair::parse_rules("C1: V <- most_common").unwrap();
+        for _ in 0..2000 {
+            let r = alg.repair(&dcs, &t);
+            assert_eq!(r.clean.value(0, AttrId(2)), &Value::int(big));
+        }
     }
 
     #[test]

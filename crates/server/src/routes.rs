@@ -285,7 +285,9 @@ fn upsert_constraint(state: &ServerState, req: &Request, stream: &mut TcpStream)
         let dc = trex_constraints::parse_dc_named(text, name)
             .map_err(|e| BadRequest::new(e.to_string()))?;
         let name = dc.name.clone();
-        session.upsert_constraint(dc);
+        session
+            .upsert_constraint(dc)
+            .map_err(|e| BadRequest::new(e.to_string()))?;
         Ok(format!(
             "{{\"name\":{},\"constraints\":{}}}",
             json::string(&name),

@@ -260,6 +260,33 @@ fn constraint_upsert_roundtrip() {
 }
 
 #[test]
+fn unresolvable_constraint_is_rejected_and_the_worker_survives() {
+    // One worker: before the fix the upsert answered 200, the next repair
+    // panicked inside the engine, and /health timed out.
+    let session = Session::new(
+        Box::new(laliga::algorithm1()),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    );
+    let config = ServerConfig {
+        http_threads: 1,
+        ..ServerConfig::default()
+    };
+    let server = serve(session, &config).expect("bind server");
+    let (status, _, body) = request(
+        &server,
+        "POST",
+        "/constraint?name=C1&dc=%21(t1.Nope%3Dt2.Nope)",
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("unknown attribute"), "{body}");
+    let (status, _, body) = request(&server, "POST", "/repair");
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = get(&server, "/health");
+    assert_eq!(status, 200, "{body}");
+}
+
+#[test]
 fn bad_requests_get_pinned_errors() {
     let server = start_server();
 

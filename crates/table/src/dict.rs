@@ -2,12 +2,14 @@
 //!
 //! `Value` is a heavy enum, and the layers above this crate — predicate
 //! evaluation in the violation scan, equality partitioning, coalition
-//! fingerprints — all churn through it. [`EncodedTable`] interns every
-//! column into a per-column [`Dictionary`] (value → dense `u32` code) and
-//! stores the columns as contiguous `u32` code arrays (one flat buffer),
-//! so those hot loops become integer compares over cache-friendly memory. The row-oriented
-//! [`Table`] API is untouched: an encoded view is built *beside* a table
-//! with [`EncodedTable::encode`] and decodes on demand.
+//! fingerprints, the repair engine's mode counts — all churn through it.
+//! [`EncodedTable`] interns every column into a per-column [`Dictionary`]
+//! (value → dense `u32` code) and stores the columns as contiguous `u32`
+//! code arrays (one flat buffer), so those hot loops become integer
+//! compares over cache-friendly memory. The row-oriented [`Table`] API is
+//! untouched: a table builds its encoding *beside* its rows on first use
+//! ([`Table::encoded`]) and keeps it until its contents change, so every
+//! reader of one table contents shares a single encode.
 //!
 //! Codes are assigned in sorted value order (`Null` first, then labeled
 //! nulls by label, then concrete values), so `<`/`>` predicates compare
@@ -28,6 +30,7 @@ use crate::table::Table;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The comparison class of a dictionary code: which values it can be
 /// SQL-compared against. Cross-class comparisons of concrete values are
@@ -303,14 +306,18 @@ impl Dictionary {
 /// plus one contiguous `Vec<u32>` code array per column.
 ///
 /// The view is a snapshot — it does not track later `Table` mutations.
-/// Build it once per scan (or per game) with [`EncodedTable::encode`].
+/// Read a table's own encoding with [`Table::encoded`], which encodes once
+/// per table contents; [`EncodedTable::encode`] always builds a new one.
+/// Clones share the dictionaries and copy only the codes, so a writer
+/// (the rule engine's working codes, see [`EncodedTable::try_set`]) pays
+/// one code-array copy for its own version.
 #[derive(Debug, Clone)]
 pub struct EncodedTable {
-    dicts: Vec<Dictionary>,
+    dicts: Arc<[Dictionary]>,
     /// All columns' codes in one flat buffer, column-major: column `a`
     /// occupies `cols[a*rows .. (a+1)*rows]`. One allocation per encode
-    /// instead of one per column — encode runs once per coalition repair
-    /// on the oracle path, so its constant cost is hot.
+    /// instead of one per column — masked coalition tables are encoded
+    /// once each on the oracle's miss path, so its constant cost is hot.
     cols: Vec<u32>,
     rows: usize,
 }
@@ -323,9 +330,9 @@ impl EncodedTable {
         let rows = table.num_rows();
         let mut dicts = Vec::with_capacity(arity);
         let mut cols: Vec<u32> = Vec::with_capacity(arity * rows);
-        // Small tables are the oracle's bread and butter (every coalition
-        // repair re-encodes a masked copy), and there a linear probe of the
-        // distinct list beats paying a hash per row.
+        // Small tables are the oracle's bread and butter (every masked
+        // coalition table is encoded once on a cache miss), and there a
+        // linear probe of the distinct list beats paying a hash per row.
         const LINEAR_ROWS: usize = 64;
         for a in 0..arity {
             let attr = AttrId(a);
@@ -359,7 +366,11 @@ impl EncodedTable {
             }
             dicts.push(dict);
         }
-        EncodedTable { dicts, cols, rows }
+        EncodedTable {
+            dicts: dicts.into(),
+            cols,
+            rows,
+        }
     }
 
     /// Number of rows.
@@ -393,6 +404,22 @@ impl EncodedTable {
     /// Decode one cell back to its value.
     pub fn decode(&self, row: usize, attr: AttrId) -> &Value {
         self.dicts[attr.0].decode(self.code(row, attr))
+    }
+
+    /// Point one cell at the code of `v`, if the column's dictionary
+    /// already holds `v`; returns `false` and changes nothing otherwise
+    /// (the caller re-encodes). Dictionaries never shrink here, so an
+    /// entry may outlive its last cell: the result decodes cell-for-cell
+    /// like a fresh encode of the edited table and every scan reads it
+    /// identically, but its dictionaries can hold extra entries — which is
+    /// why [`Table`] never patches its own cached encoding this way.
+    pub fn try_set(&mut self, row: usize, attr: AttrId, v: &Value) -> bool {
+        assert!(row < self.rows, "row {row} out of range");
+        let Some(code) = self.dicts[attr.0].code_of(v) else {
+            return false;
+        };
+        self.cols[attr.0 * self.rows + row] = code;
+        true
     }
 
     /// Distinct-value count per column, in schema order — the dictionary
@@ -609,6 +636,26 @@ mod tests {
             assert!(lo < hi);
             assert_eq!(d.sql_cmp_codes(lo, hi), Some(Ordering::Less));
         }
+    }
+
+    #[test]
+    fn try_set_writes_known_values_and_refuses_new_ones() {
+        let t = sample_table();
+        let mut enc = EncodedTable::encode(&t);
+        let city = AttrId(1);
+        assert!(enc.try_set(1, city, &Value::str("Madrid")));
+        assert_eq!(enc.decode(1, city), &Value::str("Madrid"));
+        assert_eq!(enc.code(1, city), enc.code(0, city));
+        let before = enc.codes(city).to_vec();
+        assert!(!enc.try_set(1, city, &Value::str("Sevilla")));
+        assert_eq!(
+            enc.codes(city),
+            &before[..],
+            "a refused write changes nothing"
+        );
+        // "Barcelona" lost its last cell but keeps its dictionary entry.
+        assert_eq!(enc.dict(city).len(), 2);
+        assert!(enc.try_set(3, city, &Value::str("Barcelona")));
     }
 
     #[test]

@@ -200,6 +200,48 @@ mod proptests {
         }
 
         #[test]
+        fn table_encoding_tracks_every_mutation(
+            t in arb_mixed_table(),
+            ops in proptest::collection::vec((any::<bool>(), any::<u64>(), arb_mixed_cell()), 0..12),
+        ) {
+            // The cached encoding is always exactly a fresh encode, and a
+            // clone shares it until either side is mutated.
+            use std::sync::Arc;
+            let same_as_fresh = |t: &Table| -> Result<(), TestCaseError> {
+                let fresh = EncodedTable::encode(t);
+                let cached = t.encoded();
+                prop_assert_eq!(cached.num_rows(), fresh.num_rows());
+                for a in 0..t.arity() {
+                    let attr = AttrId(a);
+                    prop_assert_eq!(cached.dict(attr).values(), fresh.dict(attr).values());
+                    prop_assert_eq!(cached.codes(attr), fresh.codes(attr));
+                }
+                Ok(())
+            };
+            let mut t = t;
+            same_as_fresh(&t)?;
+            for (push, pick, v) in ops {
+                let mut copy = t.clone();
+                prop_assert!(Arc::ptr_eq(t.encoded(), copy.encoded()));
+                let mutate_copy = pick % 2 == 0;
+                let target = if mutate_copy { &mut copy } else { &mut t };
+                if push || target.num_rows() == 0 {
+                    let row = (0..target.arity()).map(|_| v.clone()).collect();
+                    target.push_row(row);
+                } else {
+                    let cell = CellRef::from_flat(pick as usize % target.num_cells(), target.arity());
+                    target.set(cell, v);
+                }
+                prop_assert!(!Arc::ptr_eq(t.encoded(), copy.encoded()));
+                same_as_fresh(&t)?;
+                same_as_fresh(&copy)?;
+                if mutate_copy {
+                    t = copy;
+                }
+            }
+        }
+
+        #[test]
         fn dict_labeled_nulls_stay_distinct(labels in proptest::collection::vec(any::<u64>(), 1..6)) {
             let rows: Vec<Vec<Value>> = labels
                 .iter()

@@ -11,12 +11,19 @@
 //! *vectorization* of a table (Example 2.5: `x_T = (t1[Team], t1[City], …)`)
 //! corresponds to enumerating cells in row-major order, which is exactly the
 //! order of [`Table::cells`].
+//!
+//! A table owns its dictionary encoding ([`Table::encoded`]): built on
+//! first use, shared by clones, and dropped by every mutation, so each
+//! distinct table contents is encoded at most once however many scans,
+//! games and repairs read it.
 
+use crate::dict::EncodedTable;
 use crate::schema::{AttrId, Schema};
 use crate::value::Value;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Address of a single cell: row index + attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,19 +64,51 @@ impl fmt::Display for CellRef {
 }
 
 /// A row-major, dynamically-typed relation with a fixed [`Schema`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares schema and cells only; the cached encoding is not
+/// part of a table's value.
+#[derive(Clone)]
 pub struct Table {
     schema: Schema,
     rows: Vec<Vec<Value>>,
+    /// `EncodedTable::encode` of the current contents, built on first use
+    /// by [`Table::encoded`]. Clones share it; [`Table::set`] and
+    /// [`Table::push_row`] drop it rather than patch it, so it is always
+    /// exactly a fresh encode (the coalition cache keys of the cell game
+    /// hash these codes, and two encodings of one table must never meet
+    /// there).
+    encoded: OnceLock<Arc<EncodedTable>>,
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
+}
+
+impl Eq for Table {}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows)
+            .finish()
+    }
 }
 
 impl Table {
-    /// An empty table over `schema`.
-    pub fn empty(schema: Schema) -> Self {
+    fn with_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
         Table {
             schema,
-            rows: Vec::new(),
+            rows,
+            encoded: OnceLock::new(),
         }
+    }
+
+    /// An empty table over `schema`.
+    pub fn empty(schema: Schema) -> Self {
+        Table::with_rows(schema, Vec::new())
     }
 
     /// Build a table from rows.
@@ -85,7 +124,7 @@ impl Table {
                 schema.arity()
             );
         }
-        Table { schema, rows }
+        Table::with_rows(schema, rows)
     }
 
     /// The table's schema.
@@ -124,6 +163,7 @@ impl Table {
             row.len(),
             self.schema.arity()
         );
+        self.encoded.take();
         self.rows.push(row);
     }
 
@@ -142,9 +182,20 @@ impl Table {
         &self.rows[row][attr.0]
     }
 
-    /// Overwrite a cell value, returning the previous value.
+    /// Overwrite a cell value, returning the previous value. Drops the
+    /// cached encoding; the next [`Table::encoded`] rebuilds it.
     pub fn set(&mut self, cell: CellRef, v: Value) -> Value {
+        self.encoded.take();
         std::mem::replace(&mut self.rows[cell.row][cell.attr.0], v)
+    }
+
+    /// The dictionary encoding of the current contents: built on the first
+    /// call (thread-safe), then shared by every later call and every clone
+    /// until the next mutation. Always equal to
+    /// [`EncodedTable::encode`]`(self)`.
+    pub fn encoded(&self) -> &Arc<EncodedTable> {
+        self.encoded
+            .get_or_init(|| Arc::new(EncodedTable::encode(self)))
     }
 
     /// Iterate all cell references in row-major (vectorization) order.
@@ -190,7 +241,7 @@ impl Table {
             }
             rows.push(row);
         }
-        Table { schema, rows }
+        Table::with_rows(schema, rows)
     }
 
     /// A copy of this table in which every cell in `mask` (given as flat
@@ -222,10 +273,7 @@ impl Table {
                     .collect()
             })
             .collect();
-        Table {
-            schema: self.schema.clone(),
-            rows,
-        }
+        Table::with_rows(self.schema.clone(), rows)
     }
 
     /// Column `attr` as a slice-like iterator.
@@ -402,6 +450,35 @@ mod tests {
         let t = small();
         let col: Vec<&Value> = t.column(AttrId(1)).collect();
         assert_eq!(col, vec![&Value::int(1), &Value::int(2)]);
+    }
+
+    #[test]
+    fn encoding_is_shared_by_clones_and_dropped_by_mutation() {
+        let mut t = small();
+        let first = Arc::clone(t.encoded());
+        assert!(Arc::ptr_eq(&first, t.encoded()), "built once, then reused");
+        let copy = t.clone();
+        assert!(Arc::ptr_eq(&first, copy.encoded()), "clones share it");
+        t.set(CellRef::new(0, AttrId(0)), Value::str("z"));
+        assert!(!Arc::ptr_eq(&first, t.encoded()), "set drops it");
+        assert_eq!(t.encoded().decode(0, AttrId(0)), &Value::str("z"));
+        assert!(
+            Arc::ptr_eq(&first, copy.encoded()),
+            "the clone keeps its own"
+        );
+        let before_push = Arc::clone(t.encoded());
+        t.push_row(vec![Value::str("w"), Value::int(3)]);
+        assert!(!Arc::ptr_eq(&before_push, t.encoded()), "push_row drops it");
+        assert_eq!(t.encoded().num_rows(), 3);
+    }
+
+    #[test]
+    fn equality_ignores_the_cached_encoding() {
+        let t = small();
+        let cold = small();
+        let _ = t.encoded();
+        assert_eq!(t, cold);
+        assert_eq!(format!("{t:?}"), format!("{cold:?}"));
     }
 
     #[test]
