@@ -1,14 +1,12 @@
 //! Ablation A3: plain permutation sampling vs stratified vs antithetic
-//! variants, time per equal sample budget — serial and on the parallel
-//! engine. (The variance comparison — the interesting half — is printed by
-//! `exp_convergence`.)
+//! variants, time per equal sample budget. (The variance comparison — the
+//! interesting half — is printed by `exp_convergence`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use trex_bench::RandomBinaryGame;
 use trex_shapley::{
-    estimate_player, estimate_player_antithetic, estimate_player_stratified, parallel,
-    SamplingConfig,
+    estimate_player, estimate_player_antithetic, estimate_player_stratified, SamplingConfig,
 };
 
 fn bench_variants(c: &mut Criterion) {
@@ -39,36 +37,5 @@ fn bench_variants(c: &mut Criterion) {
     group.finish();
 }
 
-/// The same variants lifted onto the parallel engine: equal budgets, worker
-/// counts 1/2/4. At 1 worker this measures the (small) scope overhead over
-/// the serial rows above; past the hardware thread count extra workers only
-/// re-chunk.
-fn bench_variants_parallel(c: &mut Criterion) {
-    let game = RandomBinaryGame::new(24, 4, 5);
-    let mut group = c.benchmark_group("sampling_variants_parallel");
-    let s = 50usize;
-    let m = 24 * s;
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("stratified", threads),
-            &threads,
-            |b, &t| b.iter(|| parallel::estimate_player_stratified(black_box(&game), 0, s, 9, t)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("antithetic", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| parallel::estimate_player_antithetic(black_box(&game), 0, m / 2, 9, t))
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("adaptive", threads), &threads, |b, &t| {
-            b.iter(|| {
-                parallel::estimate_player_adaptive(black_box(&game), 0, 0.02, 1.96, 128, m, 9, t)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_variants, bench_variants_parallel);
+criterion_group!(benches, bench_variants);
 criterion_main!(benches);

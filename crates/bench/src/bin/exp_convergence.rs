@@ -25,8 +25,7 @@ use trex_datagen::laliga;
 use trex_repair::{FixAction, OracleStats, Rule, RuleRepair};
 use trex_shapley::{
     estimate_player, estimate_player_antithetic, estimate_player_stratified, parallel,
-    resolve_threads, sampling, shapley_exact, ConvergenceTrace, Game, ParallelConfig,
-    SamplingConfig,
+    resolve_threads, shapley_exact, ConvergenceTrace, Game, ParallelConfig, SamplingConfig,
 };
 use trex_table::{CellRef, TableBuilder, Value};
 
@@ -106,11 +105,7 @@ fn timed_walk(samples: usize, threads: usize) -> TimedRun {
         MaskMode::Null,
     );
     let start = Instant::now();
-    let estimates = if threads == 1 {
-        sampling::estimate_all_walk(&game, SamplingConfig { samples, seed: 1 })
-    } else {
-        parallel::estimate_all_walk(&game, ParallelConfig::new(samples, 1, threads))
-    };
+    let estimates = parallel::estimate_all_walk(&game, ParallelConfig::new(samples, 1, threads));
     let wall = start.elapsed();
     let top = (0..Game::num_players(&game))
         .max_by(|a, b| estimates[*a].value.total_cmp(&estimates[*b].value))
@@ -251,69 +246,29 @@ fn main() {
         serial.top_label, par.top_label
     );
 
-    // ---- Part 2b: the variance-reduced estimators on the parallel engine.
-    // Same ground-truth game as Part 1; estimates differ across thread
-    // counts (each worker draws its own stream) but stay unbiased. With
-    // --threads 1 each call replays its *serial* counterpart
-    // (estimate_player_stratified / _antithetic / _adaptive at this seed)
-    // bit for bit — the contract tests/parallel_equivalence.rs pins.
+    // ---- Part 2b: the adaptive all-player driver on the Part 1 game. Its
+    // output is the serial round-laddered estimator's at any thread count
+    // (the contract tests/parallel_equivalence.rs pins), so --threads only
+    // changes how fast this line prints.
     println!();
-    println!("== variance-reduced estimators on {threads} thread(s) (m = 2048 budget) ==");
     let m = 2048usize.min(max_m.max(n));
-    let strat = trex_shapley::parallel::estimate_player_stratified(
-        &game,
-        player,
-        (m / n).max(1),
-        1,
-        threads,
-    );
-    let anti = trex_shapley::parallel::estimate_player_antithetic(&game, player, m / 2, 1, threads);
-    let (adapt, adapt_ok) = trex_shapley::parallel::estimate_player_adaptive(
-        &game, player, 0.01, 1.96, 64, m, 1, threads,
-    );
+    println!("== adaptive driver on {threads} thread(s) (cap m = {m} per cell) ==");
+    let adaptive = parallel::estimate_all_adaptive(&game, 0.01, 1.96, 64, m, 1, threads);
+    let (adapt, adapt_ok) = adaptive[player];
     println!(
-        "stratified: {:+.4} (err {:.4}, {} samples)",
-        strat.value,
-        (strat.value - exact[player]).abs(),
-        strat.samples
-    );
-    println!(
-        "antithetic: {:+.4} (err {:.4}, {} samples)",
-        anti.value,
-        (anti.value - exact[player]).abs(),
-        anti.samples
-    );
-    println!(
-        "adaptive:   {:+.4} (err {:.4}, {} samples, converged: {adapt_ok})",
+        "tracked player: {:+.4} (err {:.4}, {} samples, converged: {adapt_ok})",
         adapt.value,
         (adapt.value - exact[player]).abs(),
         adapt.samples
     );
-
-    // The all-player drivers over the whole ground-truth game, on the
-    // schedule `auto` would pick for this shape (player-sharded output is
-    // identical to the serial ladder loop at any thread count).
-    let schedule = trex_shapley::Schedule::auto(n, threads);
-    let max_err = |ests: &[trex_shapley::Estimate]| {
-        ests.iter()
-            .zip(&exact)
-            .map(|(e, x)| (e.value - x).abs())
-            .fold(0.0f64, f64::max)
-    };
-    let all_strat = trex_shapley::parallel::estimate_all_stratified(
-        &game,
-        (m / n).max(1),
-        1,
-        threads,
-        schedule,
-    );
-    let all_anti =
-        trex_shapley::parallel::estimate_all_antithetic(&game, m / 2, 1, threads, schedule);
+    let max_err = adaptive
+        .iter()
+        .zip(&exact)
+        .map(|((e, _), x)| (e.value - x).abs())
+        .fold(0.0f64, f64::max);
     println!(
-        "all-player drivers ({schedule} schedule, all {n} cells): \
-         stratified max err {:.4}, antithetic max err {:.4}",
-        max_err(&all_strat),
-        max_err(&all_anti)
+        "all {n} cells: max err {max_err:.4}, {} of {n} converged",
+        adaptive.iter().filter(|(_, ok)| *ok).count()
     );
 
     // ---- Part 3: the machine-readable record the CI perf trajectory reads.

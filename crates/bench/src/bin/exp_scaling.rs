@@ -1,9 +1,10 @@
 //! Experiment E6: wall-clock scaling of the two solvers — exact Shapley is
 //! exponential in the player count (fine for constraint sets, "usually
 //! small"), sampling is linear in m·players (the only option for cells) —
-//! plus the thread-scaling of the parallel walk estimator (both work
-//! schedules side by side) and of constraint violation detection (the
-//! row-pair scan behind `trex violations` / `trex repair`).
+//! plus the thread-scaling of the parallel walk and adaptive estimators
+//! (whose output is asserted identical at every thread count while we
+//! measure) and of constraint violation detection (the row-pair scan
+//! behind `trex violations` / `trex repair`).
 //!
 //! Run: `cargo run --release -p trex-bench --bin exp_scaling`
 //!
@@ -22,8 +23,8 @@ use trex_constraints::{
 use trex_datagen::laliga;
 use trex_repair::MockRemoteRepair;
 use trex_shapley::{
-    estimate_player, estimate_player_adaptive_rounds, parallel, player_seed, shapley_exact,
-    Estimate, ParallelConfig, SamplingConfig, Schedule, StochasticGame,
+    estimate_all_walk, estimate_player, estimate_player_adaptive_rounds, parallel, player_seed,
+    shapley_exact, Estimate, ParallelConfig, SamplingConfig, StochasticGame,
 };
 use trex_table::{Table, TableBuilder};
 
@@ -52,22 +53,32 @@ fn violation_dcs(table: &Table) -> Vec<DenialConstraint> {
     .collect()
 }
 
-/// FNV-1a over the exact bits of an adaptive result set: the output
-/// fingerprint CI compares between the stealing schedule and its serial
-/// reference.
-fn estimates_hash(results: &[(Estimate, bool)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mix = |h: &mut u64, v: u64| {
-        *h ^= v;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for (e, converged) in results {
-        mix(&mut h, e.value.to_bits());
-        mix(&mut h, e.std_dev.to_bits());
-        mix(&mut h, e.samples as u64);
-        mix(&mut h, u64::from(*converged));
-    }
-    h
+/// FNV-1a over a stream of 64-bit words: the output fingerprint CI
+/// compares between every thread count and the serial reference.
+fn fnv_hash(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The exact bits of one estimate, in fingerprint order.
+fn estimate_words(e: &Estimate) -> [u64; 3] {
+    [e.value.to_bits(), e.std_dev.to_bits(), e.samples as u64]
+}
+
+/// Fingerprint of a walk result set.
+fn walk_hash(results: &[Estimate]) -> u64 {
+    fnv_hash(results.iter().flat_map(estimate_words))
+}
+
+/// Fingerprint of an adaptive result set (estimates plus convergence
+/// flags).
+fn adaptive_hash(results: &[(Estimate, bool)]) -> u64 {
+    fnv_hash(
+        results.iter().flat_map(|(e, converged)| {
+            estimate_words(e).into_iter().chain([u64::from(*converged)])
+        }),
+    )
 }
 
 /// Minimal `--json PATH` reader (the experiment binaries stay
@@ -117,70 +128,54 @@ fn main() {
         let _ = est;
     }
 
-    println!(
-        "\n== parallel walk estimation: time vs threads, both schedules (n = 40, m = 2000) =="
-    );
+    println!("\n== parallel walk estimation: time vs threads (n = 40, m = 2000) ==");
     println!(
         "({} hardware thread(s) available; past that, extra workers only re-chunk)",
         parallel::available_threads()
     );
-    println!("(budget-split: deterministic per (seed, threads); player-sharded:");
-    println!(" identical to the serial estimator at every thread count. The sharded");
-    println!(" walk replays ~2n evaluations per walk vs the serial n+1, so on a");
-    println!(" cheap uncached game like this one budget-split wins on raw time;");
-    println!(" player-sharding pays off when evaluations are repair-oracle calls)");
+    println!("(workers claim blocks of the one serial permutation stream and evaluate");
+    println!(" each walk's n+1 prefixes once; the output hash is asserted equal to the");
+    println!(" serial estimator's at every thread count while we measure)");
     println!(
-        "{:>8} {:>14} {:>10} {:>14} {:>10}",
-        "threads", "budget", "speedup", "player", "speedup"
+        "{:>8} {:>14} {:>10} {:>18}",
+        "threads", "time", "speedup", "hash"
     );
     let game = RandomBinaryGame::new(40, 5, 11);
-    let mut budget_base = None;
-    let mut player_base = None;
-    let mut sharded_reference: Option<Vec<trex_shapley::Estimate>> = None;
-    let mut walk_rows: Vec<(usize, f64, f64)> = Vec::new();
+    let walk_config = SamplingConfig {
+        samples: 2000,
+        seed: 3,
+    };
+    let walk_serial_hash = walk_hash(&estimate_all_walk(&game, walk_config));
+    let mut walk_base = None;
+    let mut walk_rows: Vec<(usize, f64, u64)> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let ests = parallel::estimate_all_walk(&game, ParallelConfig::new(2000, 3, threads));
-        let budget_dt = start.elapsed();
+        let ests =
+            parallel::estimate_all_walk(&game, ParallelConfig::from_sampling(walk_config, threads));
+        let dt = start.elapsed();
         assert_eq!(ests.len(), 40);
-        let start = Instant::now();
-        let sharded = parallel::estimate_all_walk(
-            &game,
-            ParallelConfig::new(2000, 3, threads).with_schedule(Schedule::PlayerSharded),
-        );
-        let player_dt = start.elapsed();
-        // The player-sharded contract, asserted while we measure: every
-        // thread count reproduces the same (serial) estimates.
-        let reference = sharded_reference.get_or_insert_with(|| sharded.clone());
+        // The determinism contract, asserted while we measure: every
+        // thread count reproduces the serial estimates exactly.
+        let hash = walk_hash(&ests);
         assert_eq!(
-            *reference, sharded,
-            "player-sharded output changed at {threads} threads"
+            hash, walk_serial_hash,
+            "walk output diverged from serial at {threads} threads"
         );
-        let b_base = *budget_base.get_or_insert(budget_dt);
-        let p_base = *player_base.get_or_insert(player_dt);
+        let base = *walk_base.get_or_insert(dt);
         println!(
-            "{threads:>8} {budget_dt:>14.3?} {:>9.2}x {player_dt:>14.3?} {:>9.2}x",
-            b_base.as_secs_f64() / budget_dt.as_secs_f64().max(1e-12),
-            p_base.as_secs_f64() / player_dt.as_secs_f64().max(1e-12)
+            "{threads:>8} {dt:>14.3?} {:>9.2}x {hash:>18x}",
+            base.as_secs_f64() / dt.as_secs_f64().max(1e-12)
         );
-        walk_rows.push((
-            threads,
-            budget_dt.as_secs_f64() * 1e3,
-            player_dt.as_secs_f64() * 1e3,
-        ));
+        walk_rows.push((threads, dt.as_secs_f64() * 1e3, hash));
     }
 
-    println!("\n== adaptive budgets, one hot player: steal vs player schedule ==");
+    println!("\n== adaptive budgets, one hot player: round stealing vs threads ==");
     println!("(16 players; player 0 is a ±1 coin flip that runs to the 6000-sample");
     println!(" cap, the rest are dummies that stop at two batches — so one player");
-    println!(" owns ~80% of the budget. player-sharding pins that budget to one");
-    println!(" worker; stealing spreads its rounds across every idle worker. The");
-    println!(" steal output is asserted bit-identical to its serial round-laddered");
+    println!(" owns ~80% of the budget. Idle workers steal that player's rounds; the");
+    println!(" output is asserted bit-identical to its serial round-laddered");
     println!(" reference at every thread count while we measure.)");
-    println!(
-        "{:>8} {:>14} {:>10} {:>14} {:>10}",
-        "threads", "player", "speedup", "steal", "speedup"
-    );
+    println!("{:>8} {:>14} {:>10}", "threads", "time", "speedup");
     let hot_game = trex_shapley::game::fixtures::one_hot(16, 20_000);
     let hot_players = StochasticGame::num_players(&hot_game);
     let (tol, z, batch, cap, hot_seed) = (0.02f64, 1.96f64, 50usize, 6000usize, 17u64);
@@ -199,17 +194,16 @@ fn main() {
         .collect();
     assert!(!steal_serial[0].1, "the hot player must run to the cap");
     assert!(steal_serial[1].1, "dummies must converge early");
-    let steal_hash = estimates_hash(&steal_serial);
-    // Best of 3 runs per measurement: the steal-beats-player assertion
-    // below gates CI, so one preempted run on a shared runner must not be
-    // able to flip a timing comparison with a ~3× expected margin.
-    let best_of = |schedule: Schedule, threads: usize| {
+    let steal_hash = adaptive_hash(&steal_serial);
+    // Best of 3 runs per measurement: the 4-vs-1-thread assertion below
+    // gates CI, so one preempted run on a shared runner must not be able to
+    // flip a timing comparison with a ~3× expected margin.
+    let best_of = |threads: usize| {
         let mut best: Option<(std::time::Duration, Vec<(Estimate, bool)>)> = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let out = parallel::estimate_all_adaptive(
-                &hot_game, tol, z, batch, cap, hot_seed, threads, schedule,
-            );
+            let out =
+                parallel::estimate_all_adaptive(&hot_game, tol, z, batch, cap, hot_seed, threads);
             let dt = start.elapsed();
             if best.as_ref().is_none_or(|(b, _)| dt < *b) {
                 best = Some((dt, out));
@@ -217,42 +211,35 @@ fn main() {
         }
         best.expect("three runs produce a best")
     };
-    let mut player_base = None;
     let mut steal_base = None;
-    let mut steal_rows: Vec<(usize, f64, f64, u64)> = Vec::new();
+    let mut steal_rows: Vec<(usize, f64, u64)> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        let (player_dt, sharded) = best_of(Schedule::PlayerSharded, threads);
-        assert_eq!(sharded.len(), hot_players);
-        let (steal_dt, stolen) = best_of(Schedule::WorkStealing, threads);
-        // The stealing determinism contract, asserted while we measure:
-        // every thread count reproduces the serial round ladder exactly.
+        let (steal_dt, stolen) = best_of(threads);
+        // The determinism contract, asserted while we measure: every
+        // thread count reproduces the serial round ladder exactly.
         assert_eq!(
             stolen, steal_serial,
-            "work-stealing output diverged from serial at {threads} threads"
+            "adaptive output diverged from serial at {threads} threads"
         );
-        // The headline claim: with real cores, stealing beats player-
-        // sharding on this workload (the hot player's rounds spread out
-        // instead of pinning one worker). Only asserted where the hardware
-        // can show it — a single-core box serializes both schedules.
-        if parallel::available_threads() >= 4 && threads >= 4 {
+        let s_base = *steal_base.get_or_insert(steal_dt);
+        // The headline claim: with real cores, stealing spreads the hot
+        // player's rounds, so 4 workers beat 1. Only asserted where the
+        // hardware can show it — a smaller box serializes the workers.
+        if parallel::available_threads() >= 4 && threads == 4 {
             assert!(
-                steal_dt < player_dt,
-                "stealing must beat player-sharding on the one-hot-player \
-                 workload at {threads} threads ({steal_dt:?} vs {player_dt:?})"
+                steal_dt < s_base,
+                "round stealing at 4 threads must beat 1 thread on the \
+                 one-hot-player workload ({steal_dt:?} vs {s_base:?})"
             );
         }
-        let p_base = *player_base.get_or_insert(player_dt);
-        let s_base = *steal_base.get_or_insert(steal_dt);
         println!(
-            "{threads:>8} {player_dt:>14.3?} {:>9.2}x {steal_dt:>14.3?} {:>9.2}x",
-            p_base.as_secs_f64() / player_dt.as_secs_f64().max(1e-12),
+            "{threads:>8} {steal_dt:>14.3?} {:>9.2}x",
             s_base.as_secs_f64() / steal_dt.as_secs_f64().max(1e-12)
         );
         steal_rows.push((
             threads,
-            player_dt.as_secs_f64() * 1e3,
             steal_dt.as_secs_f64() * 1e3,
-            estimates_hash(&stolen),
+            adaptive_hash(&stolen),
         ));
     }
 
@@ -450,26 +437,26 @@ fn main() {
     println!("repair loops (detect → fix → re-detect) take --threads too. This is the");
     println!("asymmetry behind the paper's two-solver design (§2.3).");
 
-    // Machine-readable record for the CI artifact: the per-schedule walk
-    // curve, the skewed-budget steal curve (with the output fingerprint CI
+    // Machine-readable record for the CI artifact: the walk curve and the
+    // skewed-budget steal curve (each row with the output fingerprint CI
     // re-checks against the serial hash), and the violation-detection
     // curve, per thread count.
     if let Some(path) = json_path {
         let walk_json: Vec<String> = walk_rows
             .iter()
-            .map(|(threads, budget_ms, player_ms)| {
+            .map(|(threads, wall_ms, hash)| {
                 format!(
-                    "    {{ \"threads\": {threads}, \"budget_ms\": {budget_ms:.3}, \
-                     \"player_ms\": {player_ms:.3} }}"
+                    "    {{ \"threads\": {threads}, \"wall_ms\": {wall_ms:.3}, \
+                     \"hash\": \"{hash:016x}\" }}"
                 )
             })
             .collect();
         let steal_json: Vec<String> = steal_rows
             .iter()
-            .map(|(threads, player_ms, steal_ms, hash)| {
+            .map(|(threads, steal_ms, hash)| {
                 format!(
-                    "    {{ \"threads\": {threads}, \"player_ms\": {player_ms:.3}, \
-                     \"steal_ms\": {steal_ms:.3}, \"hash\": \"{hash:016x}\" }}"
+                    "    {{ \"threads\": {threads}, \"steal_ms\": {steal_ms:.3}, \
+                     \"hash\": \"{hash:016x}\" }}"
                 )
             })
             .collect();

@@ -4,7 +4,7 @@
 //! — at configurable scale under a wall-clock budget, and records per-phase
 //! wall time and rows/s, resident-set telemetry from `/proc/self/status`
 //! (`VmRSS` per phase, `VmHWM` peak), the repair-oracle hit/eviction
-//! counters of the explanation, and the thread/schedule knobs into a JSON
+//! counters of the explanation, and the thread and oracle knobs into a JSON
 //! artifact next to the other `exp_*` outputs. This is the profile the
 //! next perf PR targets: at a million rows it shows which hot path
 //! dominates (the violation scan, the rule repair's column statistics, or
@@ -24,7 +24,6 @@
 //!   --skew F          Zipf exponent for sensor keys and duplicate donors
 //!                     (default 1.2)
 //!   --threads N       worker threads, 0 = all cores (default 0)
-//!   --schedule S      player | budget | steal | auto (default auto)
 //!   --oracle-cap N    bound the explain oracle to N entries (default:
 //!                     oracle default; small values force evictions)
 //!   --oracle-batch N  cap the coalition queries per oracle dispatch
@@ -37,7 +36,7 @@ use std::time::Instant;
 use trex::Session;
 use trex_datagen::{generate_scenario, ErrorRates, ScenarioConfig, SchemaKind};
 use trex_repair::RepairAlgorithm as _;
-use trex_shapley::{parallel, resolve_threads, ExecConfig, Schedule};
+use trex_shapley::{parallel, resolve_threads, ExecConfig};
 use trex_table::EncodedTable;
 
 struct StressArgs {
@@ -47,8 +46,6 @@ struct StressArgs {
     rate: f64,
     skew: f64,
     threads: usize,
-    schedule: Option<Schedule>,
-    schedule_name: String,
     oracle_cap: Option<usize>,
     oracle_batch: Option<usize>,
     budget_secs: u64,
@@ -66,8 +63,6 @@ fn parse_args() -> StressArgs {
         rate: 0.000_01,
         skew: 1.2,
         threads: 0,
-        schedule: None,
-        schedule_name: "auto".to_string(),
         oracle_cap: None,
         oracle_batch: None,
         budget_secs: 1800,
@@ -89,16 +84,6 @@ fn parse_args() -> StressArgs {
             "--rate" => out.rate = value().parse().expect("--rate"),
             "--skew" => out.skew = value().parse().expect("--skew"),
             "--threads" => out.threads = value().parse().expect("--threads"),
-            "--schedule" => {
-                out.schedule_name = value();
-                out.schedule = match out.schedule_name.as_str() {
-                    "auto" => None,
-                    "player" => Some(Schedule::PlayerSharded),
-                    "budget" => Some(Schedule::BudgetSplit),
-                    "steal" => Some(Schedule::WorkStealing),
-                    other => panic!("--schedule {other:?} (known: auto, player, budget, steal)"),
-                };
-            }
             "--oracle-cap" => out.oracle_cap = Some(value().parse().expect("--oracle-cap")),
             "--oracle-batch" => {
                 let batch: usize = value().parse().expect("--oracle-batch");
@@ -109,7 +94,7 @@ fn parse_args() -> StressArgs {
             "--json" => out.json = Some(value()),
             other => panic!(
                 "unknown flag {other:?} (known: --schema --rows --seed --rate --skew \
-                 --threads --schedule --oracle-cap --oracle-batch --budget-secs --json)"
+                 --threads --oracle-cap --oracle-batch --budget-secs --json)"
             ),
         }
     }
@@ -179,15 +164,8 @@ fn main() {
     let args = parse_args();
     let threads = resolve_threads(args.threads).expect("--threads");
     println!(
-        "== exp_stress: {} @ {} rows (seed {}, rate {}, skew {}, {} thread(s), schedule {}, budget {}s) ==",
-        args.schema,
-        args.rows,
-        args.seed,
-        args.rate,
-        args.skew,
-        threads,
-        args.schedule_name,
-        args.budget_secs,
+        "== exp_stress: {} @ {} rows (seed {}, rate {}, skew {}, {} thread(s), budget {}s) ==",
+        args.schema, args.rows, args.seed, args.rate, args.skew, threads, args.budget_secs,
     );
     let total_start = Instant::now();
     let mut phases: Vec<Phase> = Vec::new();
@@ -230,9 +208,6 @@ fn main() {
     // engine's violation scans, the session's detection, and the
     // explanation's sampling/oracle all read the same knobs.
     let mut cfg = ExecConfig::new().with_threads(threads);
-    if let Some(s) = args.schedule {
-        cfg = cfg.with_schedule(s);
-    }
     if let Some(cap) = args.oracle_cap {
         cfg = cfg.with_oracle_cap(cap);
     }
@@ -341,7 +316,6 @@ fn main() {
                 "  \"fingerprint\": \"{fingerprint:016x}\",\n",
                 "  \"threads\": {threads},\n",
                 "  \"hardware_threads\": {hw},\n",
-                "  \"schedule\": \"{schedule}\",\n",
                 "  \"oracle_capacity\": {cap},\n",
                 "  \"oracle_batch\": {batch},\n",
                 "  \"budget_secs\": {budget},\n",
@@ -364,7 +338,6 @@ fn main() {
             fingerprint = fingerprint,
             threads = threads,
             hw = parallel::available_threads(),
-            schedule = args.schedule_name,
             cap = args
                 .oracle_cap
                 .map_or("null".to_string(), |c| c.to_string()),

@@ -91,15 +91,14 @@ impl Args {
         self.get(name).is_some()
     }
 
-    /// Parse the shared execution flags — `--threads`, `--schedule`,
-    /// `--oracle-cap`, `--seed` — into one [`ExecConfig`].
+    /// Parse the shared execution flags — `--threads`, `--oracle-cap`,
+    /// `--oracle-batch`, `--seed`, `--prune-redundant` — into one
+    /// [`ExecConfig`].
     ///
     /// This is the single validation path for every subcommand that takes
     /// execution knobs: `--threads` absent or `0` resolves to the available
     /// parallelism (absurd counts are rejected with one error message
-    /// everywhere), `--schedule` accepts `auto | player | budget | steal`
-    /// (`auto` leaves the schedule unset so `Schedule::auto` picks per
-    /// call), `--oracle-cap` bounds the repair-oracle memo cache (`0`
+    /// everywhere), `--oracle-cap` bounds the repair-oracle memo cache (`0`
     /// disables caching), `--oracle-batch` caps how many cache-missing
     /// coalition queries each oracle dispatch carries (must be ≥ 1;
     /// identical output at any cap), `--seed` feeds the sampling seed, and
@@ -128,7 +127,6 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trex_shapley::Schedule;
 
     #[test]
     fn parses_subcommand_and_flags() {
@@ -179,7 +177,6 @@ mod tests {
         let a = Args::parse(["explain"]).unwrap();
         let cfg = a.exec_config().unwrap();
         assert!(cfg.threads() >= 1, "absent --threads resolves to ≥ 1");
-        assert_eq!(cfg.schedule(), None);
         assert_eq!(cfg.oracle_cap(), None);
         assert_eq!(cfg.oracle_batch(), None);
         assert_eq!(cfg.seed(), None);
@@ -195,8 +192,6 @@ mod tests {
             "explain",
             "--threads",
             "4",
-            "--schedule",
-            "steal",
             "--oracle-cap",
             "4096",
             "--oracle-batch",
@@ -208,19 +203,21 @@ mod tests {
         .unwrap();
         let cfg = a.exec_config().unwrap();
         assert_eq!(cfg.threads(), 4);
-        assert_eq!(cfg.schedule(), Some(Schedule::WorkStealing));
         assert_eq!(cfg.oracle_cap(), Some(4096));
         assert_eq!(cfg.oracle_batch(), Some(64));
         assert_eq!(cfg.seed(), Some(7));
         assert!(cfg.prune_redundant());
-        for (flag, value, schedule) in [
-            ("--schedule", "player", Some(Schedule::PlayerSharded)),
-            ("--schedule", "budget", Some(Schedule::BudgetSplit)),
-            ("--schedule", "auto", None),
-        ] {
-            let a = Args::parse(["explain", flag, value]).unwrap();
-            assert_eq!(a.exec_config().unwrap().schedule(), schedule, "{value}");
-        }
+        assert!(a.reject_unknown().is_ok(), "every knob is consumed");
+    }
+
+    #[test]
+    fn schedule_is_an_unknown_flag() {
+        // Every thread count returns the serial estimate, so there is no
+        // sampling schedule to pick and --schedule is an unknown flag.
+        let a = Args::parse(["explain", "--schedule", "player"]).unwrap();
+        a.exec_config().unwrap();
+        let err = a.reject_unknown().unwrap_err().to_string();
+        assert_eq!(err, "unknown flag --schedule");
     }
 
     #[test]
@@ -233,7 +230,6 @@ mod tests {
         assert!(err.contains("1024"), "{err}");
         for bad in [
             vec!["x", "--threads", "many"],
-            vec!["x", "--schedule", "nope"],
             vec!["x", "--oracle-cap", "lots"],
             vec!["x", "--oracle-batch", "heaps"],
             vec!["x", "--seed", "entropy"],

@@ -53,24 +53,17 @@ ENGINE FLAGS:
   --engine holistic    conflict-hypergraph baseline
 
 EXEC FLAGS:
-  --threads N, --schedule POLICY, --oracle-cap N, --oracle-batch N, and
-  --seed N form one execution-configuration surface, parsed identically by
-  violations, repair, and explain (each command consumes the knobs that
-  apply to it).
+  --threads N, --oracle-cap N, --oracle-batch N, --seed N, and
+  --prune-redundant form one execution-configuration surface, parsed
+  identically by violations, repair, and explain (each command consumes
+  the knobs that apply to it).
   --threads N (default: all hardware threads; 0 also means that) runs
-  explain's cell sampling on N workers; for violations and repair it
-  splits the row-pair violation scan, whose output is identical at any
-  thread count (a wall-time knob only). --seed N (default 0) seeds
-  explain's sampling. --schedule picks how explain's sampling distributes
-  work:
-  player (workers claim whole cells; output identical to the serial
-  estimator at ANY thread count), steal (player-sharding plus round
-  stealing on --adaptive runs: idle workers take over rounds of a hot
-  cell's budget; output identical at ANY thread count to the round-
-  laddered serial estimator — a different, equally valid stream than
-  player's), budget (every cell's sample budget is split across workers;
-  deterministic per (--seed, --threads) pair), or auto (default: player
-  when the table has at least 4 cells per worker).
+  explain's cell sampling and the row-pair violation scan of violations
+  and repair on N workers. Output is identical at ANY thread count: the
+  cell rankings are the serial estimator's, bit for bit, so --threads is
+  a wall-time knob only. --seed N (default 0) seeds explain's sampling;
+  --adaptive samples each cell in --batch-sized rounds, each from its own
+  seed laddered off --seed.
   --prune-redundant skips the violation scans of constraints the static
   analyzer proves can never be violated (run trex lint to see which);
   witness output is identical with or without it — only wasted work is
@@ -693,8 +686,6 @@ mod tests {
             let err = d.exec_config().unwrap_err().to_string();
             assert!(err.contains("999999"), "{command}: {err}");
             assert!(err.contains("1024"), "{command}: {err}");
-            let e = Args::parse([command, "--schedule", "nope"]).unwrap();
-            assert!(e.exec_config().is_err(), "{command}");
             let f = Args::parse([command, "--oracle-batch", "0"]).unwrap();
             let err = f.exec_config().unwrap_err().to_string();
             assert!(err.contains("--oracle-batch"), "{command}: {err}");

@@ -34,7 +34,7 @@ use trex_table::{CellRef, EncodedTable, Table};
 
 /// Split `0..items` into `threads` contiguous ranges whose sizes differ by
 /// at most one (front-loaded remainder).
-fn chunk_ranges(items: usize, threads: usize) -> Vec<Range<usize>> {
+fn even_ranges(items: usize, threads: usize) -> Vec<Range<usize>> {
     let base = items / threads;
     let extra = items % threads;
     let mut start = 0;
@@ -113,7 +113,7 @@ fn nested_loop_par(
 ) -> Vec<Violation> {
     let dc = cdc.dc();
     let n = table.num_rows();
-    let ranges = chunk_ranges(n, threads);
+    let ranges = even_ranges(n, threads);
     if dc.is_binary() {
         scan_on_workers(ranges, |rows| {
             let bound = cdc.bind(enc, &[]);

@@ -15,8 +15,8 @@ use trex_repair::{
     BatchStats, OracleBackend, OracleCache, RepairAlgorithm, RepairResult, ShardedOracle,
 };
 use trex_shapley::{
-    parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, ExecConfig,
-    Game, ParallelConfig, Rational, SamplingConfig, Schedule, StochasticGame,
+    parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, ExactError,
+    ExecConfig, Game, ParallelConfig, Rational, SamplingConfig, StochasticGame,
 };
 use trex_table::{CellRef, Table, Value};
 
@@ -41,6 +41,14 @@ pub enum ExplainError {
         /// The exact-solver cap.
         limit: usize,
     },
+    /// An exact constraint explanation was requested over more
+    /// constraints than the exact solvers enumerate.
+    TooManyConstraints {
+        /// Number of constraints (players of the constraint game).
+        constraints: usize,
+        /// The exact-solver cap.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ExplainError {
@@ -57,11 +65,27 @@ impl fmt::Display for ExplainError {
                 f,
                 "exact cell explanation over {players} cells exceeds the {limit}-player limit; use sampling"
             ),
+            ExplainError::TooManyConstraints { constraints, limit } => write!(
+                f,
+                "exact constraint explanation over {constraints} constraints exceeds the \
+                 {limit}-constraint limit; remove constraints or explain cells instead"
+            ),
         }
     }
 }
 
 impl std::error::Error for ExplainError {}
+
+/// The exact solvers' player cap, as an explanation error: the players of
+/// a constraint game are the constraints.
+fn too_many_constraints(e: ExactError) -> ExplainError {
+    match e {
+        ExactError::TooManyPlayers { n, limit } => ExplainError::TooManyConstraints {
+            constraints: n,
+            limit,
+        },
+    }
+}
 
 /// A constraint explanation: the ranking plus the exact rational values.
 #[derive(Debug, Clone)]
@@ -85,14 +109,11 @@ pub struct AdaptiveConfig {
     pub tolerance: f64,
     /// Confidence multiplier (`1.96` ≈ 95%).
     pub z: f64,
-    /// Samples per adaptive round, between convergence checks. Under
-    /// `Schedule::PlayerSharded` (the auto default once the table has ≥ 4
-    /// cells per worker) each cell runs the serial loop, so a round is
-    /// exactly `batch` samples; under `Schedule::BudgetSplit` every worker
-    /// contributes `batch` samples per round, so a round is
-    /// `threads × batch` and convergence is checked that much less often.
+    /// Samples per adaptive round, between convergence checks. Every
+    /// round is exactly `batch` samples from its own laddered seed at any
+    /// thread count (see `trex_shapley::round_seed`).
     pub batch: usize,
-    /// Per-cell cap on total samples across all workers.
+    /// Per-cell cap on total samples.
     pub max_samples: usize,
     /// Base RNG seed (laddered per player exactly like fixed-budget
     /// sampling).
@@ -130,16 +151,10 @@ pub struct CellExplanation {
 /// through repeated repair queries, per the paper's design.
 ///
 /// Cell explanations run on the parallel sampling engine
-/// (`trex_shapley::parallel`). The default is one worker, which reproduces
-/// the historical serial estimates bit for bit; [`Explainer::with_config`]
-/// with [`ExecConfig::with_threads`] opts into multi-core sampling. The
-/// work [`Schedule`] defaults to [`Schedule::auto`] over the cell count —
-/// player-sharded (serial-identical output at any thread count) when the
-/// table has plenty of cells per worker, budget-split (deterministic per
-/// `(seed, threads)` pair) otherwise; [`ExecConfig::with_schedule`] pins
-/// one explicitly ([`Schedule::WorkStealing`] additionally steals adaptive
-/// rounds between workers, see the schedule docs for its determinism
-/// contract).
+/// (`trex_shapley::parallel`). The default is one worker;
+/// [`Explainer::with_config`] with [`ExecConfig::with_threads`] opts into
+/// multi-core sampling. Every thread count returns the serial estimate bit
+/// for bit — threads change wall time only.
 ///
 /// The memoizing repair oracle behind the coalition games grows with the
 /// number of distinct coalition tables visited;
@@ -162,8 +177,8 @@ pub struct Explainer<'a> {
 }
 
 impl<'a> Explainer<'a> {
-    /// Wrap a repair algorithm (single sampling worker, auto schedule,
-    /// default oracle capacity, local oracle dispatch).
+    /// Wrap a repair algorithm (single sampling worker, default oracle
+    /// capacity, local oracle dispatch).
     pub fn new(alg: &'a dyn RepairAlgorithm) -> Self {
         Explainer {
             alg,
@@ -209,8 +224,8 @@ impl<'a> Explainer<'a> {
         self.cache.as_ref()
     }
 
-    /// Apply an execution configuration wholesale: thread count, schedule,
-    /// and oracle capacity in one value shared with `Session` and the
+    /// Apply an execution configuration wholesale: thread count and oracle
+    /// capacity in one value shared with `Session` and the
     /// repair engines. The config's `seed`, if set, is not consumed here —
     /// sampling methods take their seed from the explicit
     /// [`SamplingConfig`] argument.
@@ -224,41 +239,9 @@ impl<'a> Explainer<'a> {
         self.cfg
     }
 
-    /// Use `threads` sampling workers for cell explanations (must be ≥ 1;
-    /// resolve user input with `trex_shapley::resolve_threads` first).
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn with_threads(self, threads: usize) -> Self {
-        let cfg = self.cfg.with_threads(threads);
-        self.with_config(cfg)
-    }
-
-    /// Pin the all-player sampling schedule instead of letting
-    /// [`Schedule::auto`] choose from the cell count.
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn with_schedule(self, schedule: Schedule) -> Self {
-        let cfg = self.cfg.with_schedule(schedule);
-        self.with_config(cfg)
-    }
-
     /// The configured sampling worker count.
     pub fn threads(&self) -> usize {
         self.cfg.threads()
-    }
-
-    /// The pinned schedule, if any (`None` = auto by cell count).
-    pub fn schedule(&self) -> Option<Schedule> {
-        self.cfg.schedule()
-    }
-
-    /// Bound the repair-oracle memo cache to `capacity` entries
-    /// (second-chance eviction once full; `0` disables caching entirely).
-    /// Explanation results are unchanged at any capacity — a smaller cache
-    /// only recomputes more. The default is
-    /// `trex_repair::ShardedOracle::DEFAULT_CAPACITY`.
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn with_oracle_capacity(self, capacity: usize) -> Self {
-        let cfg = self.cfg.with_oracle_cap(capacity);
-        self.with_config(cfg)
     }
 
     /// The pinned oracle capacity, if any (`None` = the oracle default).
@@ -273,13 +256,6 @@ impl<'a> Explainer<'a> {
     /// and surface the diagnostics.
     pub fn analyze(&self, dcs: &[DenialConstraint], table: &Table) -> trex_constraints::Analysis {
         trex_constraints::analyze_with_table(dcs, table)
-    }
-
-    /// The schedule an explanation over `players` cells will use.
-    fn schedule_for(&self, players: usize) -> Schedule {
-        self.cfg
-            .schedule()
-            .unwrap_or_else(|| Schedule::auto(players, self.threads()))
     }
 
     /// Whether the batched-dispatch machinery is in play (a batch bound or
@@ -420,8 +396,10 @@ impl<'a> Explainer<'a> {
     ) -> Result<(ConstraintExplanation, trex_repair::OracleStats, BatchStats), ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.constraint_game(dcs, dirty, cell, target.clone());
-        let values = shapley_exact(&game).expect("constraint sets are small");
-        let rationals = shapley_exact_rational(&game).expect("constraint sets are small");
+        // The rational solver has the lower player cap, so it runs first:
+        // an oversized program fails before any coalition is repaired.
+        let rationals = shapley_exact_rational(&game).map_err(too_many_constraints)?;
+        let values = shapley_exact(&game).map_err(too_many_constraints)?;
         let ranking = Ranking::new(
             values
                 .iter()
@@ -455,7 +433,7 @@ impl<'a> Explainer<'a> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.constraint_game(dcs, dirty, cell, target);
         let matrix =
-            trex_shapley::shapley_interaction_exact(&game).expect("constraint sets are small");
+            trex_shapley::shapley_interaction_exact(&game).map_err(too_many_constraints)?;
         let labels = (0..dcs.len())
             .map(|i| Game::player_label(&game, i))
             .collect();
@@ -474,7 +452,7 @@ impl<'a> Explainer<'a> {
     ) -> Result<Ranking, ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.constraint_game(dcs, dirty, cell, target);
-        let values = trex_shapley::banzhaf_exact(&game).expect("constraint sets are small");
+        let values = trex_shapley::banzhaf_exact(&game).map_err(too_many_constraints)?;
         Ok(Ranking::new(
             values
                 .iter()
@@ -496,11 +474,8 @@ impl<'a> Explainer<'a> {
     ) -> Result<CellExplanation, ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
-        let schedule = self.schedule_for(StochasticGame::num_players(&game));
-        let estimates = parallel::estimate_all(
-            &game,
-            ParallelConfig::from_sampling(config, self.threads()).with_schedule(schedule),
-        );
+        let estimates =
+            parallel::estimate_all(&game, ParallelConfig::from_sampling(config, self.threads()));
         let players = game.players().to_vec();
         let ranking = Ranking::with_errors(
             estimates
@@ -531,9 +506,11 @@ impl<'a> Explainer<'a> {
     /// budget concentrates on the contested ones.
     ///
     /// Returns the explanation plus one flag per player cell: did that
-    /// cell's estimate converge within budget? Deterministic per
-    /// `(config.seed, threads)` pair; per-player seeds are laddered exactly
-    /// like [`Explainer::explain_cells_sampled`]'s.
+    /// cell's estimate converge within budget? Each cell runs the serial
+    /// round-laddered estimator (`trex_shapley::estimate_player_adaptive_rounds`)
+    /// with per-player seeds laddered exactly like
+    /// [`Explainer::explain_cells_sampled`]'s, so the result depends on
+    /// `config.seed` alone — never on the thread count.
     pub fn explain_cells_adaptive(
         &self,
         dcs: &[DenialConstraint],
@@ -544,7 +521,6 @@ impl<'a> Explainer<'a> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
         let players = game.players().to_vec();
-        let schedule = self.schedule_for(players.len());
         let (estimates, converged): (Vec<_>, Vec<_>) = parallel::estimate_all_adaptive(
             &game,
             config.tolerance,
@@ -553,7 +529,6 @@ impl<'a> Explainer<'a> {
             config.max_samples,
             config.seed,
             self.threads(),
-            schedule,
         )
         .into_iter()
         .unzip();
@@ -584,7 +559,7 @@ impl<'a> Explainer<'a> {
     /// Explain cells with the **masked** (null / labeled-null) semantics of
     /// the Shapley definition in §2.2, estimated by shared permutation
     /// walks (`config.samples` permutations, each contributing one marginal
-    /// sample to every cell). Deterministic per seed.
+    /// sample to every cell). Deterministic per seed, at any thread count.
     pub fn explain_cells_masked(
         &self,
         dcs: &[DenialConstraint],
@@ -595,10 +570,9 @@ impl<'a> Explainer<'a> {
     ) -> Result<CellExplanation, ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let schedule = self.schedule_for(Game::num_players(&game));
         let estimates = parallel::estimate_all_walk(
             &game,
-            ParallelConfig::from_sampling(config, self.threads()).with_schedule(schedule),
+            ParallelConfig::from_sampling(config, self.threads()),
         );
         let players = game.players().to_vec();
         let ranking = Ranking::with_errors(
@@ -624,9 +598,9 @@ impl<'a> Explainer<'a> {
     ///
     /// Determinism contract: a run that completes (`finished == true`)
     /// returns exactly what [`Explainer::explain_cells_masked`] returns for
-    /// the same `(seed, threads, schedule)` — checkpointing never perturbs
-    /// the sample stream. A stopped run returns the estimates accumulated
-    /// so far (at least one checkpoint's worth).
+    /// the same seed — checkpointing never perturbs the sample stream. A
+    /// stopped run returns the estimates accumulated so far (at least one
+    /// checkpoint's worth), which equal a completed run of that many walks.
     ///
     /// The checkpoint's `estimates` are in player order, index-aligned with
     /// the returned explanation's `players`.
@@ -643,10 +617,9 @@ impl<'a> Explainer<'a> {
     ) -> Result<(CellExplanation, bool), ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let schedule = self.schedule_for(Game::num_players(&game));
         let (estimates, finished) = parallel::estimate_all_walk_anytime(
             &game,
-            ParallelConfig::from_sampling(config, self.threads()).with_schedule(schedule),
+            ParallelConfig::from_sampling(config, self.threads()),
             checkpoint_every,
             on_checkpoint,
         );
@@ -692,10 +665,9 @@ impl<'a> Explainer<'a> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
         let players = game.players().to_vec();
-        let schedule = self.schedule_for(players.len());
         let screened = parallel::estimate_all_walk(
             &game,
-            ParallelConfig::from_sampling(screen, self.threads()).with_schedule(schedule),
+            ParallelConfig::from_sampling(screen, self.threads()),
         );
 
         // Leaders by screened value.
@@ -706,14 +678,13 @@ impl<'a> Explainer<'a> {
         let mut values: Vec<f64> = screened.iter().map(|e| e.value).collect();
         let mut errors: Vec<f64> = screened.iter().map(|e| e.std_error()).collect();
         for (slot, &p) in leaders.iter().enumerate() {
-            let refined = parallel::estimate_player(
+            let refined = trex_shapley::estimate_player(
                 &game,
                 p,
-                ParallelConfig::new(
-                    refine_samples,
-                    screen.seed.wrapping_add(1000 + slot as u64),
-                    self.threads(),
-                ),
+                SamplingConfig {
+                    samples: refine_samples,
+                    seed: screen.seed.wrapping_add(1000 + slot as u64),
+                },
             );
             values[p] = refined.value;
             errors[p] = refined.std_error();
@@ -1083,19 +1054,16 @@ mod tests {
                 .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
                 .unwrap()
         };
-        // threads = 1 reproduces the serial estimates bit for bit.
+        // Every thread count reproduces the default (serial) explainer.
         let serial = Explainer::new(&alg)
             .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
             .unwrap();
-        let one = run(1);
-        assert_eq!(serial.values, one.values);
-        // A fixed (seed, threads) pair is reproducible, and the paper's
-        // headline ranking survives the re-chunked sample streams.
-        let a = run(4);
-        let b = run(4);
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.ranking.top().unwrap().label, "t5[League]");
-        assert_eq!(a.ranking.get("t1[Place]").unwrap().value, 0.0);
+        for threads in [1usize, 4] {
+            let multi = run(threads);
+            assert_eq!(serial.values, multi.values, "threads {threads}");
+        }
+        assert_eq!(serial.ranking.top().unwrap().label, "t5[League]");
+        assert_eq!(serial.ranking.get("t1[Place]").unwrap().value, 0.0);
     }
 
     #[test]
@@ -1117,7 +1085,7 @@ mod tests {
         let (b, conv_b) = ex
             .explain_cells_adaptive(&dcs, &dirty, cell, config)
             .unwrap();
-        assert_eq!(a.values, b.values, "deterministic per (seed, threads)");
+        assert_eq!(a.values, b.values, "deterministic per seed");
         assert_eq!(conv_a, conv_b);
         // t1[Place] is a dummy: zero variance, so it converges in the
         // minimum number of rounds with a zero estimate.
@@ -1135,48 +1103,13 @@ mod tests {
     fn explainer_config_accessors_and_defaults() {
         let alg = laliga::algorithm1();
         assert_eq!(Explainer::new(&alg).threads(), 1);
-        assert_eq!(Explainer::new(&alg).schedule(), None);
         assert_eq!(Explainer::new(&alg).oracle_capacity(), None);
         assert_eq!(Explainer::new(&alg).config(), ExecConfig::default());
-        let cfg = ExecConfig::new()
-            .with_threads(8)
-            .with_schedule(Schedule::PlayerSharded)
-            .with_oracle_cap(64);
+        let cfg = ExecConfig::new().with_threads(8).with_oracle_cap(64);
         let ex = Explainer::new(&alg).with_config(cfg);
         assert_eq!(ex.threads(), 8);
-        assert_eq!(ex.schedule(), Some(Schedule::PlayerSharded));
         assert_eq!(ex.oracle_capacity(), Some(64));
         assert_eq!(ex.config(), cfg);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_explainer_shims_delegate_to_the_config() {
-        // Each legacy builder must behave exactly like editing the config.
-        let alg = laliga::algorithm1();
-        assert_eq!(Explainer::new(&alg).with_threads(8).threads(), 8);
-        assert_eq!(
-            Explainer::new(&alg)
-                .with_schedule(Schedule::PlayerSharded)
-                .schedule(),
-            Some(Schedule::PlayerSharded)
-        );
-        assert_eq!(
-            Explainer::new(&alg)
-                .with_oracle_capacity(64)
-                .oracle_capacity(),
-            Some(64)
-        );
-        // Shims and with_config land on the same ExecConfig.
-        let chained = Explainer::new(&alg)
-            .with_threads(2)
-            .with_schedule(Schedule::WorkStealing)
-            .with_oracle_capacity(16);
-        let direct = ExecConfig::new()
-            .with_threads(2)
-            .with_schedule(Schedule::WorkStealing)
-            .with_oracle_cap(16);
-        assert_eq!(chained.config(), direct);
     }
 
     #[test]
@@ -1250,123 +1183,28 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_explanations_are_thread_count_invariant() {
-        // The stealing schedule end to end: the adaptive explanation is
-        // identical at every thread count (its serial reference is the
-        // round-laddered estimator, pinned in trex-shapley).
+    fn oversized_constraint_programs_are_an_error_not_a_panic() {
+        // Regression: 25 constraints used to panic inside the explainer
+        // ("constraint sets are small") instead of returning an error.
         let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
         let cell = laliga::cell_of_interest(&dirty);
-        let config = AdaptiveConfig {
-            tolerance: 0.1,
-            batch: 30,
-            max_samples: 240,
-            ..AdaptiveConfig::default()
-        };
-        let run = |threads: usize| {
-            Explainer::new(&alg)
-                .with_config(
-                    ExecConfig::new()
-                        .with_threads(threads)
-                        .with_schedule(Schedule::WorkStealing),
-                )
-                .explain_cells_adaptive(&dcs, &dirty, cell, config)
-                .unwrap()
-        };
-        let (serial, serial_conv) = run(1);
-        for threads in [2usize, 4] {
-            let (multi, multi_conv) = run(threads);
-            assert_eq!(serial.values, multi.values, "threads {threads}");
-            assert_eq!(serial_conv, multi_conv, "threads {threads}");
+        let mut dcs = laliga::constraints();
+        for i in dcs.len()..25 {
+            let text = format!("X{i}: !(t1.Place = t2.Place & t1.Year != t2.Year)");
+            dcs.push(trex_constraints::parse_dc_named(&text, &format!("X{i}")).unwrap());
         }
-        // The dummy cell still pins to zero under the round ladder.
-        assert_eq!(serial.ranking.get("t1[Place]").unwrap().value, 0.0);
-    }
-
-    #[test]
-    fn player_sharded_explanations_are_serial_identical_at_any_thread_count() {
-        // The stronger contract of Schedule::PlayerSharded, end to end:
-        // the multi-threaded explanation *is* the single-threaded one.
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        let cfg = SamplingConfig {
-            samples: 200,
-            seed: 3,
+        let ex = Explainer::new(&alg);
+        let too_many = |e: ExplainError| match e {
+            ExplainError::TooManyConstraints { constraints, limit } => {
+                assert_eq!(constraints, 25);
+                assert!(limit < 25, "limit {limit}");
+            }
+            other => panic!("expected TooManyConstraints, got {other:?}"),
         };
-        let run = |threads: usize| {
-            Explainer::new(&alg)
-                .with_config(
-                    ExecConfig::new()
-                        .with_threads(threads)
-                        .with_schedule(Schedule::PlayerSharded),
-                )
-                .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
-                .unwrap()
-        };
-        let serial = run(1);
-        for threads in [2usize, 4] {
-            assert_eq!(serial.values, run(threads).values, "threads {threads}");
-        }
-        // Same for the replacement-semantics per-player estimator.
-        let run_sampled = |threads: usize| {
-            Explainer::new(&alg)
-                .with_config(
-                    ExecConfig::new()
-                        .with_threads(threads)
-                        .with_schedule(Schedule::PlayerSharded),
-                )
-                .explain_cells_sampled(
-                    &dcs,
-                    &dirty,
-                    cell,
-                    SamplingConfig {
-                        samples: 60,
-                        seed: 7,
-                    },
-                )
-                .unwrap()
-        };
-        let serial = run_sampled(1);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                serial.values,
-                run_sampled(threads).values,
-                "threads {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn player_sharded_adaptive_is_serial_identical() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        let config = AdaptiveConfig {
-            tolerance: 0.1,
-            batch: 30,
-            max_samples: 240,
-            ..AdaptiveConfig::default()
-        };
-        let run = |threads: usize| {
-            Explainer::new(&alg)
-                .with_config(
-                    ExecConfig::new()
-                        .with_threads(threads)
-                        .with_schedule(Schedule::PlayerSharded),
-                )
-                .explain_cells_adaptive(&dcs, &dirty, cell, config)
-                .unwrap()
-        };
-        let (serial, serial_conv) = run(1);
-        for threads in [2usize, 4] {
-            let (multi, multi_conv) = run(threads);
-            assert_eq!(serial.values, multi.values, "threads {threads}");
-            assert_eq!(serial_conv, multi_conv, "threads {threads}");
-        }
+        too_many(ex.explain_constraints(&dcs, &dirty, cell).unwrap_err());
+        too_many(ex.constraint_interactions(&dcs, &dirty, cell).unwrap_err());
+        too_many(ex.constraint_banzhaf(&dcs, &dirty, cell).unwrap_err());
     }
 
     #[test]
@@ -1379,6 +1217,11 @@ mod tests {
             limit: 24,
         };
         assert!(e2.to_string().contains("100"));
+        let e3 = ExplainError::TooManyConstraints {
+            constraints: 25,
+            limit: 20,
+        };
+        assert!(e3.to_string().contains("25 constraints"), "{e3}");
     }
 
     #[test]
@@ -1391,13 +1234,8 @@ mod tests {
             samples: 150,
             seed: 9,
         };
-        for schedule in [
-            Schedule::PlayerSharded,
-            Schedule::BudgetSplit,
-            Schedule::WorkStealing,
-        ] {
-            let ex = Explainer::new(&alg)
-                .with_config(ExecConfig::new().with_threads(2).with_schedule(schedule));
+        for threads in [1usize, 2] {
+            let ex = Explainer::new(&alg).with_config(ExecConfig::new().with_threads(threads));
             let batch = ex
                 .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, config)
                 .unwrap();
@@ -1418,10 +1256,10 @@ mod tests {
                     },
                 )
                 .unwrap();
-            assert!(finished, "{schedule:?}");
-            assert!(checkpoints >= 3, "{schedule:?}: {checkpoints}");
-            assert_eq!(anytime.values, batch.values, "{schedule:?}");
-            assert_eq!(anytime.players, batch.players, "{schedule:?}");
+            assert!(finished, "threads {threads}");
+            assert!(checkpoints >= 3, "threads {threads}: {checkpoints}");
+            assert_eq!(anytime.values, batch.values, "threads {threads}");
+            assert_eq!(anytime.players, batch.players, "threads {threads}");
         }
     }
 }

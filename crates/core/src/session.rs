@@ -11,7 +11,7 @@ use crate::games::MaskMode;
 use std::sync::Arc;
 use trex_constraints::{DenialConstraint, ResolveError, Violation};
 use trex_repair::{OracleBackend, OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
-use trex_shapley::{AnytimeCheckpoint, AnytimeControl, ExecConfig, SamplingConfig, Schedule};
+use trex_shapley::{AnytimeCheckpoint, AnytimeControl, ExecConfig, SamplingConfig};
 use trex_table::{CellRef, Table, Value};
 
 /// One entry of the session's repair history.
@@ -53,8 +53,8 @@ impl Session {
         }
     }
 
-    /// Apply an execution configuration wholesale: thread count, schedule,
-    /// and oracle capacity in one value shared with `Explainer` and the
+    /// Apply an execution configuration wholesale: thread count and oracle
+    /// capacity in one value shared with `Explainer` and the
     /// repair engines. The config's `seed`, if set, is not consumed here —
     /// explanation methods take their seed from the explicit
     /// [`SamplingConfig`] argument.
@@ -74,43 +74,9 @@ impl Session {
         self.cfg
     }
 
-    /// Use `threads` sampling workers for the session's cell explanations
-    /// (must be ≥ 1; resolve user input with
-    /// `trex_shapley::resolve_threads` first). Explanations stay
-    /// deterministic per `(seed, threads)` pair.
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg = self.cfg.with_threads(threads);
-    }
-
     /// The configured sampling worker count.
     pub fn threads(&self) -> usize {
         self.cfg.threads()
-    }
-
-    /// Pin the all-player sampling schedule for the session's cell
-    /// explanations (`Schedule::PlayerSharded` is serial-identical at any
-    /// thread count, `Schedule::BudgetSplit` deterministic per
-    /// `(seed, threads)`). The default lets `Schedule::auto` choose from
-    /// the cell count.
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn set_schedule(&mut self, schedule: Schedule) {
-        self.cfg = self.cfg.with_schedule(schedule);
-    }
-
-    /// The pinned schedule, if any (`None` = auto by cell count).
-    pub fn schedule(&self) -> Option<Schedule> {
-        self.cfg.schedule()
-    }
-
-    /// Bound the repair-oracle memo cache of the session's explanations to
-    /// `capacity` entries (second-chance eviction once full; `0` disables
-    /// caching). Explanation results are unchanged at any capacity — the
-    /// knob trades recomputation time for bounded memory on long sessions
-    /// over large tables.
-    #[deprecated(note = "build an ExecConfig and pass it to with_config")]
-    pub fn set_oracle_capacity(&mut self, capacity: usize) {
-        self.cfg = self.cfg.with_oracle_cap(capacity);
     }
 
     /// The pinned oracle capacity, if any (`None` = the oracle default).
@@ -322,8 +288,8 @@ impl Session {
     }
 
     /// [`Session::explain_cells_masked`] under a per-request execution
-    /// configuration: the request's thread count and schedule drive the
-    /// parallel estimator (deterministic per `(seed, threads, schedule)`),
+    /// configuration: the request's thread count sets the parallel
+    /// estimator's worker count (the estimate is the same at any count),
     /// its oracle capacity decides whether the session's shared coalition
     /// cache is used.
     pub fn explain_cells_masked_for(
@@ -343,7 +309,7 @@ impl Session {
     /// ([`AnytimeControl::Stop`]) when a latency budget expires or the
     /// requesting client goes away. A run that completes (`finished ==
     /// true`) returns bit-for-bit what [`Session::explain_cells_masked_for`]
-    /// returns under the same `(seed, threads, schedule)`.
+    /// returns for the same seed.
     pub fn explain_cells_masked_anytime(
         &self,
         cell: CellRef,
@@ -607,25 +573,23 @@ mod tests {
     }
 
     #[test]
-    fn session_schedule_pin_is_serial_identical() {
-        let a = session().with_config(
-            ExecConfig::new()
-                .with_threads(4)
-                .with_schedule(Schedule::PlayerSharded),
-        );
-        let b = session();
-        assert_eq!(a.schedule(), Some(Schedule::PlayerSharded));
-        assert_eq!(b.schedule(), None);
-        let cell = laliga::cell_of_interest(a.table());
+    fn session_thread_count_never_changes_an_explanation() {
+        let serial = session();
+        let cell = laliga::cell_of_interest(serial.table());
         let cfg = SamplingConfig {
             samples: 200,
             seed: 5,
         };
-        // b stays single-threaded (the serial estimates); the
-        // player-sharded 4-thread session must reproduce them exactly.
-        let sharded = a.explain_cells_masked(cell, MaskMode::Null, cfg).unwrap();
-        let serial = b.explain_cells_masked(cell, MaskMode::Null, cfg).unwrap();
-        assert_eq!(sharded.values, serial.values);
+        let want = serial
+            .explain_cells_masked(cell, MaskMode::Null, cfg)
+            .unwrap();
+        for threads in [2usize, 4] {
+            let multi = session().with_config(ExecConfig::new().with_threads(threads));
+            let got = multi
+                .explain_cells_masked(cell, MaskMode::Null, cfg)
+                .unwrap();
+            assert_eq!(got.values, want.values, "threads {threads}");
+        }
     }
 
     #[test]
@@ -705,23 +669,6 @@ mod tests {
             .explain_cells_masked(cell, MaskMode::Null, cfg)
             .unwrap();
         assert_eq!(cells.values, want.values);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_session_setters_delegate_to_the_config() {
-        // Each legacy setter must behave exactly like editing the config.
-        let mut s = session();
-        s.set_threads(4);
-        s.set_schedule(Schedule::WorkStealing);
-        s.set_oracle_capacity(32);
-        assert_eq!(
-            s.config(),
-            ExecConfig::new()
-                .with_threads(4)
-                .with_schedule(Schedule::WorkStealing)
-                .with_oracle_cap(32)
-        );
     }
 
     #[test]
@@ -832,29 +779,17 @@ mod tests {
     #[test]
     fn concurrent_explanations_match_solo_runs_bit_for_bit() {
         // Satellite: N threads hammer one shared Session (one shared
-        // coalition cache) with mixed seeds and schedules; every result
+        // coalition cache) with mixed seeds and thread counts; every result
         // must equal the same request run solo against its own session.
         let s = session().with_config(ExecConfig::new().with_threads(2));
         let cell = laliga::cell_of_interest(s.table());
         let requests: Vec<ExecConfig> = vec![
             ExecConfig::new().with_threads(1).with_seed(3),
-            ExecConfig::new()
-                .with_threads(2)
-                .with_schedule(Schedule::PlayerSharded)
-                .with_seed(3),
-            ExecConfig::new()
-                .with_threads(2)
-                .with_schedule(Schedule::BudgetSplit)
-                .with_seed(11),
-            ExecConfig::new()
-                .with_threads(3)
-                .with_schedule(Schedule::WorkStealing)
-                .with_seed(7),
+            ExecConfig::new().with_threads(2).with_seed(3),
+            ExecConfig::new().with_threads(2).with_seed(11),
+            ExecConfig::new().with_threads(3).with_seed(7),
             ExecConfig::new().with_threads(4).with_seed(11),
-            ExecConfig::new()
-                .with_threads(1)
-                .with_schedule(Schedule::PlayerSharded)
-                .with_seed(7),
+            ExecConfig::new().with_threads(1).with_seed(7),
         ];
         let shared: Vec<CellExplanation> = std::thread::scope(|scope| {
             let handles: Vec<_> = requests

@@ -10,14 +10,14 @@
 //! * a zero-latency `MockRemoteRepair` backend reproduces the inline path
 //!   exactly, and single-flight dedup holds through the full game path
 //!   (the remote answers each distinct coalition exactly once);
-//! * the work-stealing walk schedule stays bit-identical to serial while
-//!   its coalition values flow through batches.
+//! * the parallel walk driver stays bit-identical to serial while its
+//!   coalition values flow through batches.
 
 use std::time::Duration;
 use trex::{ExecConfig, Explainer, MaskMode, Session};
 use trex_datagen::laliga;
 use trex_repair::MockRemoteRepair;
-use trex_shapley::{SamplingConfig, Schedule};
+use trex_shapley::SamplingConfig;
 
 fn session(cfg: ExecConfig) -> Session {
     Session::new(
@@ -120,7 +120,7 @@ fn remote_backed_session_matches_the_plain_session_on_cells() {
 }
 
 #[test]
-fn stealing_walk_over_batches_stays_bit_identical_to_serial() {
+fn parallel_walk_over_batches_stays_bit_identical_to_serial() {
     let sampling = SamplingConfig {
         samples: 128,
         seed: 11,
@@ -131,13 +131,12 @@ fn stealing_walk_over_batches_stays_bit_identical_to_serial() {
         .explain_cells_masked(cell, MaskMode::Null, sampling)
         .unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let stealing = session(
+        let batched = session(
             ExecConfig::new()
                 .with_threads(threads)
-                .with_schedule(Schedule::WorkStealing)
                 .with_oracle_batch(16),
         );
-        let got = stealing
+        let got = batched
             .explain_cells_masked(cell, MaskMode::Null, sampling)
             .unwrap();
         assert_eq!(got.values, want.values, "threads {threads}");

@@ -52,18 +52,6 @@ impl HolisticRepair {
         self
     }
 
-    /// Detect violations on `threads` workers (must be ≥ 1; resolve user
-    /// input with `trex_shapley::resolve_threads` first). Detection output
-    /// is identical at any thread count, so the repair result never depends
-    /// on it — the greedy loop's violation counts drive *every* step, which
-    /// makes this engine the biggest beneficiary of the parallel scan.
-    #[deprecated(note = "build an ExecConfig and pass it to with_exec")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "threads must be >= 1 (resolve 0 first)");
-        self.threads = threads;
-        self
-    }
-
     /// Count violations on `table`.
     fn violation_count(&self, dcs: &[DenialConstraint], table: &Table) -> usize {
         find_all_violations_par(dcs, table, self.threads).len()
@@ -211,21 +199,6 @@ mod tests {
             .str_row(["Real Madrid", "Capital", "Spain"])
             .str_row(["Barcelona", "Barcelona", "Spain"])
             .build()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_threads_matches_with_exec() {
-        // The legacy builder must configure exactly what with_exec does.
-        let cfg = trex_shapley::ExecConfig::new().with_threads(4);
-        let a = HolisticRepair::new()
-            .with_threads(4)
-            .repair(&dcs(), &dirty());
-        let b = HolisticRepair::new()
-            .with_exec(&cfg)
-            .repair(&dcs(), &dirty());
-        assert_eq!(a.clean, b.clean);
-        assert_eq!(a.changes, b.changes);
     }
 
     #[test]

@@ -89,15 +89,6 @@ impl HoloCleanStyle {
         self.config.train = true;
         self
     }
-
-    /// Detect violations on `threads` workers (must be ≥ 1; resolve user
-    /// input with `trex_shapley::resolve_threads` first).
-    #[deprecated(note = "build an ExecConfig and pass it to with_exec")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "threads must be >= 1 (resolve 0 first)");
-        self.config.threads = threads;
-        self
-    }
 }
 
 impl RepairAlgorithm for HoloCleanStyle {
@@ -186,21 +177,6 @@ mod tests {
             .str_row(["Barcelona", "Barcelona", "Spain"])
             .str_row(["Barcelona", "Barcelona", "España"])
             .build()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_threads_matches_with_exec() {
-        // The legacy builder must configure exactly what with_exec does.
-        let cfg = trex_shapley::ExecConfig::new().with_threads(4);
-        let a = HoloCleanStyle::new()
-            .with_threads(4)
-            .repair(&dcs(), &dirty());
-        let b = HoloCleanStyle::new()
-            .with_exec(&cfg)
-            .repair(&dcs(), &dirty());
-        assert_eq!(a.clean, b.clean);
-        assert_eq!(a.changes, b.changes);
     }
 
     #[test]

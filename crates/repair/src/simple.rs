@@ -150,17 +150,6 @@ impl RuleRepair {
         self
     }
 
-    /// Detect violations on `threads` workers (must be ≥ 1; resolve user
-    /// input with `trex_shapley::resolve_threads` first). The repair result
-    /// is identical at any thread count — parallel detection returns the
-    /// serial witness list — so this is purely a wall-time knob.
-    #[deprecated(note = "build an ExecConfig and pass it to with_exec")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "threads must be >= 1 (resolve 0 first)");
-        self.threads = threads;
-        self
-    }
-
     /// Override the reported name.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -853,16 +842,5 @@ mod tests {
         let par = rules().with_exec(&cfg).repair(&dcs(), &dirty());
         assert_eq!(serial.clean, par.clean);
         assert_eq!(serial.changes, par.changes);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_threads_matches_with_exec() {
-        // The legacy builder must configure exactly what with_exec does.
-        let cfg = trex_shapley::ExecConfig::new().with_threads(4);
-        let a = rules().with_threads(4).repair(&dcs(), &dirty());
-        let b = rules().with_exec(&cfg).repair(&dcs(), &dirty());
-        assert_eq!(a.clean, b.clean);
-        assert_eq!(a.changes, b.changes);
     }
 }

@@ -89,7 +89,7 @@ pub trait RepairAlgorithm: Send + Sync {
     /// knobs. Engines that parallelize their violation scans
     /// ([`crate::RuleRepair`], [`crate::HoloCleanStyle`],
     /// [`crate::HolisticRepair`]) override it to take the thread count;
-    /// every engine ignores the config's schedule, oracle capacity, and
+    /// every engine ignores the config's oracle capacity, oracle batch, and
     /// seed, which configure the explanation layers instead. Builder-style
     /// (consumes and returns `self`), so it is only callable on concrete
     /// engines, not `dyn RepairAlgorithm`.

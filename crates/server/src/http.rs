@@ -15,6 +15,47 @@ const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// in a sane state) but ignored — every input travels in the query string.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 
+/// A client connection that remembers whether any response bytes have
+/// been written to it: after a handler panic the server may still answer
+/// 500, but only on a wire no response has started on.
+pub(crate) struct Conn {
+    stream: TcpStream,
+    wrote: bool,
+}
+
+impl Conn {
+    /// Wrap an accepted connection.
+    pub(crate) fn new(stream: TcpStream) -> Self {
+        Conn {
+            stream,
+            wrote: false,
+        }
+    }
+
+    /// Whether any write was attempted (counted even if it failed, so a
+    /// partial response is never followed by a second one).
+    pub(crate) fn wrote(&self) -> bool {
+        self.wrote
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.wrote = true;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// A parsed request: method, decoded path, decoded query parameters.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -65,7 +106,7 @@ impl BadRequest {
 
 /// Read and parse one request from `stream`. `Ok(Err(_))` is a malformed
 /// request that deserves an HTTP error response; `Err(_)` is a dead socket.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, BadRequest>> {
+pub fn read_request(stream: &mut impl Read) -> io::Result<Result<Request, BadRequest>> {
     let mut reader = BufReader::new(stream);
     let mut head = String::new();
     let mut line = String::new();
@@ -192,7 +233,7 @@ fn status_text(status: u16) -> &'static str {
 }
 
 /// Write a complete fixed-length JSON response and flush it.
-pub fn write_json(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
+pub fn write_json(stream: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
         status,
@@ -205,7 +246,7 @@ pub fn write_json(stream: &mut TcpStream, status: u16, body: &str) -> io::Result
 }
 
 /// Write a JSON error response: `{"error": message}`.
-pub fn write_error(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
+pub fn write_error(stream: &mut impl Write, status: u16, message: &str) -> io::Result<()> {
     write_json(
         stream,
         status,
@@ -225,7 +266,7 @@ pub fn write_error(stream: &mut TcpStream, status: u16, message: &str) -> io::Re
 
 /// Send the streaming response head and switch the connection to chunked
 /// mode.
-pub fn chunk_begin(stream: &mut TcpStream) -> io::Result<()> {
+pub fn chunk_begin(stream: &mut impl Write) -> io::Result<()> {
     stream.write_all(
         b"HTTP/1.1 200 OK\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n",
     )?;
@@ -233,7 +274,7 @@ pub fn chunk_begin(stream: &mut TcpStream) -> io::Result<()> {
 }
 
 /// Send `line` plus a trailing newline as one chunk and flush.
-pub fn chunk_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
+pub fn chunk_line(stream: &mut impl Write, line: &str) -> io::Result<()> {
     let payload = format!("{line}\n");
     write!(stream, "{:x}\r\n", payload.len())?;
     stream.write_all(payload.as_bytes())?;
@@ -242,7 +283,7 @@ pub fn chunk_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
 }
 
 /// Send the terminating zero-length chunk.
-pub fn chunk_finish(stream: &mut TcpStream) -> io::Result<()> {
+pub fn chunk_finish(stream: &mut impl Write) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }

@@ -15,9 +15,10 @@
 //! | DELETE | `/constraint`  | remove a denial constraint by name               |
 //!
 //! Every endpoint accepts the CLI's execution knobs (`threads`,
-//! `schedule`, `oracle-cap`, `oracle-batch`, `seed`, `prune-redundant`)
-//! as query parameters, validated through the same
-//! `trex_shapley::exec_config_from_knobs` path as the CLI flags.
+//! `oracle-cap`, `oracle-batch`, `seed`, `prune-redundant`) as query
+//! parameters, validated through the same
+//! `trex_shapley::exec_config_from_knobs` path as the CLI flags. `threads`
+//! never changes an answer, only how fast it arrives.
 //!
 //! The headline is the **anytime** mode of `GET /explain?kind=cells`:
 //! adding `budget_ms=N` (or `stream=1`) switches the response to
@@ -25,13 +26,13 @@
 //! checkpoint carrying the running Shapley estimates with standard errors
 //! and 95% confidence intervals, then one `"final":true` line whose
 //! payload is byte-identical to what the batch endpoint would return for
-//! the same `(seed, threads, schedule)` when the run completes within
-//! budget. The deadline cuts sampling off at the next checkpoint, and a
+//! the same seed when the run completes within budget. The deadline cuts sampling off at the next checkpoint, and a
 //! disconnected client cancels the walk instead of burning the budget.
 //!
 //! Concurrent explanation requests share the session's bounded
 //! `OracleCache`, so coalition repairs computed for one client are hits
-//! for the next.
+//! for the next. A handler that panics (say, inside a black-box repair
+//! engine) answers 500 and leaves its worker serving.
 
 use std::collections::VecDeque;
 use std::io::Write;

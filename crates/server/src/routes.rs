@@ -9,11 +9,12 @@
 //! validation path and error wording of the CLI flags.
 
 use crate::http::{
-    chunk_begin, chunk_finish, chunk_line, write_error, write_json, BadRequest, Request,
+    chunk_begin, chunk_finish, chunk_line, write_error, write_json, BadRequest, Conn, Request,
 };
 use crate::json;
 use std::io;
 use std::net::TcpStream;
+use std::panic::AssertUnwindSafe;
 use std::sync::RwLock;
 use std::time::{Duration, Instant};
 use trex::{cell_label, cell_players, CellExplanation, ExplainError, MaskMode, Session};
@@ -47,12 +48,19 @@ impl ServerState {
 }
 
 /// Serve one connection: read the request, dispatch, answer errors.
-pub(crate) fn handle_connection(state: &ServerState, mut stream: TcpStream) {
+///
+/// A panicking handler — a black-box repair engine is the usual suspect —
+/// costs this request, not the worker thread: the panic is caught here,
+/// the client gets a 500 if no response has started yet, and the worker
+/// goes back to the queue. Session locks recover from the poisoning (see
+/// [`ServerState::read`]).
+pub(crate) fn handle_connection(state: &ServerState, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     // A client that stops reading mid-stream must not pin a worker (and
     // the session read lock) forever: a stalled write errors out and the
     // anytime driver stops.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+    let mut stream = Conn::new(stream);
     let req = match crate::http::read_request(&mut stream) {
         Err(_) => return, // dead socket; nothing to answer
         Ok(Err(bad)) => {
@@ -61,12 +69,24 @@ pub(crate) fn handle_connection(state: &ServerState, mut stream: TcpStream) {
         }
         Ok(Ok(req)) => req,
     };
-    if let Err(bad) = dispatch(state, &req, &mut stream) {
-        let _ = write_error(&mut stream, bad.status, &bad.message);
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(state, &req, &mut stream)));
+    match outcome {
+        Ok(Ok(())) => {}
+        Ok(Err(bad)) => {
+            let _ = write_error(&mut stream, bad.status, &bad.message);
+        }
+        Err(_) if !stream.wrote() => {
+            let _ = write_error(
+                &mut stream,
+                500,
+                "internal error: the request handler panicked",
+            );
+        }
+        Err(_) => {} // mid-response: the truncated stream is the signal
     }
 }
 
-fn dispatch(state: &ServerState, req: &Request, stream: &mut TcpStream) -> Result<(), BadRequest> {
+fn dispatch(state: &ServerState, req: &Request, stream: &mut Conn) -> Result<(), BadRequest> {
     let io = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => health(req, stream),
         ("GET", "/violations") => violations(state, req, stream),
@@ -100,9 +120,8 @@ fn dispatch(state: &ServerState, req: &Request, stream: &mut TcpStream) -> Resul
 // --- parameter plumbing -------------------------------------------------
 
 /// Names [`request_exec`] consumes, shared by every endpoint allowlist.
-const EXEC_PARAMS: [&str; 6] = [
+const EXEC_PARAMS: [&str; 5] = [
     "threads",
-    "schedule",
     "oracle-cap",
     "oracle-batch",
     "seed",
@@ -175,14 +194,14 @@ fn explain_error(e: ExplainError) -> BadRequest {
 
 // --- endpoints ----------------------------------------------------------
 
-fn health(req: &Request, stream: &mut TcpStream) -> io::Result<()> {
+fn health(req: &Request, stream: &mut Conn) -> io::Result<()> {
     if let Err(bad) = check_params(req, &[]) {
         return write_error(stream, bad.status, &bad.message);
     }
     write_json(stream, 200, "{\"status\":\"ok\"}")
 }
 
-fn violations(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::Result<()> {
+fn violations(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     let session = state.read();
     let (exec, ()) = match (request_exec(req, &session), check_params(req, &[])) {
         (Ok(e), Ok(())) => (e, ()),
@@ -218,7 +237,7 @@ fn violations(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io:
     write_json(stream, 200, &body)
 }
 
-fn repair(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::Result<()> {
+fn repair(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     if let Err(bad) = check_params(req, &[]) {
         return write_error(stream, bad.status, &bad.message);
     }
@@ -245,7 +264,7 @@ fn repair(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::Res
     write_json(stream, 200, &body)
 }
 
-fn set_cell(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::Result<()> {
+fn set_cell(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     let mut session = state.write();
     let outcome = (|| -> Result<String, BadRequest> {
         check_params(req, &["cell", "value"])?;
@@ -273,7 +292,7 @@ fn set_cell(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::R
     }
 }
 
-fn upsert_constraint(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::Result<()> {
+fn upsert_constraint(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     let mut session = state.write();
     let outcome = (|| -> Result<String, BadRequest> {
         check_params(req, &["dc", "name"])?;
@@ -300,7 +319,7 @@ fn upsert_constraint(state: &ServerState, req: &Request, stream: &mut TcpStream)
     }
 }
 
-fn remove_constraint(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::Result<()> {
+fn remove_constraint(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     let mut session = state.write();
     let outcome = (|| -> Result<String, BadRequest> {
         check_params(req, &["name"])?;
@@ -325,7 +344,7 @@ fn remove_constraint(state: &ServerState, req: &Request, stream: &mut TcpStream)
     }
 }
 
-fn explain(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::Result<()> {
+fn explain(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     let session = state.read();
     let setup = (|| -> Result<(ExecConfig, CellRef), BadRequest> {
         check_params(
@@ -365,7 +384,7 @@ fn explain(state: &ServerState, req: &Request, stream: &mut TcpStream) -> io::Re
 fn explain_constraints(
     session: &Session,
     req: &Request,
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     cell: CellRef,
     exec: &ExecConfig,
 ) -> io::Result<()> {
@@ -463,7 +482,7 @@ fn mask_mode(req: &Request) -> Result<MaskMode, BadRequest> {
 fn explain_cells(
     session: &Session,
     req: &Request,
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     cell: CellRef,
     exec: &ExecConfig,
 ) -> io::Result<()> {

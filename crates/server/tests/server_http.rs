@@ -4,6 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 use trex::Session;
 use trex_datagen::laliga;
 use trex_server::{json, serve, ServerConfig, ServerHandle};
@@ -111,7 +112,7 @@ fn constraint_explanation_matches_direct_session() {
 #[test]
 fn batch_cell_explanation_is_valid_and_deterministic() {
     let server = start_server();
-    let target = "/explain?cell=t5.Country&samples=200&seed=7&threads=2&schedule=player";
+    let target = "/explain?cell=t5.Country&samples=200&seed=7&threads=2";
     let (status, first) = get(&server, target);
     assert_eq!(status, 200);
     json::validate(&first).expect("cell explanation is valid JSON");
@@ -124,7 +125,7 @@ fn batch_cell_explanation_is_valid_and_deterministic() {
 #[test]
 fn anytime_stream_lines_are_valid_and_final_matches_batch() {
     let server = start_server();
-    let knobs = "cell=t5.Country&samples=200&seed=7&threads=2&schedule=player";
+    let knobs = "cell=t5.Country&samples=200&seed=7&threads=2";
     let (status, head, stream_body) = request(
         &server,
         "GET",
@@ -157,8 +158,11 @@ fn anytime_stream_lines_are_valid_and_final_matches_batch() {
     assert!(final_line.starts_with("{\"final\":true,\"finished\":true,"));
 
     // The determinism contract: the final line's payload is byte-identical
-    // to the batch endpoint under the same (seed, threads, schedule).
-    let (_, batch) = get(&server, &format!("/explain?{knobs}"));
+    // to the batch endpoint for the same seed — at any thread count.
+    let (_, batch) = get(
+        &server,
+        "/explain?cell=t5.Country&samples=200&seed=7&threads=1",
+    );
     let payload = batch
         .strip_prefix('{')
         .and_then(|b| b.strip_suffix('}'))
@@ -302,9 +306,18 @@ fn bad_requests_get_pinned_errors() {
     assert!(body.contains("unknown parameter \\\"shedule\\\""), "{body}");
 
     // Exec knobs validate through the shared CLI path.
-    let (status, body) = get(&server, "/explain?cell=t5.Country&schedule=bogus");
+    let (status, body) = get(&server, "/explain?cell=t5.Country&threads=many");
     assert_eq!(status, 400);
-    assert!(body.contains("schedule"), "{body}");
+    assert!(body.contains("--threads"), "{body}");
+
+    // There is no sampling schedule to pick: every thread count returns
+    // the serial estimate.
+    let (status, body) = get(&server, "/explain?cell=t5.Country&schedule=player");
+    assert_eq!(status, 400);
+    assert!(
+        body.contains("unknown parameter \\\"schedule\\\""),
+        "{body}"
+    );
 
     // Missing and malformed cells.
     let (status, body) = get(&server, "/explain");
@@ -331,9 +344,7 @@ fn bad_requests_get_pinned_errors() {
 fn concurrent_clients_share_one_session() {
     let server = start_server();
     let url: Vec<String> = (0..3)
-        .map(|seed| {
-            format!("/explain?cell=t5.Country&samples=120&seed={seed}&threads=2&schedule=player")
-        })
+        .map(|seed| format!("/explain?cell=t5.Country&samples=120&seed={seed}&threads=2"))
         .collect();
     // Solo answers first, then the same requests hammered concurrently.
     let solo: Vec<String> = url.iter().map(|u| get(&server, u).1).collect();
@@ -354,4 +365,100 @@ fn concurrent_clients_share_one_session() {
             );
         }
     });
+}
+
+/// A black box with a bug: every repair panics.
+struct PanickingEngine;
+
+impl trex_repair::RepairAlgorithm for PanickingEngine {
+    fn name(&self) -> &str {
+        "panicking"
+    }
+
+    fn repair(
+        &self,
+        _dcs: &[trex_constraints::DenialConstraint],
+        _dirty: &trex_table::Table,
+    ) -> trex_repair::RepairResult {
+        panic!("engine bug");
+    }
+}
+
+/// [`request`] with a client read timeout: a lost worker shows up as a
+/// timeout error instead of hanging the test.
+fn request_with_timeout(handle: &ServerHandle, method: &str, target: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set read timeout");
+    write!(
+        stream,
+        "{method} {target} HTTP/1.1\r\nhost: localhost\r\nconnection: close\r\n\r\n"
+    )
+    .expect("send request");
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .unwrap_or_else(|e| panic!("{method} {target}: no answer ({e})"));
+    let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("numeric status");
+    (status, body.to_string())
+}
+
+#[test]
+fn a_panicking_engine_costs_one_request_not_the_worker() {
+    // One worker: before the fix the panic ended the worker thread, and
+    // every later request queued forever.
+    let session = Session::new(
+        Box::new(PanickingEngine),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    );
+    let config = ServerConfig {
+        http_threads: 1,
+        ..ServerConfig::default()
+    };
+    let server = serve(session, &config).expect("bind server");
+    let (status, body) = request_with_timeout(&server, "POST", "/repair");
+    assert_eq!(status, 500, "{body}");
+    json::validate(&body).expect("the 500 body is valid JSON");
+    let (status, body) = request_with_timeout(&server, "GET", "/health");
+    assert_eq!(status, 200, "{body}");
+    // The same worker keeps answering after a second panic, too.
+    let (status, _) = request_with_timeout(&server, "POST", "/repair");
+    assert_eq!(status, 500);
+    let (status, _) = request_with_timeout(&server, "GET", "/violations");
+    assert_eq!(status, 200);
+}
+
+#[test]
+fn oversized_constraint_programs_get_a_400_not_a_lost_worker() {
+    // 4 shipped constraints + 21 added over HTTP = 25, past the exact
+    // solvers' player cap: the explanation used to panic its worker.
+    let config = ServerConfig {
+        http_threads: 1,
+        ..ServerConfig::default()
+    };
+    let session = Session::new(
+        Box::new(laliga::algorithm1()),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    );
+    let server = serve(session, &config).expect("bind server");
+    for i in 0..21 {
+        let target =
+            format!("/constraint?name=X{i}&dc=%21(t1.Place%3Dt2.Place%26t1.Year%21%3Dt2.Year)");
+        let (status, body) = request_with_timeout(&server, "POST", &target);
+        assert_eq!(status, 200, "{body}");
+    }
+    let (status, body) =
+        request_with_timeout(&server, "GET", "/explain?kind=constraints&cell=t5.Country");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("25 constraints"), "{body}");
+    let (status, body) = request_with_timeout(&server, "GET", "/health");
+    assert_eq!(status, 200, "{body}");
 }

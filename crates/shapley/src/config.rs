@@ -1,31 +1,26 @@
 //! One execution-configuration surface for every layer.
 //!
-//! Threads, schedule, oracle capacity, and seed used to be scattered across
+//! Threads, oracle capacity, and seed used to be scattered across
 //! `Session` setters, `Explainer` builders, per-engine `with_threads`
 //! methods, and three copies of CLI flag parsing. [`ExecConfig`] is the one
 //! value they all accept now: build it once, hand it to
 //! `Session::with_config` / `Explainer::with_config` / an engine's
 //! `with_exec`, and every layer reads the same knobs.
 
-use crate::parallel::Schedule;
-
 /// Execution knobs shared by sessions, explainers, repair engines, and the
-/// CLI: worker count, scheduling policy, oracle cache bound, and sampling
-/// seed.
+/// CLI: worker count, oracle cache bound, and sampling seed.
 ///
 /// A plain-old-data builder: all `with_*` methods consume and return the
 /// config, unset options mean "use the layer's default".
 ///
 /// ```
-/// use trex_shapley::{ExecConfig, Schedule};
+/// use trex_shapley::ExecConfig;
 /// let cfg = ExecConfig::new()
 ///     .with_threads(4)
-///     .with_schedule(Schedule::PlayerSharded)
 ///     .with_oracle_cap(1 << 16)
 ///     .with_oracle_batch(64)
 ///     .with_seed(42);
 /// assert_eq!(cfg.threads(), 4);
-/// assert_eq!(cfg.schedule(), Some(Schedule::PlayerSharded));
 /// assert_eq!(cfg.oracle_cap(), Some(1 << 16));
 /// assert_eq!(cfg.oracle_batch(), Some(64));
 /// assert_eq!(cfg.seed(), Some(42));
@@ -33,7 +28,6 @@ use crate::parallel::Schedule;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     threads: usize,
-    schedule: Option<Schedule>,
     oracle_cap: Option<usize>,
     oracle_batch: Option<usize>,
     seed: Option<u64>,
@@ -44,7 +38,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             threads: 1,
-            schedule: None,
             oracle_cap: None,
             oracle_batch: None,
             seed: None,
@@ -54,13 +47,14 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default configuration: 1 thread, auto schedule, unbounded oracle
-    /// cache, layer-default seed.
+    /// The default configuration: 1 thread, unbounded oracle cache,
+    /// layer-default seed.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Set the worker thread count.
+    /// Set the worker thread count. Sampling output is the serial
+    /// estimate at every count; threads change wall time only.
     ///
     /// # Panics
     /// Panics if `threads == 0`; resolve "all cores" to a concrete count
@@ -68,12 +62,6 @@ impl ExecConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "threads must be >= 1 (resolve 0 first)");
         self.threads = threads;
-        self
-    }
-
-    /// Pin the sampling schedule (default: [`Schedule::auto`] per call).
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = Some(schedule);
         self
     }
 
@@ -117,11 +105,6 @@ impl ExecConfig {
         self.threads
     }
 
-    /// Pinned schedule, or `None` for auto-selection.
-    pub fn schedule(&self) -> Option<Schedule> {
-        self.schedule
-    }
-
     /// Oracle cache bound in entries, or `None` for unbounded.
     pub fn oracle_cap(&self) -> Option<usize> {
         self.oracle_cap
@@ -161,13 +144,13 @@ impl ExecConfig {
 /// query parameters.
 ///
 /// `get(name)` looks up the raw value of knob `name` (`None` when absent);
-/// recognized names are `threads`, `schedule`, `oracle-cap`, `oracle-batch`,
-/// `seed`, and `prune-redundant` (presence alone enables pruning, matching
-/// the CLI's boolean-flag behavior). Validation and error wording are the
+/// recognized names are `threads`, `oracle-cap`, `oracle-batch`, `seed`,
+/// and `prune-redundant` (presence alone enables pruning, matching the
+/// CLI's boolean-flag behavior). Validation and error wording are the
 /// contract here: `threads` absent or `0` resolves to the available
 /// parallelism via [`crate::parallel::resolve_threads`] (absurd counts keep
-/// the offending value and the cap in the message), `schedule` accepts
-/// `auto | player | budget | steal`, `oracle-batch` must be ≥ 1. Callers
+/// the offending value and the cap in the message), `oracle-batch` must be
+/// ≥ 1. Callers
 /// surface the returned message verbatim, so a bad `?threads=999999` on the
 /// server reads exactly like a bad `--threads 999999` on the CLI.
 pub fn exec_config_from_knobs<'v>(
@@ -181,17 +164,6 @@ pub fn exec_config_from_knobs<'v>(
     };
     let threads = crate::parallel::resolve_threads(requested).map_err(|e| e.to_string())?;
     let mut cfg = ExecConfig::new().with_threads(threads);
-    match get("schedule").unwrap_or("auto") {
-        "auto" => {}
-        "player" => cfg = cfg.with_schedule(Schedule::PlayerSharded),
-        "budget" => cfg = cfg.with_schedule(Schedule::BudgetSplit),
-        "steal" => cfg = cfg.with_schedule(Schedule::WorkStealing),
-        other => {
-            return Err(format!(
-                "unknown schedule {other:?} (auto | player | budget | steal)"
-            ))
-        }
-    }
     if let Some(v) = get("oracle-cap") {
         let cap = v
             .parse::<usize>()
@@ -230,7 +202,6 @@ mod tests {
     fn defaults_are_serial_and_unset() {
         let cfg = ExecConfig::new();
         assert_eq!(cfg.threads(), 1);
-        assert_eq!(cfg.schedule(), None);
         assert_eq!(cfg.oracle_cap(), None);
         assert_eq!(cfg.oracle_batch(), None);
         assert_eq!(cfg.seed(), None);
@@ -242,13 +213,11 @@ mod tests {
     fn builder_sets_every_knob() {
         let cfg = ExecConfig::new()
             .with_threads(8)
-            .with_schedule(Schedule::WorkStealing)
             .with_oracle_cap(0)
             .with_oracle_batch(32)
             .with_seed(7)
             .with_prune_redundant(true);
         assert_eq!(cfg.threads(), 8);
-        assert_eq!(cfg.schedule(), Some(Schedule::WorkStealing));
         assert_eq!(cfg.oracle_cap(), Some(0));
         assert_eq!(cfg.oracle_batch(), Some(32));
         assert_eq!(cfg.seed(), Some(7));

@@ -6,6 +6,8 @@
 //! sample counts grow, producing the series behind experiment E5
 //! ("sampling error ∝ 1/√m").
 
+use crate::sampling::Estimate;
+
 /// Welford online mean/variance accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct RunningStats {
@@ -66,6 +68,16 @@ impl RunningStats {
             0.0
         } else {
             self.std_dev() / (self.count as f64).sqrt()
+        }
+    }
+
+    /// The [`Estimate`] these observations give: mean, sample standard
+    /// deviation, and count.
+    pub(crate) fn estimate(&self) -> Estimate {
+        Estimate {
+            value: self.mean(),
+            std_dev: self.std_dev(),
+            samples: self.count(),
         }
     }
 

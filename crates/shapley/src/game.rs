@@ -306,8 +306,10 @@ pub mod fixtures {
     /// ±1 coin flip (unit variance — its adaptive budget runs to the
     /// sample cap, Shapley value 0), every other player is a dummy (zero
     /// variance — stops at the minimum two batches). The canonical
-    /// workload for `Schedule::WorkStealing`: one player owning nearly the
-    /// whole adaptive budget, which whole-player claiming cannot balance.
+    /// workload for the round stealing of
+    /// [`crate::parallel::estimate_all_adaptive`]: one player owning nearly
+    /// the whole adaptive budget, which whole-player claiming cannot
+    /// balance.
     ///
     /// `work` iterations of integer mixing are burned per evaluation to
     /// emulate the cost of a repair-oracle call (`0` for pure logic

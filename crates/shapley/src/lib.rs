@@ -16,10 +16,11 @@
 //! | parallel permutation sampling | [`parallel`] | `Θ(m / threads)` | cells, multi-core |
 //! | stratified / antithetic variants | [`stratified`] | `Θ(m)` | ablation A3 |
 //!
-//! Every sampling estimator — plain, adaptive, stratified, antithetic —
-//! has a [`parallel`] counterpart with the same `(seed, threads)`
-//! determinism contract (`threads = 1` replays the serial path bit for
-//! bit).
+//! The plain, walk, and adaptive estimators each have one [`parallel`]
+//! driver whose output is the serial estimator's, bit for bit, at every
+//! thread count: `threads` changes wall time only. The adaptive stream is
+//! the round ladder of [`sampling::estimate_player_adaptive_rounds`]. The
+//! stratified and antithetic estimators stay serial (ablation A3).
 //!
 //! All solvers operate on [`Game`]/[`StochasticGame`] and are exercised
 //! against closed-form fixtures ([`game::fixtures`]) and against each other
@@ -50,12 +51,12 @@ pub use game::{Coalition, FnGame, Game, StochasticGame};
 pub use interaction::shapley_interaction_exact;
 pub use parallel::{
     available_threads, estimate_all_walk_anytime, resolve_threads, AnytimeCheckpoint,
-    AnytimeControl, ParallelConfig, Schedule, ThreadsError, MAX_THREADS,
+    AnytimeControl, ParallelConfig, ThreadsError, MAX_THREADS,
 };
 pub use perm::{shapley_permutation_exact, MAX_PERM_PLAYERS};
 pub use sampling::{
-    estimate_all, estimate_all_walk, estimate_player, estimate_player_adaptive,
-    estimate_player_adaptive_rounds, player_seed, round_seed, Estimate, SamplingConfig,
+    estimate_all, estimate_all_walk, estimate_player, estimate_player_adaptive_rounds, player_seed,
+    round_seed, Estimate, SamplingConfig,
 };
 pub use stratified::{estimate_player_antithetic, estimate_player_stratified};
 

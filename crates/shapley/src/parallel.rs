@@ -1,58 +1,38 @@
-//! Deterministic multi-threaded permutation sampling.
+//! Deterministic multi-threaded Shapley sampling.
 //!
 //! The paper's bottleneck is the Monte-Carlo cell game of §2.3: every
 //! permutation sample queries the black-box repair oracle, and tables have
-//! *many* cells. The estimators here split the `m` samples of
-//! [`crate::sampling`] across a fixed worker count with
-//! [`std::thread::scope`] — no work queue, no dependencies — under a strict
-//! **determinism contract**:
+//! *many* cells. Each driver here spreads one serial estimator of
+//! [`crate::sampling`] over [`std::thread::scope`] workers under one
+//! **determinism contract**: the output is the serial estimator's, bit for
+//! bit, at every thread count. `threads` changes wall time only, and
+//! `threads = 1` runs the serial function inline without spawning.
 //!
-//! 1. For a fixed `(seed, threads)` pair the result is bit-for-bit
-//!    reproducible, regardless of scheduling: every worker owns a statically
-//!    assigned contiguous chunk of the sample budget and an RNG stream
-//!    derived from `(seed, worker_id)`, and chunk statistics are merged in
-//!    worker order with the exact parallel-Welford combine.
-//! 2. With `threads = 1` the single worker's stream *is* the serial stream
-//!    ([`worker_seed`] maps worker 0 to the unmodified seed), so
-//!    [`estimate_all`] reproduces [`crate::sampling::estimate_all`] — and
-//!    [`estimate_all_walk`] reproduces
-//!    [`crate::sampling::estimate_all_walk`] — bit for bit.
+//! | driver | serial reference | unit of work |
+//! |---|---|---|
+//! | [`estimate_all`] | [`crate::sampling::estimate_all`] | one player |
+//! | [`estimate_all_walk`] | [`crate::sampling::estimate_all_walk`] | a block of walks |
+//! | [`estimate_all_walk_anytime`] | the same, checkpointed between rounds | a block of walks |
+//! | [`estimate_all_adaptive`] | [`crate::sampling::estimate_player_adaptive_rounds`] per player | one player, then stolen rounds |
 //!
-//! The same contract covers the variance-reduced estimators:
-//! [`estimate_player_adaptive`] runs synchronized rounds with a shared
-//! sample budget (the stopping rule sees only worker-order-merged
-//! statistics), [`estimate_player_stratified`] assigns *whole strata* to
-//! workers (a stratum never straddles a worker seam), and
-//! [`estimate_player_antithetic`] chunks permutation pairs like plain
-//! samples. Each replays its serial counterpart exactly at `threads = 1`.
-//!
-//! Under that **budget-split** schedule, changing `threads` changes which
-//! permutations are drawn (each worker has its own stream), so estimates
-//! differ *statistically insignificantly* across thread counts but are not
-//! expected to be identical — record `(seed, threads)` to reproduce a run.
-//!
-//! The all-player drivers additionally support a **player-sharded**
-//! schedule ([`Schedule::PlayerSharded`]) with a strictly stronger
-//! contract: workers claim whole players from an atomic work queue and run
-//! the *serial* per-player loop with that player's
-//! [`crate::sampling::player_seed`], so the output is **bit-for-bit
-//! identical to the serial estimators at any thread count** — `threads`
-//! becomes a wall-time knob only. For tables with thousands of cells this
-//! also scales better than splitting every player's budget across every
-//! worker (each worker touches only the players it claims). See
-//! [`Schedule`] for when each mode wins.
+//! Each unit is a pure function of the serial stream (a player's laddered
+//! seed, a contiguous slice of the walk stream, or a round's laddered
+//! seed), and results fold back in serial order, so scheduling never
+//! reaches the output.
 //!
 //! Games must be [`Sync`]: workers share one `&G`. The coalition games of
 //! the T-REx core hold their oracle cache in a sharded mutex map
 //! (`trex_repair::ShardedOracle`), so concurrent workers also share cache
-//! hits.
+//! hits — and, since every driver issues exactly the serial estimator's
+//! coalition queries, the oracle's hit/miss counters match a serial run on
+//! a fresh cache too.
 
 use crate::convergence::RunningStats;
-use crate::game::{Coalition, Game, StochasticGame};
+use crate::game::{Game, StochasticGame};
 use crate::sampling::{
-    marginal_sample, player_seed, round_seed, splitmix64, walk_once, Estimate, SamplingConfig,
+    adaptive_round, adaptive_stop, fold_walk, player_seed, random_permutation_into, walk_once,
+    Estimate, SamplingConfig, WalkScratch,
 };
-use crate::stratified::{antithetic_chunk, stratified_chunk, stratified_estimate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -104,142 +84,33 @@ pub fn resolve_threads(requested: usize) -> Result<usize, ThreadsError> {
     }
 }
 
-/// How the all-player drivers ([`estimate_all`], [`estimate_all_walk`], and
-/// the `estimate_all_*` variance-reduced drivers) distribute work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Split every player's sample budget into contiguous chunks, one per
-    /// worker (the original engine). Deterministic per `(seed, threads)`
-    /// pair; `threads = 1` replays the serial estimators bit for bit.
-    /// Keeps every core busy even when there are fewer players than
-    /// workers, but every worker touches every player — wasteful for
-    /// tables with thousands of cells.
-    #[default]
-    BudgetSplit,
-    /// Workers claim whole players from an atomic work queue and run the
-    /// *serial* per-player loop with that player's
-    /// [`crate::sampling::player_seed`]. Output is **identical to the
-    /// serial estimators at any thread count** (each player's statistics
-    /// are one worker's sequential pushes from the serial stream — no
-    /// cross-worker merge), so `threads` is a wall-time knob only.
-    /// Parallelism is capped by the player count; prefer it whenever
-    /// players comfortably outnumber workers.
-    PlayerSharded,
-    /// [`Schedule::PlayerSharded`] plus round stealing on the adaptive
-    /// driver: workers claim whole players from the atomic queue as usual,
-    /// but a worker that drains the queue *steals unfinished rounds* of
-    /// another player's adaptive budget via per-player round counters, so
-    /// one expensive player no longer pins wall-time to a single core.
-    ///
-    /// Determinism contract: per-player seeds keep the
-    /// [`crate::sampling::player_seed`] ladder, and each adaptive round is
-    /// a pure function of `(player_seed, round)`
-    /// ([`crate::sampling::round_seed`]), folded back in **round order**
-    /// with the stopping rule evaluated only on folded prefixes. The
-    /// output is therefore bit-identical to the serial round-laddered
-    /// estimator [`crate::sampling::estimate_player_adaptive_rounds`] at
-    /// **any** thread count, regardless of which worker ran which round.
-    /// Note that the round ladder is a *different sample stream* than the
-    /// continuous-stream [`crate::sampling::estimate_player_adaptive`]
-    /// that [`Schedule::PlayerSharded`] replays — a sequential stream
-    /// cannot be split across workers — so the two schedules agree
-    /// statistically, not bitwise, on adaptive runs.
-    ///
-    /// On the fixed-budget walk driver ([`estimate_all_walk`]) stealing
-    /// splits every player's walk replay into fixed-size *permutation
-    /// blocks* — pure functions of `(seed, player, block)` via skip-ahead
-    /// regeneration — claimed from one atomic queue and folded back in
-    /// block order, so the output stays bit-identical to the serial walk
-    /// at any thread count while workers stay busy whenever another
-    /// worker's batched oracle dispatch is in flight. The remaining
-    /// fixed-budget drivers ([`estimate_all`], [`estimate_all_stratified`],
-    /// [`estimate_all_antithetic`]) have uniform per-player budgets that
-    /// whole-player claiming already balances, so there this schedule
-    /// behaves exactly like [`Schedule::PlayerSharded`].
-    WorkStealing,
-}
-
-impl Schedule {
-    /// Pick a schedule from the shape of the problem: player-sharded when
-    /// there are enough players to keep every worker busy through the
-    /// claim queue (at least four claims per worker smooths out uneven
-    /// per-player costs), budget-split otherwise. This is the CLI's
-    /// `--schedule auto`.
-    ///
-    /// A single worker always gets budget-split: at `threads = 1` both
-    /// schedules are bit-identical to the serial estimators, but the
-    /// sharded walk replay would pay its `2n`-evaluations-per-walk price
-    /// with no parallelism to buy back.
-    /// `auto` never picks [`Schedule::WorkStealing`]: stealing changes the
-    /// adaptive sample stream (round ladder instead of one continuous
-    /// stream), so it stays an explicit opt-in — the default must keep
-    /// reproducing the historical serial estimates.
-    pub fn auto(players: usize, threads: usize) -> Schedule {
-        if threads > 1 && players >= 4 * threads {
-            Schedule::PlayerSharded
-        } else {
-            Schedule::BudgetSplit
-        }
-    }
-
-    /// Whether this schedule's all-player drivers claim whole players from
-    /// the atomic queue (the player-sharded family).
-    fn claims_players(self) -> bool {
-        matches!(self, Schedule::PlayerSharded | Schedule::WorkStealing)
-    }
-}
-
-impl std::fmt::Display for Schedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Schedule::BudgetSplit => write!(f, "budget"),
-            Schedule::PlayerSharded => write!(f, "player"),
-            Schedule::WorkStealing => write!(f, "steal"),
-        }
-    }
-}
-
 /// Configuration of the parallel estimators: a [`SamplingConfig`] plus a
-/// resolved worker count and a work [`Schedule`].
+/// resolved worker count.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
-    /// Total number of Monte-Carlo samples (split across workers under
-    /// [`Schedule::BudgetSplit`]; per player under
-    /// [`Schedule::PlayerSharded`], exactly like the serial drivers).
+    /// Monte-Carlo samples, exactly as in [`SamplingConfig::samples`]
+    /// (per player, or permutation walks for [`estimate_all_walk`]).
     pub samples: usize,
-    /// Base RNG seed; combined with the worker id per stream
-    /// (budget-split) or the player id (player-sharded).
+    /// Base RNG seed, exactly as in [`SamplingConfig::seed`].
     pub seed: u64,
     /// Worker count (must be ≥ 1; see [`resolve_threads`]).
     pub threads: usize,
-    /// How the all-player drivers distribute work (single-player
-    /// estimators always budget-split — there is nothing to shard).
-    pub schedule: Schedule,
 }
 
 impl ParallelConfig {
-    /// Build from explicit values (budget-split schedule; see
-    /// [`ParallelConfig::with_schedule`]).
+    /// Build from explicit values.
     pub fn new(samples: usize, seed: u64, threads: usize) -> Self {
         assert!(threads >= 1, "threads must be >= 1 (resolve 0 first)");
         ParallelConfig {
             samples,
             seed,
             threads,
-            schedule: Schedule::BudgetSplit,
         }
     }
 
-    /// Lift a serial [`SamplingConfig`] onto `threads` workers
-    /// (budget-split schedule; see [`ParallelConfig::with_schedule`]).
+    /// Lift a serial [`SamplingConfig`] onto `threads` workers.
     pub fn from_sampling(config: SamplingConfig, threads: usize) -> Self {
         Self::new(config.samples, config.seed, threads)
-    }
-
-    /// Select the work schedule of the all-player drivers.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
     }
 
     /// The serial view of this configuration (same samples and seed).
@@ -257,58 +128,15 @@ impl Default for ParallelConfig {
             samples: 1000,
             seed: 0,
             threads: 1,
-            schedule: Schedule::BudgetSplit,
         }
     }
-}
-
-/// The seed of worker `w`'s RNG stream.
-///
-/// Worker 0 gets the **unmodified** seed — this is what makes the
-/// single-threaded parallel path replay the serial estimators exactly.
-/// Higher workers get the seed xor-mixed with a SplitMix64 hash of their id,
-/// which cannot collide with the per-player seed laddering of
-/// [`crate::sampling::estimate_all`] the way a plain additive constant
-/// would.
-fn worker_seed(seed: u64, worker: usize) -> u64 {
-    if worker == 0 {
-        seed
-    } else {
-        seed ^ splitmix64(worker as u64)
-    }
-}
-
-/// Split `samples` into `threads` contiguous chunks, front-loading the
-/// remainder so sizes differ by at most one. Returns the per-worker counts.
-fn chunk_sizes(samples: usize, threads: usize) -> Vec<usize> {
-    let base = samples / threads;
-    let extra = samples % threads;
-    (0..threads)
-        .map(|w| base + usize::from(w < extra))
-        .collect()
-}
-
-/// The contiguous index ranges induced by [`chunk_sizes`]: worker `w` owns
-/// `ranges[w]`, the ranges tile `0..items` in order. Used where the *items*
-/// are positional (strata) rather than interchangeable samples.
-fn chunk_ranges(items: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let mut start = 0;
-    chunk_sizes(items, threads)
-        .into_iter()
-        .map(|len| {
-            let range = start..start + len;
-            start += len;
-            range
-        })
-        .collect()
 }
 
 /// Run `work(p)` for every player `0..n` on `threads` workers claiming
 /// players from an atomic queue, and return the results in player order.
 ///
 /// The claim order is scheduling-dependent, but each player's result is a
-/// pure function of its index, so the returned vector is not: this is what
-/// makes the player-sharded schedules deterministic at any thread count.
+/// pure function of its index, so the returned vector is not.
 /// `threads = 1` (or a single player) runs inline without spawning.
 fn run_player_sharded<T, F>(n: usize, threads: usize, work: F) -> Vec<T>
 where
@@ -339,7 +167,7 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("player-sharded worker panicked"))
+            .map(|h| h.join().expect("sampling worker panicked"))
             .collect::<Vec<_>>()
     });
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
@@ -353,368 +181,149 @@ where
         .collect()
 }
 
-fn stats_to_estimate(stats: &RunningStats) -> Estimate {
-    Estimate {
-        value: stats.mean(),
-        std_dev: stats.std_dev(),
-        samples: stats.count(),
-    }
-}
-
-/// One worker's share of a single-player estimate: `chunk` marginal samples
-/// drawn from the worker's own stream. The sample itself is
-/// [`crate::sampling::marginal_sample`] — the *same code* the serial
-/// estimator runs, which is what keeps `threads = 1` bit-compatible.
-fn player_chunk<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    chunk: usize,
-    seed: u64,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stats = RunningStats::new();
-    for _ in 0..chunk {
-        stats.push(marginal_sample(game, player, &mut rng));
-    }
-    stats
-}
-
-/// Merge per-worker chunk statistics in worker order (determinism contract:
-/// the fold order is part of the result).
-fn merge_in_order(chunks: Vec<RunningStats>) -> RunningStats {
-    let mut total = RunningStats::new();
-    for chunk in &chunks {
-        total.merge(chunk);
-    }
-    total
-}
-
-/// Parallel version of [`crate::sampling::estimate_player`]: the
-/// `config.samples` permutation samples for `player` are split across
-/// `config.threads` workers.
-pub fn estimate_player<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    config: ParallelConfig,
-) -> Estimate {
-    let n = game.num_players();
-    assert!(player < n, "player {player} out of range ({n} players)");
-    assert!(config.threads >= 1, "threads must be >= 1");
-    let chunks = chunk_sizes(config.samples, config.threads);
-    let worker_stats = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .enumerate()
-            .map(|(w, &chunk)| {
-                let seed = worker_seed(config.seed, w);
-                scope.spawn(move || player_chunk(game, player, chunk, seed))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sampling worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    stats_to_estimate(&merge_in_order(worker_stats))
-}
-
-/// Parallel version of [`crate::sampling::estimate_all`]: each player keeps
-/// the exact per-player derived seed ([`player_seed`]) of the serial path.
-///
-/// Under [`Schedule::BudgetSplit`], worker `w` computes chunk `w` of
-/// *every* player (a static schedule — no work stealing, so the assignment
-/// is reproducible), then per-player chunk statistics are merged in worker
-/// order. Under [`Schedule::PlayerSharded`], workers claim whole players
-/// from an atomic queue and run the serial per-player loop, so the output
-/// is identical to [`crate::sampling::estimate_all`] at any thread count.
+/// Parallel [`crate::sampling::estimate_all`]: workers claim whole players
+/// and run the serial per-player loop with that player's
+/// [`player_seed`], so each player's statistics are one worker's
+/// sequential pushes from the serial stream.
 pub fn estimate_all<G: StochasticGame + ?Sized>(game: &G, config: ParallelConfig) -> Vec<Estimate> {
-    let n = game.num_players();
     assert!(config.threads >= 1, "threads must be >= 1");
-    if config.schedule.claims_players() {
-        return run_player_sharded(n, config.threads, |p| {
-            stats_to_estimate(&player_chunk(
-                game,
-                p,
-                config.samples,
-                player_seed(config.seed, p),
-            ))
-        });
+    if config.threads == 1 {
+        return crate::sampling::estimate_all(game, config.sampling());
     }
-    let chunks = chunk_sizes(config.samples, config.threads);
-    // worker_stats[w][p] = worker w's chunk statistics for player p.
-    let worker_stats = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .enumerate()
-            .map(|(w, &chunk)| {
-                scope.spawn(move || {
-                    (0..n)
-                        .map(|p| {
-                            player_chunk(
-                                game,
-                                p,
-                                chunk,
-                                worker_seed(player_seed(config.seed, p), w),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sampling worker panicked"))
-            .collect::<Vec<_>>()
+    run_player_sharded(game.num_players(), config.threads, |p| {
+        crate::sampling::estimate_player(
+            game,
+            p,
+            SamplingConfig {
+                samples: config.samples,
+                seed: player_seed(config.seed, p),
+            },
+        )
+    })
+}
+
+/// Permutation walks per claim of the walk driver: a worker draws this
+/// many consecutive permutations of the serial stream under one lock, then
+/// evaluates them lock-free. Small enough that a few hundred walks still
+/// split across many workers, large enough that claims stay rare next to
+/// the `n + 1` oracle queries of every walk.
+const WALK_BLOCK: usize = 8;
+
+/// One claimed block of the walk stream: its permutations, in stream
+/// order, and each walk's `n + 1` prefix values once evaluated.
+type WalkBlock = Vec<(Vec<usize>, Vec<f64>)>;
+
+/// Advance the serial walk stream `rng` by `walks` permutation walks,
+/// folding every marginal into `stats` exactly as
+/// [`crate::sampling::estimate_all_walk`] does.
+///
+/// The walks are cut into [`WALK_BLOCK`]-sized blocks that workers claim
+/// in stream order. A claim draws the block's permutations from the shared
+/// `rng` — the only serial step — and the worker then evaluates each
+/// walk's `n + 1` prefix coalitions once, without holding any lock.
+/// Finished blocks fold into `stats` in block order (a block that finishes
+/// early waits in `pending` for its predecessors), so every player sees
+/// the serial pushes in the serial order. With one worker (or one block)
+/// this is the serial loop, run inline.
+fn run_walks<G: Game + ?Sized>(
+    game: &G,
+    rng: &mut StdRng,
+    stats: &mut [RunningStats],
+    walks: usize,
+    threads: usize,
+) {
+    let n = game.num_players();
+    let blocks = walks.div_ceil(WALK_BLOCK);
+    let workers = threads.min(blocks);
+    if workers <= 1 {
+        let mut perm = Vec::with_capacity(n);
+        let mut scratch = WalkScratch::new(n);
+        for _ in 0..walks {
+            walk_once(game, rng, stats, &mut perm, &mut scratch);
+        }
+        return;
+    }
+    struct Fold<'s> {
+        stats: &'s mut [RunningStats],
+        next: usize,
+        pending: BTreeMap<usize, WalkBlock>,
+    }
+    let claims = Mutex::new((rng, 0usize));
+    let fold = Mutex::new(Fold {
+        stats,
+        next: 0,
+        pending: BTreeMap::new(),
     });
-    (0..n)
-        .map(|p| {
-            let mut total = RunningStats::new();
-            for per_player in &worker_stats {
-                total.merge(&per_player[p]);
-            }
-            stats_to_estimate(&total)
-        })
-        .collect()
-}
-
-/// Walks per batched replay burst — and the permutation-block size of the
-/// walk-stealing schedule ([`steal_all_walk`]). Large enough that a
-/// batch-capable oracle amortizes its dispatch over `2 × 32` coalition
-/// queries per burst, small enough that a table-sized sample budget still
-/// splits into several stealable blocks per player.
-const WALK_STEAL_BLOCK: usize = 32;
-
-/// Replay a *permutation block* of one player's serial walk stream: skip
-/// the stream's first `start` permutations (generate-and-discard — a walk
-/// consumes the RNG only for its Fisher–Yates draws, never for
-/// evaluations, so discarding replays the exact draw sequence), then
-/// evaluate the next `len` walks and return `player`'s marginals in walk
-/// order. A pure function of `(seed, player, start, len)` — the relocatable
-/// unit of work the walk-stealing schedule moves between workers.
-///
-/// For each walk only the two coalitions adjacent to `player` are
-/// evaluated; evaluations go through [`Game::value_batch`] in bursts so
-/// batch-capable oracles amortize dispatch. Neither changes any marginal:
-/// the coalitions are the serial walk's own prefixes, and
-/// `v(pred ∪ {p}) − v(pred)` is the same subtraction the serial walk
-/// performs when it inserts `p`.
-fn walk_replay_block<G: Game + ?Sized>(
-    game: &G,
-    player: usize,
-    seed: u64,
-    start: usize,
-    len: usize,
-) -> Vec<f64> {
-    let n = game.num_players();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut perm: Vec<usize> = Vec::with_capacity(n);
-    for _ in 0..start {
-        crate::sampling::random_permutation_into(&mut perm, n, &mut rng);
-    }
-    let mut marginals = Vec::with_capacity(len);
-    let mut pred = Coalition::empty(n);
-    let mut coalitions: Vec<Coalition> = Vec::with_capacity(2 * WALK_STEAL_BLOCK);
-    let mut remaining = len;
-    while remaining > 0 {
-        let burst = remaining.min(WALK_STEAL_BLOCK);
-        coalitions.clear();
-        for _ in 0..burst {
-            crate::sampling::random_permutation_into(&mut perm, n, &mut rng);
-            pred.clear();
-            for &p in &perm {
-                if p == player {
-                    break;
-                }
-                pred.insert(p);
-            }
-            coalitions.push(pred.clone());
-            pred.insert(player);
-            coalitions.push(pred.clone());
-        }
-        let values = game.value_batch(&coalitions);
-        assert_eq!(
-            values.len(),
-            coalitions.len(),
-            "value_batch must answer per coalition"
-        );
-        for pair in values.chunks_exact(2) {
-            marginals.push(pair[1] - pair[0]);
-        }
-        remaining -= burst;
-    }
-    marginals
-}
-
-/// One player's full replay of the serial permutation-walk stream: the
-/// `samples` marginals of [`walk_replay_block`]`(…, 0, samples)` folded in
-/// walk order. Bit-for-bit the serial walk's pushes for this player.
-fn walk_replay_player<G: Game + ?Sized>(
-    game: &G,
-    player: usize,
-    samples: usize,
-    seed: u64,
-) -> RunningStats {
-    let mut stats = RunningStats::new();
-    for m in walk_replay_block(game, player, seed, 0, samples) {
-        stats.push(m);
-    }
-    stats
-}
-
-/// The [`Schedule::WorkStealing`] engine behind [`estimate_all_walk`]:
-/// every player's walk replay is split into [`WALK_STEAL_BLOCK`]-sized
-/// permutation blocks and workers claim `(player, block)` units from one
-/// atomic queue. Blocks are pure functions of `(seed, player, block)`
-/// ([`walk_replay_block`] regenerates its stream prefix by skip-ahead), so
-/// workers stay busy while another worker's batched oracle dispatch is in
-/// flight and no player pins its whole budget to one core.
-///
-/// Determinism: block `b` replays walks `b·B .. b·B + len` of the player's
-/// serial stream exactly, and each player's marginals are folded in block
-/// order after the scope joins — the same pushes, in the same order, as
-/// the serial estimator. Output is bit-identical to
-/// [`crate::sampling::estimate_all_walk`] at **any** thread count.
-fn steal_all_walk<G: Game + ?Sized>(game: &G, config: &ParallelConfig) -> Vec<Estimate> {
-    let n = game.num_players();
-    if config.threads <= 1 || n <= 1 {
-        return (0..n)
-            .map(|p| stats_to_estimate(&walk_replay_player(game, p, config.samples, config.seed)))
-            .collect();
-    }
-    let blocks_per_player = config.samples.div_ceil(WALK_STEAL_BLOCK).max(1);
-    let units = n * blocks_per_player;
-    let next = AtomicUsize::new(0);
-    let claimed = std::thread::scope(|scope| {
-        let next = &next;
-        let handles: Vec<_> = (0..config.threads.min(units))
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let u = next.fetch_add(1, Ordering::Relaxed);
-                        if u >= units {
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut scratch = WalkScratch::new(n);
+                loop {
+                    let (b, perms) = {
+                        let mut claim = claims.lock().expect("walk claim lock poisoned");
+                        let (rng, next) = &mut *claim;
+                        let b = *next;
+                        if b >= blocks {
                             break;
                         }
-                        let p = u / blocks_per_player;
-                        let start = (u % blocks_per_player) * WALK_STEAL_BLOCK;
-                        let len = WALK_STEAL_BLOCK.min(config.samples - start);
-                        out.push((u, walk_replay_block(game, p, config.seed, start, len)));
+                        *next += 1;
+                        let len = WALK_BLOCK.min(walks - b * WALK_BLOCK);
+                        let perms: Vec<Vec<usize>> = (0..len)
+                            .map(|_| {
+                                let mut perm = Vec::with_capacity(n);
+                                random_permutation_into(&mut perm, n, &mut **rng);
+                                perm
+                            })
+                            .collect();
+                        (b, perms)
+                    };
+                    let block: WalkBlock = perms
+                        .into_iter()
+                        .map(|perm| {
+                            let values = scratch.prefix_values(game, &perm);
+                            (perm, values)
+                        })
+                        .collect();
+                    let mut fold = fold.lock().expect("walk fold lock poisoned");
+                    let fold = &mut *fold;
+                    fold.pending.insert(b, block);
+                    while let Some(block) = fold.pending.remove(&fold.next) {
+                        for (perm, values) in &block {
+                            fold_walk(fold.stats, perm, values);
+                        }
+                        fold.next += 1;
                     }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("walk-stealing worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut slots: Vec<Option<Vec<f64>>> = std::iter::repeat_with(|| None).take(units).collect();
-    for (u, marginals) in claimed.into_iter().flatten() {
-        debug_assert!(slots[u].is_none(), "unit {u} claimed twice");
-        slots[u] = Some(marginals);
-    }
-    let mut slots = slots.into_iter();
-    (0..n)
-        .map(|_| {
-            let mut stats = RunningStats::new();
-            for _ in 0..blocks_per_player {
-                let block = slots
-                    .next()
-                    .flatten()
-                    .expect("the atomic queue claims every block exactly once");
-                for m in block {
-                    stats.push(m);
                 }
-            }
-            stats_to_estimate(&stats)
-        })
-        .collect()
+            });
+        }
+    });
 }
 
-/// Parallel version of [`crate::sampling::estimate_all_walk`] (the
-/// Castro-style all-players estimator).
-///
-/// Under [`Schedule::BudgetSplit`], the `config.samples` permutation walks
-/// are split across workers, each walk contributing one marginal sample to
-/// every player at `n + 1` evaluations; per-permutation the marginals
-/// telescope to `v(N) − v(∅)`, so the merged means still sum to `v(N)`
-/// exactly (the efficiency axiom holds per walk and merging preserves it).
-///
-/// Under [`Schedule::PlayerSharded`], workers claim whole players and
-/// *replay* the serial walk stream for each ([`walk_replay_player`]), so
-/// the output — efficiency axiom included — is identical to the serial
-/// estimator at any thread count. The replay evaluates `2·n` coalitions
-/// per walk instead of the serial `n + 1`, but they are the *same*
-/// coalitions the serial walk visits (every replayed prefix is a walk
-/// prefix), so games backed by a shared memoizing oracle
-/// (`trex_repair::ShardedOracle`) pay roughly the serial number of repair
-/// calls; for uncached games that need raw throughput over serial
-/// identity, prefer budget-split.
-///
-/// Under [`Schedule::WorkStealing`], the same replay is additionally split
-/// into permutation blocks claimed from one atomic queue
-/// ([`steal_all_walk`]) — still bit-identical to serial at any thread
-/// count, and the schedule to pick when a batching oracle backend leaves
-/// whole-player workers idle between dispatches.
+/// Parallel [`crate::sampling::estimate_all_walk`] (the Castro-style
+/// all-players estimator): `config.samples` permutation walks, each giving
+/// every player one marginal at `n + 1` evaluations, spread over workers
+/// in blocks of the one serial permutation stream (see [`run_walks`]).
+/// Per walk the marginals telescope to `v(N) − v(∅)`, so the efficiency
+/// axiom holds exactly, as in the serial estimator.
 pub fn estimate_all_walk<G: Game + ?Sized>(game: &G, config: ParallelConfig) -> Vec<Estimate> {
-    let n = game.num_players();
     assert!(config.threads >= 1, "threads must be >= 1");
-    if config.schedule == Schedule::WorkStealing {
-        return steal_all_walk(game, &config);
+    if config.threads == 1 {
+        return crate::sampling::estimate_all_walk(game, config.sampling());
     }
-    if config.schedule.claims_players() {
-        return run_player_sharded(n, config.threads, |p| {
-            stats_to_estimate(&walk_replay_player(game, p, config.samples, config.seed))
-        });
-    }
-    let chunks = chunk_sizes(config.samples, config.threads);
-    let worker_stats = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .enumerate()
-            .map(|(w, &chunk)| {
-                let seed = worker_seed(config.seed, w);
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut stats = vec![RunningStats::new(); n];
-                    let mut scratch = crate::sampling::WalkScratch::new(n);
-                    for _ in 0..chunk {
-                        walk_once(game, &mut rng, &mut stats, &mut scratch);
-                    }
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sampling worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    (0..n)
-        .map(|p| {
-            let mut total = RunningStats::new();
-            for per_player in &worker_stats {
-                total.merge(&per_player[p]);
-            }
-            stats_to_estimate(&total)
-        })
-        .collect()
+    estimate_all_walk_anytime(game, config, 0, |_| AnytimeControl::Continue).0
 }
 
 /// One snapshot of a running [`estimate_all_walk_anytime`] estimate,
 /// handed to the checkpoint callback between sampling rounds.
 ///
 /// `estimates` is index-aligned with the game's players and carries the
-/// exact values a completed run would report at this sample count —
+/// exact values a completed run of `completed` walks would report —
 /// including finite (possibly 0.0) standard deviations at degenerate
 /// counts, so a checkpoint can always be serialized.
 pub struct AnytimeCheckpoint<'s> {
-    /// Permutation walks folded so far (per player under the replay
-    /// schedules; summed across workers under budget-split).
+    /// Permutation walks folded so far.
     pub completed: usize,
-    /// The full walk budget of the run (`config.samples` under the replay
-    /// schedules; the total across workers under budget-split).
+    /// The full walk budget of the run (`config.samples`).
     pub total: usize,
     /// Current per-player estimates, in player order.
     pub estimates: &'s [Estimate],
@@ -730,24 +339,17 @@ pub enum AnytimeControl {
     Stop,
 }
 
-/// Anytime version of [`estimate_all_walk`]: run the same schedules, but
-/// pause after every `checkpoint_every` walks to hand the caller a
-/// [`AnytimeCheckpoint`] snapshot of all current per-player estimates. The
-/// callback returns [`AnytimeControl::Stop`] to cut the run short (deadline,
-/// disconnect); the driver then returns whatever it has. The second return
-/// value is `true` iff the full budget ran.
+/// Anytime version of [`estimate_all_walk`]: the same walk stream, run in
+/// rounds of `checkpoint_every` walks with an [`AnytimeCheckpoint`]
+/// snapshot of all current per-player estimates after each round. The
+/// callback returns [`AnytimeControl::Stop`] to cut the run short
+/// (deadline, disconnect); the driver then returns whatever it has. The
+/// second return value is `true` iff the full budget ran.
 ///
-/// **Determinism contract.** A run that completes its budget returns
-/// *bit-for-bit* the same estimates as [`estimate_all_walk`] with the same
-/// `(seed, threads, schedule)` — checkpoints only observe the state between
-/// rounds, they never perturb the RNG streams or the fold order. Under
-/// [`Schedule::PlayerSharded`] / [`Schedule::WorkStealing`] each player's
-/// persistent replay stream continues across rounds exactly where it
-/// stopped, so even every *intermediate* snapshot equals a completed run
-/// with that smaller budget. Under [`Schedule::BudgetSplit`] workers
-/// advance proportionally each round and the snapshot merges their partial
-/// accumulators in worker order; intermediate snapshots are well-defined
-/// estimates, and the final one matches the batch driver exactly.
+/// **Determinism contract.** Rounds continue one serial stream, so the
+/// snapshot after `k` walks is bit for bit a completed
+/// [`estimate_all_walk`] run with budget `k` — the final one included — at
+/// any thread count.
 ///
 /// `checkpoint_every = 0` means a single checkpoint at the end.
 /// Cancellation granularity is the checkpoint: the callback runs between
@@ -764,381 +366,28 @@ pub fn estimate_all_walk_anytime<G: Game + ?Sized>(
     } else {
         checkpoint_every
     };
-    match config.schedule {
-        Schedule::BudgetSplit => anytime_budget_split(game, &config, every, &mut on_checkpoint),
-        // PlayerSharded and WorkStealing both replay the serial walk
-        // stream per player; an incremental replay with persistent RNGs is
-        // the same stream, so one driver serves both.
-        _ => anytime_replay(game, &config, every, &mut on_checkpoint),
-    }
-}
-
-/// One player's persistent replay stream of the anytime driver: the RNG
-/// and permutation buffer sit exactly `stats.count()` walks into the
-/// serial stream, so continuing is free (no skip-ahead).
-struct ReplayState {
-    rng: StdRng,
-    perm: Vec<usize>,
-    stats: RunningStats,
-}
-
-/// Continue one player's serial-stream replay by `len` walks, folding the
-/// marginals into `stats` in walk order. The moral equivalent of
-/// [`walk_replay_block`] minus the skip-ahead: the persistent `rng` *is*
-/// the stream position. Values are evaluated through [`Game::value_batch`]
-/// in [`WALK_STEAL_BLOCK`]-sized bursts, which never changes a marginal —
-/// only how many coalitions share a dispatch.
-fn walk_replay_continue<G: Game + ?Sized>(
-    game: &G,
-    player: usize,
-    rng: &mut StdRng,
-    perm: &mut Vec<usize>,
-    len: usize,
-    stats: &mut RunningStats,
-) {
-    let n = game.num_players();
-    let mut pred = Coalition::empty(n);
-    let mut coalitions: Vec<Coalition> = Vec::with_capacity(2 * WALK_STEAL_BLOCK);
-    let mut remaining = len;
-    while remaining > 0 {
-        let burst = remaining.min(WALK_STEAL_BLOCK);
-        coalitions.clear();
-        for _ in 0..burst {
-            crate::sampling::random_permutation_into(perm, n, rng);
-            pred.clear();
-            for &p in perm.iter() {
-                if p == player {
-                    break;
-                }
-                pred.insert(p);
-            }
-            coalitions.push(pred.clone());
-            pred.insert(player);
-            coalitions.push(pred.clone());
-        }
-        let values = game.value_batch(&coalitions);
-        assert_eq!(
-            values.len(),
-            coalitions.len(),
-            "value_batch must answer per coalition"
-        );
-        for pair in values.chunks_exact(2) {
-            stats.push(pair[1] - pair[0]);
-        }
-        remaining -= burst;
-    }
-}
-
-/// The replay-schedule half of [`estimate_all_walk_anytime`]: every round
-/// advances every player's persistent stream by up to `every` walks (the
-/// players of a round are claimed player-sharded, like
-/// [`estimate_all_walk`]'s PlayerSharded path), then the calling thread
-/// snapshots and checkpoints.
-fn anytime_replay<G: Game + ?Sized>(
-    game: &G,
-    config: &ParallelConfig,
-    every: usize,
-    on_checkpoint: &mut dyn FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
-) -> (Vec<Estimate>, bool) {
-    let n = game.num_players();
-    let states: Vec<Mutex<ReplayState>> = (0..n)
-        .map(|_| {
-            Mutex::new(ReplayState {
-                rng: StdRng::seed_from_u64(config.seed),
-                perm: Vec::with_capacity(n),
-                stats: RunningStats::new(),
-            })
-        })
-        .collect();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut stats = vec![RunningStats::new(); game.num_players()];
     let mut done = 0;
     loop {
         let len = every.min(config.samples - done);
-        if len > 0 {
-            run_player_sharded(n, config.threads, |p| {
-                let mut state = states[p].lock().expect("anytime replay state poisoned");
-                let state = &mut *state;
-                walk_replay_continue(
-                    game,
-                    p,
-                    &mut state.rng,
-                    &mut state.perm,
-                    len,
-                    &mut state.stats,
-                );
-            });
-            done += len;
-        }
-        let estimates: Vec<Estimate> = states
-            .iter()
-            .map(|s| stats_to_estimate(&s.lock().expect("anytime replay state poisoned").stats))
-            .collect();
+        run_walks(game, &mut rng, &mut stats, len, config.threads);
+        done += len;
+        let estimates: Vec<Estimate> = stats.iter().map(RunningStats::estimate).collect();
         let finished = done >= config.samples;
-        let checkpoint = AnytimeCheckpoint {
+        let control = on_checkpoint(&AnytimeCheckpoint {
             completed: done,
             total: config.samples,
             estimates: &estimates,
-        };
-        let control = on_checkpoint(&checkpoint);
+        });
         if finished || control == AnytimeControl::Stop {
             return (estimates, finished);
         }
     }
 }
 
-/// The budget-split half of [`estimate_all_walk_anytime`]: workers own
-/// persistent RNG streams and per-player accumulators
-/// (exactly [`estimate_all_walk`]'s worker state, kept across rounds), and
-/// each round advances every worker to a proportional share of its final
-/// chunk, so the last round lands every worker on precisely the walk count
-/// the batch driver gives it.
-fn anytime_budget_split<G: Game + ?Sized>(
-    game: &G,
-    config: &ParallelConfig,
-    every: usize,
-    on_checkpoint: &mut dyn FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
-) -> (Vec<Estimate>, bool) {
-    let n = game.num_players();
-    let chunks = chunk_sizes(config.samples, config.threads);
-    let rounds = config.samples.div_ceil(every).max(1);
-    struct WorkerState {
-        rng: StdRng,
-        stats: Vec<RunningStats>,
-        scratch: crate::sampling::WalkScratch,
-        done: usize,
-    }
-    let mut workers: Vec<WorkerState> = (0..config.threads)
-        .map(|w| WorkerState {
-            rng: StdRng::seed_from_u64(worker_seed(config.seed, w)),
-            stats: vec![RunningStats::new(); n],
-            scratch: crate::sampling::WalkScratch::new(n),
-            done: 0,
-        })
-        .collect();
-    for round in 1..=rounds {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter_mut()
-                .enumerate()
-                .map(|(w, state)| {
-                    let target = chunks[w] * round / rounds;
-                    scope.spawn(move || {
-                        while state.done < target {
-                            walk_once(game, &mut state.rng, &mut state.stats, &mut state.scratch);
-                            state.done += 1;
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("sampling worker panicked");
-            }
-        });
-        let completed = workers.iter().map(|state| state.done).sum();
-        let estimates: Vec<Estimate> = (0..n)
-            .map(|p| {
-                let mut total = RunningStats::new();
-                for state in &workers {
-                    total.merge(&state.stats[p]);
-                }
-                stats_to_estimate(&total)
-            })
-            .collect();
-        let finished = round == rounds;
-        let checkpoint = AnytimeCheckpoint {
-            completed,
-            total: config.samples,
-            estimates: &estimates,
-        };
-        let control = on_checkpoint(&checkpoint);
-        if finished || control == AnytimeControl::Stop {
-            return (estimates, finished);
-        }
-    }
-    unreachable!("the loop returns on its final round");
-}
-
-/// Parallel version of [`crate::sampling::estimate_player_adaptive`]:
-/// keep sampling in synchronized rounds of `threads × batch` samples until
-/// the `z`-confidence half-width of the *merged* estimate drops below
-/// `tolerance` or the shared `max_samples` budget is exhausted. Returns the
-/// estimate and whether it converged.
-///
-/// Determinism: each worker owns a persistent RNG stream
-/// (`worker_seed(seed, w)`) and a persistent [`RunningStats`] it pushes into
-/// sequentially across rounds; after every round the worker accumulators are
-/// merged in worker order and the stopping rule is evaluated on the merged
-/// statistics only. The stopping decision therefore depends on
-/// `(seed, threads)` alone, never on scheduling — and with `threads = 1`
-/// the single worker's stream, batch boundaries, and stopping checks are
-/// exactly the serial estimator's, so the result is bit-for-bit identical.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_player_adaptive<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    tolerance: f64,
-    z: f64,
-    batch: usize,
-    max_samples: usize,
-    seed: u64,
-    threads: usize,
-) -> (Estimate, bool) {
-    let n = game.num_players();
-    assert!(player < n, "player {player} out of range ({n} players)");
-    assert!(batch > 0, "batch must be positive");
-    assert!(threads >= 1, "threads must be >= 1");
-    if threads == 1 {
-        // The contract says threads = 1 is bit-for-bit the serial
-        // estimator (pinned by tests), so run it directly instead of
-        // paying a spawn/join cycle per round.
-        return crate::sampling::estimate_player_adaptive(
-            game,
-            player,
-            tolerance,
-            z,
-            batch,
-            max_samples,
-            seed,
-        );
-    }
-    struct WorkerState {
-        rng: StdRng,
-        stats: RunningStats,
-    }
-    let mut workers: Vec<WorkerState> = (0..threads)
-        .map(|w| WorkerState {
-            rng: StdRng::seed_from_u64(worker_seed(seed, w)),
-            stats: RunningStats::new(),
-        })
-        .collect();
-    loop {
-        std::thread::scope(|scope| {
-            for worker in workers.iter_mut() {
-                scope.spawn(move || {
-                    for _ in 0..batch {
-                        let x = marginal_sample(game, player, &mut worker.rng);
-                        worker.stats.push(x);
-                    }
-                });
-            }
-        });
-        let merged = merge_in_order(workers.iter().map(|w| w.stats.clone()).collect());
-        let est = stats_to_estimate(&merged);
-        // Same stopping rule as the serial path: at least two batches'
-        // worth of samples before trusting the variance (one round already
-        // satisfies this at threads ≥ 2; at threads = 1 it is literally the
-        // serial "two batches" guard).
-        if merged.count() >= 2 * batch && est.ci_half_width(z) <= tolerance {
-            return (est, true);
-        }
-        if merged.count() >= max_samples {
-            return (est, false);
-        }
-    }
-}
-
-/// Parallel version of [`crate::stratified::estimate_player_stratified`]:
-/// the `n` coalition-size strata are split into contiguous ranges, one per
-/// worker — strata never straddle a worker seam, so every stratum's
-/// `samples_per_stratum` observations come from a single RNG stream exactly
-/// as in the serial estimator.
-///
-/// Worker `w` runs [`stratified_chunk`] — the *same code* the serial
-/// estimator runs over `0..n` — on its stratum range with the
-/// `worker_seed(seed, w)` stream; per-stratum statistics are concatenated
-/// in worker order (= stratum order) and combined with the shared
-/// stratified-variance formula. With `threads = 1` worker 0 owns all strata
-/// and the unmodified seed, reproducing the serial estimate bit for bit.
-pub fn estimate_player_stratified<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    samples_per_stratum: usize,
-    seed: u64,
-    threads: usize,
-) -> Estimate {
-    let n = game.num_players();
-    assert!(player < n, "player {player} out of range ({n} players)");
-    assert!(
-        samples_per_stratum > 0,
-        "need at least one sample per stratum"
-    );
-    assert!(threads >= 1, "threads must be >= 1");
-    let ranges = chunk_ranges(n, threads);
-    let worker_stats = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(w, strata)| {
-                let seed = worker_seed(seed, w);
-                scope.spawn(move || {
-                    stratified_chunk(game, player, strata, samples_per_stratum, seed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sampling worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let stratum_stats: Vec<RunningStats> = worker_stats.into_iter().flatten().collect();
-    debug_assert_eq!(stratum_stats.len(), n, "strata must tile 0..n exactly");
-    stratified_estimate(&stratum_stats, samples_per_stratum)
-}
-
-/// Parallel version of [`crate::stratified::estimate_player_antithetic`]:
-/// the `pairs` permutation pairs are split across workers like plain
-/// samples; each worker runs [`antithetic_chunk`] (the serial loop body) on
-/// its own stream from a fresh identity permutation, and chunk statistics
-/// are merged in worker order. `threads = 1` replays the serial estimator
-/// bit for bit.
-pub fn estimate_player_antithetic<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    pairs: usize,
-    seed: u64,
-    threads: usize,
-) -> Estimate {
-    let n = game.num_players();
-    assert!(player < n, "player {player} out of range ({n} players)");
-    assert!(threads >= 1, "threads must be >= 1");
-    let chunks = chunk_sizes(pairs, threads);
-    let worker_stats = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .enumerate()
-            .map(|(w, &chunk)| {
-                let seed = worker_seed(seed, w);
-                scope.spawn(move || antithetic_chunk(game, player, chunk, seed))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sampling worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    stats_to_estimate(&merge_in_order(worker_stats))
-}
-
-/// One batch-sized round of a player's adaptive budget under the round
-/// ladder: `batch` marginal samples from a fresh RNG seeded
-/// [`round_seed`]`(seed, round)`. A pure function of its arguments — the
-/// relocatable unit of work the stealing schedule moves between workers.
-fn adaptive_round<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    batch: usize,
-    seed: u64,
-    round: usize,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(round_seed(seed, round));
-    let mut stats = RunningStats::new();
-    for _ in 0..batch {
-        stats.push(marginal_sample(game, player, &mut rng));
-    }
-    stats
-}
-
-/// Fold state of one player under the stealing schedule. Rounds complete in
-/// arbitrary order (any worker may have computed any round); `pending`
+/// Fold state of one player of [`estimate_all_adaptive`]. Rounds complete
+/// in arbitrary order (any worker may have computed any round); `pending`
 /// buffers out-of-order rounds and `folded` is always the merge of rounds
 /// `0..next_fold` *in round order* — the stopping rule only ever sees these
 /// contiguous prefixes, which is what makes the decision, and therefore the
@@ -1150,7 +399,7 @@ struct StealProgress {
     done: Option<(Estimate, bool)>,
 }
 
-/// Shared per-player coordination of the stealing schedule.
+/// Shared per-player coordination of [`estimate_all_adaptive`].
 struct StealSlot {
     /// Next unclaimed round index (claimed with `fetch_add`; claims past
     /// the round cap or after `finished` do no work).
@@ -1175,22 +424,26 @@ impl StealSlot {
     }
 }
 
-/// The [`Schedule::WorkStealing`] engine behind [`estimate_all_adaptive`]:
-/// workers claim whole players from an atomic queue (phase 1, exactly like
-/// [`run_player_sharded`]), and a worker that drains the queue steals
-/// unclaimed *rounds* of still-unfinished players (phase 2), so one
-/// expensive player's budget spreads across every idle core.
+/// All-player adaptive driver: every player runs
+/// [`crate::sampling::estimate_player_adaptive_rounds`] with its
+/// [`player_seed`] (the ladder of [`crate::sampling::estimate_all`]).
+/// Returns one `(estimate, converged)` pair per player.
 ///
-/// Output is bit-identical to the serial
-/// [`crate::sampling::estimate_player_adaptive_rounds`] loop (with the
-/// [`player_seed`] ladder) at any thread count: rounds are pure functions
-/// of `(player_seed, round)`, they fold in round order, and the stopping
-/// rule replays the serial checks on each folded prefix. Rounds computed
-/// past the deterministic stopping round are discarded — bounded
-/// speculation (at most one in-flight round per worker plus the claims
-/// issued before the finished flag was observed), the price of letting
-/// workers run ahead without a barrier.
-fn steal_all_adaptive<G: StochasticGame + ?Sized>(
+/// Workers claim whole players from an atomic queue, and a worker that
+/// drains the queue *steals unclaimed rounds* of still-unfinished players,
+/// so one expensive player's budget spreads across every idle core.
+/// Adaptive budgets are uneven — dummies stop after two batches, contested
+/// cells run to the cap — and stealing keeps one hot player from pinning
+/// wall time to a single core.
+///
+/// Rounds are pure functions of `(player_seed, round)`, they fold in round
+/// order, and the stopping rule runs on each folded prefix exactly as the
+/// serial loop runs it, so the output is bit-identical to the serial loop
+/// at any thread count. Rounds computed past the deterministic stopping
+/// round are discarded — bounded speculation (at most one in-flight round
+/// per worker plus the claims issued before the finished flag was
+/// observed), the price of letting workers run ahead without a barrier.
+pub fn estimate_all_adaptive<G: StochasticGame + ?Sized>(
     game: &G,
     tolerance: f64,
     z: f64,
@@ -1200,10 +453,9 @@ fn steal_all_adaptive<G: StochasticGame + ?Sized>(
     threads: usize,
 ) -> Vec<(Estimate, bool)> {
     let n = game.num_players();
+    assert!(threads >= 1, "threads must be >= 1");
     assert!(batch > 0, "batch must be positive");
     if threads == 1 || n <= 1 {
-        // The contract says any thread count replays the serial round
-        // ladder, so run it directly instead of paying the coordination.
         return (0..n)
             .map(|p| {
                 crate::sampling::estimate_player_adaptive_rounds(
@@ -1252,17 +504,7 @@ fn steal_all_adaptive<G: StochasticGame + ?Sized>(
         } {
             prog.folded.merge(&stats);
             prog.next_fold += 1;
-            let est = stats_to_estimate(&prog.folded);
-            // The serial stopping checks, verbatim, on the folded prefix.
-            let decision = if prog.folded.count() >= 2 * batch && est.ci_half_width(z) <= tolerance
-            {
-                Some((est, true))
-            } else if prog.folded.count() >= max_samples {
-                Some((est, false))
-            } else {
-                None
-            };
-            if let Some(done) = decision {
+            if let Some(done) = adaptive_stop(&prog.folded, tolerance, z, batch, max_samples) {
                 prog.done = Some(done);
                 prog.pending.clear();
                 slot.finished.store(true, Ordering::Release);
@@ -1276,8 +518,7 @@ fn steal_all_adaptive<G: StochasticGame + ?Sized>(
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
             scope.spawn(|| {
-                // Phase 1: own whole players from the queue, like the
-                // player-sharded schedule.
+                // Phase 1: own whole players from the queue.
                 loop {
                     let p = next_player.fetch_add(1, Ordering::Relaxed);
                     if p >= n {
@@ -1316,198 +557,58 @@ fn steal_all_adaptive<G: StochasticGame + ?Sized>(
         .collect()
 }
 
-/// All-player adaptive driver: estimate every player with
-/// [`estimate_player_adaptive`] semantics, seeds laddered by
-/// [`player_seed`] exactly like [`crate::sampling::estimate_all`]. Returns
-/// one `(estimate, converged)` pair per player.
-///
-/// Under [`Schedule::PlayerSharded`], workers claim whole players and run
-/// the *serial* [`crate::sampling::estimate_player_adaptive`] — output
-/// identical to the serial per-player loop at any thread count, and the
-/// natural schedule here: adaptive budgets are uneven across players
-/// (dummies stop after two batches, contested cells run to the cap), which
-/// the claim queue load-balances for free. Under
-/// [`Schedule::WorkStealing`], workers additionally steal *rounds* of
-/// unfinished players once the queue drains ([`steal_all_adaptive`]) —
-/// output identical to the serial round-laddered
-/// [`crate::sampling::estimate_player_adaptive_rounds`] loop at any thread
-/// count, and the schedule to pick when one hot player dominates the
-/// budget (player-sharding would pin its whole budget to one core). Under
-/// [`Schedule::BudgetSplit`], players are processed in order with each
-/// player's rounds split across all workers (deterministic per
-/// `(seed, threads)`).
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_all_adaptive<G: StochasticGame + ?Sized>(
-    game: &G,
-    tolerance: f64,
-    z: f64,
-    batch: usize,
-    max_samples: usize,
-    seed: u64,
-    threads: usize,
-    schedule: Schedule,
-) -> Vec<(Estimate, bool)> {
-    let n = game.num_players();
-    assert!(threads >= 1, "threads must be >= 1");
-    match schedule {
-        Schedule::WorkStealing => {
-            steal_all_adaptive(game, tolerance, z, batch, max_samples, seed, threads)
-        }
-        Schedule::PlayerSharded => run_player_sharded(n, threads, |p| {
-            crate::sampling::estimate_player_adaptive(
-                game,
-                p,
-                tolerance,
-                z,
-                batch,
-                max_samples,
-                player_seed(seed, p),
-            )
-        }),
-        Schedule::BudgetSplit => (0..n)
-            .map(|p| {
-                estimate_player_adaptive(
-                    game,
-                    p,
-                    tolerance,
-                    z,
-                    batch,
-                    max_samples,
-                    player_seed(seed, p),
-                    threads,
-                )
-            })
-            .collect(),
-    }
-}
-
-/// All-player stratified driver: one [`estimate_player_stratified`]-style
-/// estimate per player, seeds laddered by [`player_seed`].
-///
-/// [`Schedule::PlayerSharded`] claims whole players and runs the serial
-/// [`crate::stratified::estimate_player_stratified`] (serial-identical at
-/// any thread count); [`Schedule::BudgetSplit`] processes players in order
-/// with each player's strata split across all workers.
-pub fn estimate_all_stratified<G: StochasticGame + ?Sized>(
-    game: &G,
-    samples_per_stratum: usize,
-    seed: u64,
-    threads: usize,
-    schedule: Schedule,
-) -> Vec<Estimate> {
-    let n = game.num_players();
-    assert!(threads >= 1, "threads must be >= 1");
-    match schedule {
-        Schedule::PlayerSharded | Schedule::WorkStealing => run_player_sharded(n, threads, |p| {
-            crate::stratified::estimate_player_stratified(
-                game,
-                p,
-                samples_per_stratum,
-                player_seed(seed, p),
-            )
-        }),
-        Schedule::BudgetSplit => (0..n)
-            .map(|p| {
-                estimate_player_stratified(
-                    game,
-                    p,
-                    samples_per_stratum,
-                    player_seed(seed, p),
-                    threads,
-                )
-            })
-            .collect(),
-    }
-}
-
-/// All-player antithetic driver: one [`estimate_player_antithetic`]-style
-/// estimate per player, seeds laddered by [`player_seed`].
-///
-/// [`Schedule::PlayerSharded`] claims whole players and runs the serial
-/// [`crate::stratified::estimate_player_antithetic`] (serial-identical at
-/// any thread count); [`Schedule::BudgetSplit`] processes players in order
-/// with each player's pair budget split across all workers.
-pub fn estimate_all_antithetic<G: StochasticGame + ?Sized>(
-    game: &G,
-    pairs: usize,
-    seed: u64,
-    threads: usize,
-    schedule: Schedule,
-) -> Vec<Estimate> {
-    let n = game.num_players();
-    assert!(threads >= 1, "threads must be >= 1");
-    match schedule {
-        Schedule::PlayerSharded | Schedule::WorkStealing => run_player_sharded(n, threads, |p| {
-            crate::stratified::estimate_player_antithetic(game, p, pairs, player_seed(seed, p))
-        }),
-        Schedule::BudgetSplit => (0..n)
-            .map(|p| estimate_player_antithetic(game, p, pairs, player_seed(seed, p), threads))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::shapley_exact;
     use crate::game::fixtures;
     use crate::sampling;
-    use crate::stratified;
 
-    fn assert_estimates_eq(a: &[Estimate], b: &[Estimate]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            // Estimate is PartialEq over (value, std_dev, samples); equality
-            // here is the bit-for-bit claim (no tolerance).
-            assert_eq!(x, y);
-        }
-    }
+    /// The thread counts every contract test sweeps.
+    const THREADS: [usize; 6] = [1, 2, 3, 4, 8, 16];
 
     #[test]
-    fn one_thread_matches_serial_estimate_player() {
-        let g = fixtures::gloves(3, 4);
-        for seed in [0u64, 7, 42] {
-            let serial = sampling::estimate_player(&g, 2, SamplingConfig { samples: 500, seed });
-            let par = estimate_player(&g, 2, ParallelConfig::new(500, seed, 1));
-            assert_eq!(serial, par);
-        }
-    }
-
-    #[test]
-    fn one_thread_matches_serial_estimate_all() {
+    fn estimate_all_is_serial_at_any_thread_count() {
         let g = fixtures::majority(9);
         let cfg = SamplingConfig {
-            samples: 300,
+            samples: 150,
             seed: 13,
         };
         let serial = sampling::estimate_all(&g, cfg);
-        let par = estimate_all(&g, ParallelConfig::from_sampling(cfg, 1));
-        assert_estimates_eq(&serial, &par);
+        for threads in THREADS {
+            let par = estimate_all(&g, ParallelConfig::from_sampling(cfg, threads));
+            assert_eq!(serial, par, "threads {threads}");
+        }
     }
 
     #[test]
-    fn one_thread_matches_serial_walk() {
+    fn walk_is_serial_at_any_thread_count() {
+        // Every budget shape: none, below one block, exactly one block, one
+        // walk past it, and a ragged tail after several whole blocks.
         let g = fixtures::paper_example_2_3();
-        let cfg = SamplingConfig {
-            samples: 400,
-            seed: 5,
-        };
-        let serial = sampling::estimate_all_walk(&g, cfg);
-        let par = estimate_all_walk(&g, ParallelConfig::from_sampling(cfg, 1));
-        assert_estimates_eq(&serial, &par);
+        for samples in [0usize, 5, WALK_BLOCK, WALK_BLOCK + 1, 100] {
+            let cfg = SamplingConfig { samples, seed: 17 };
+            let serial = sampling::estimate_all_walk(&g, cfg);
+            for threads in THREADS {
+                let par = estimate_all_walk(&g, ParallelConfig::from_sampling(cfg, threads));
+                assert_eq!(serial, par, "samples {samples}, threads {threads}");
+            }
+        }
     }
 
     #[test]
-    fn fixed_seed_and_threads_is_deterministic() {
-        let g = fixtures::gloves(4, 4);
-        for threads in [1usize, 2, 3, 4, 7] {
-            let cfg = ParallelConfig::new(350, 99, threads);
-            let a = estimate_all(&g, cfg);
-            let b = estimate_all(&g, cfg);
-            assert_estimates_eq(&a, &b);
-            let wa = estimate_all_walk(&g, cfg);
-            let wb = estimate_all_walk(&g, cfg);
-            assert_estimates_eq(&wa, &wb);
+    fn parallel_walk_is_exactly_efficient() {
+        // Walk marginals telescope to v(N), so the means sum to it (up to
+        // fp noise) and every walk touches every player.
+        let g = fixtures::gloves(3, 4);
+        for threads in THREADS {
+            let ests = estimate_all_walk(&g, ParallelConfig::new(400, 21, threads));
+            let total: f64 = ests.iter().map(|e| e.value).sum();
+            assert!(
+                (total - 3.0).abs() < 1e-9,
+                "threads {threads}: total {total}"
+            );
+            assert!(ests.iter().all(|e| e.samples == 400));
         }
     }
 
@@ -1522,84 +623,6 @@ mod tests {
                 "player {p}: {} vs {want}",
                 ests[p].value
             );
-        }
-    }
-
-    #[test]
-    fn parallel_walk_is_exactly_efficient() {
-        // The efficiency axiom survives both the walk telescoping and the
-        // Welford merge: the means sum to v(N) up to fp noise, at every
-        // thread count.
-        let g = fixtures::paper_example_2_3();
-        for threads in [1usize, 2, 4, 8] {
-            let ests = estimate_all_walk(&g, ParallelConfig::new(1000, 3, threads));
-            let total: f64 = ests.iter().map(|e| e.value).sum();
-            assert!(
-                (total - 1.0).abs() < 1e-9,
-                "threads {threads}: total {total}"
-            );
-            let samples: usize = ests.iter().map(|e| e.samples).sum();
-            assert_eq!(samples, 1000 * 4, "every walk touches every player");
-        }
-    }
-
-    #[test]
-    fn all_samples_are_used_at_every_thread_count() {
-        let g = fixtures::majority(5);
-        for threads in [1usize, 2, 3, 5, 8, 16] {
-            // 17 is coprime to everything here: exercises remainder chunks.
-            let est = estimate_player(&g, 0, ParallelConfig::new(17, 1, threads));
-            assert_eq!(est.samples, 17, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_samples_is_fine() {
-        let g = fixtures::gloves(1, 1);
-        let est = estimate_player(&g, 0, ParallelConfig::new(3, 0, 8));
-        assert_eq!(est.samples, 3);
-    }
-
-    #[test]
-    fn zero_samples_gives_empty_estimate() {
-        let g = fixtures::majority(3);
-        let est = estimate_player(&g, 0, ParallelConfig::new(0, 0, 4));
-        assert_eq!(est.samples, 0);
-        assert_eq!(est.value, 0.0);
-    }
-
-    #[test]
-    fn dummy_player_is_zero_at_any_thread_count() {
-        let g = fixtures::paper_example_2_3();
-        for threads in [1usize, 2, 4] {
-            let est = estimate_player(&g, 3, ParallelConfig::new(300, 3, threads));
-            assert_eq!(est.value, 0.0);
-            assert_eq!(est.std_dev, 0.0);
-        }
-    }
-
-    #[test]
-    fn worker_streams_are_decorrelated() {
-        // Worker 1 of player p must not replay worker 0 of player p+1 (the
-        // collision a plain additive worker offset would produce under the
-        // golden-ratio player laddering).
-        let base = 123u64;
-        let golden = 0x9E37_79B9_7F4A_7C15u64;
-        let p0 = base.wrapping_add(golden); // player 0's serial seed
-        let p1 = base.wrapping_add(golden.wrapping_mul(2)); // player 1's
-        assert_ne!(worker_seed(p0, 1), worker_seed(p1, 0));
-        assert_eq!(worker_seed(p0, 0), p0, "worker 0 keeps the serial seed");
-    }
-
-    #[test]
-    fn chunks_cover_and_balance() {
-        for (samples, threads) in [(10usize, 3usize), (0, 4), (7, 7), (100, 1), (5, 8)] {
-            let chunks = chunk_sizes(samples, threads);
-            assert_eq!(chunks.len(), threads);
-            assert_eq!(chunks.iter().sum::<usize>(), samples);
-            let max = chunks.iter().max().unwrap();
-            let min = chunks.iter().min().unwrap();
-            assert!(max - min <= 1, "{samples}/{threads}: {chunks:?}");
         }
     }
 
@@ -1633,337 +656,64 @@ mod tests {
         let _ = ParallelConfig::new(10, 0, 0);
     }
 
-    #[test]
-    fn one_thread_adaptive_matches_serial() {
-        let g = fixtures::gloves(2, 3);
-        for (tol, max) in [(0.02, 50_000), (1e-9, 300)] {
-            let (se, sc) = sampling::estimate_player_adaptive(&g, 0, tol, 1.96, 100, max, 7);
-            let (pe, pc) = estimate_player_adaptive(&g, 0, tol, 1.96, 100, max, 7, 1);
-            assert_eq!(se, pe, "tol {tol} max {max}");
-            assert_eq!(sc, pc);
-        }
-    }
-
-    #[test]
-    fn one_thread_stratified_matches_serial() {
-        let g = fixtures::majority(7);
-        for seed in [0u64, 5, 99] {
-            let serial = stratified::estimate_player_stratified(&g, 1, 80, seed);
-            let par = estimate_player_stratified(&g, 1, 80, seed, 1);
-            assert_eq!(serial, par);
-        }
-    }
-
-    #[test]
-    fn one_thread_antithetic_matches_serial() {
-        let g = fixtures::gloves(3, 4);
-        for seed in [0u64, 5, 99] {
-            let serial = stratified::estimate_player_antithetic(&g, 2, 150, seed);
-            let par = estimate_player_antithetic(&g, 2, 150, seed, 1);
-            assert_eq!(serial, par);
-        }
-    }
-
-    #[test]
-    fn variance_reduced_estimators_are_reproducible_per_seed_and_threads() {
-        let g = fixtures::majority(9);
-        for threads in [2usize, 3, 4, 7] {
-            let s1 = estimate_player_stratified(&g, 0, 40, 11, threads);
-            let s2 = estimate_player_stratified(&g, 0, 40, 11, threads);
-            assert_eq!(s1, s2, "stratified, threads {threads}");
-            let a1 = estimate_player_antithetic(&g, 0, 90, 11, threads);
-            let a2 = estimate_player_antithetic(&g, 0, 90, 11, threads);
-            assert_eq!(a1, a2, "antithetic, threads {threads}");
-            let (e1, c1) = estimate_player_adaptive(&g, 0, 0.05, 1.96, 50, 5000, 11, threads);
-            let (e2, c2) = estimate_player_adaptive(&g, 0, 0.05, 1.96, 50, 5000, 11, threads);
-            assert_eq!(e1, e2, "adaptive, threads {threads}");
-            assert_eq!(c1, c2);
-        }
-    }
-
-    #[test]
-    fn parallel_stratified_stays_unbiased() {
-        let g = fixtures::gloves(2, 3);
-        let exact = shapley_exact(&g).unwrap();
-        for (p, want) in exact.iter().enumerate() {
-            let est = estimate_player_stratified(&g, p, 2000, 17, 4);
-            assert!(
-                (est.value - want).abs() < 0.02,
-                "player {p}: {} vs {want}",
-                est.value
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_antithetic_stays_unbiased() {
-        let g = fixtures::paper_example_2_3();
-        let exact = shapley_exact(&g).unwrap();
-        for (p, want) in exact.iter().enumerate() {
-            let est = estimate_player_antithetic(&g, p, 8000, 23, 4);
-            assert!(
-                (est.value - want).abs() < 0.02,
-                "player {p}: {} vs {want}",
-                est.value
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_adaptive_converges_with_shared_budget() {
-        let g = fixtures::unanimity(6, vec![0, 1, 2]);
-        let (est, converged) = estimate_player_adaptive(&g, 0, 0.02, 1.96, 500, 200_000, 7, 4);
-        assert!(converged);
-        assert!((est.value - 1.0 / 3.0).abs() < 0.05);
-        // The shared budget is respected: a tolerance that can never be met
-        // stops within one round of max_samples (rounds add threads × batch).
-        let (est, converged) = estimate_player_adaptive(&g, 0, 1e-12, 1.96, 10, 100, 7, 4);
-        assert!(!converged);
-        assert!(est.samples >= 100 && est.samples < 100 + 4 * 10);
-    }
-
-    #[test]
-    fn parallel_stratified_beats_plain_variance_on_majority() {
-        // Stratification's variance win must survive the worker split.
-        let g = fixtures::majority(9);
-        let plain = estimate_player(&g, 0, ParallelConfig::new(9 * 200, 31, 4));
-        let strat = estimate_player_stratified(&g, 0, 200, 31, 4);
-        assert_eq!(plain.samples, strat.samples);
-        assert!(
-            strat.std_error() < plain.std_error() * 0.5,
-            "stratified {} vs plain {}",
-            strat.std_error(),
-            plain.std_error()
-        );
-    }
-
-    #[test]
-    fn stratified_with_more_threads_than_strata() {
-        // Workers past the stratum count get empty ranges; the estimate
-        // still covers every stratum exactly once.
-        let g = fixtures::gloves(1, 2);
-        let est = estimate_player_stratified(&g, 0, 25, 3, 8);
-        assert_eq!(est.samples, 3 * 25);
-    }
-
-    #[test]
-    fn chunk_ranges_tile_in_order() {
-        for (items, threads) in [(10usize, 3usize), (0, 4), (7, 7), (5, 8), (100, 1)] {
-            let ranges = chunk_ranges(items, threads);
-            assert_eq!(ranges.len(), threads);
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "{items}/{threads}: {ranges:?}");
-                next = r.end;
-            }
-            assert_eq!(next, items);
-        }
-    }
-
-    #[test]
-    fn player_sharded_estimate_all_is_serial_at_any_thread_count() {
-        let g = fixtures::majority(9);
-        let cfg = SamplingConfig {
-            samples: 150,
-            seed: 13,
-        };
-        let serial = sampling::estimate_all(&g, cfg);
-        for threads in [1usize, 2, 3, 4, 8, 16] {
-            let par = estimate_all(
-                &g,
-                ParallelConfig::from_sampling(cfg, threads).with_schedule(Schedule::PlayerSharded),
-            );
-            assert_estimates_eq(&serial, &par);
-        }
-    }
-
-    #[test]
-    fn player_sharded_walk_is_serial_at_any_thread_count() {
-        let g = fixtures::paper_example_2_3();
-        let cfg = SamplingConfig {
-            samples: 250,
-            seed: 5,
-        };
-        let serial = sampling::estimate_all_walk(&g, cfg);
-        for threads in [1usize, 2, 3, 4, 8] {
-            let par = estimate_all_walk(
-                &g,
-                ParallelConfig::from_sampling(cfg, threads).with_schedule(Schedule::PlayerSharded),
-            );
-            assert_estimates_eq(&serial, &par);
-        }
-    }
-
-    #[test]
-    fn walk_replay_keeps_the_efficiency_axiom() {
-        let g = fixtures::gloves(3, 4);
-        let ests = estimate_all_walk(
-            &g,
-            ParallelConfig::new(400, 21, 4).with_schedule(Schedule::PlayerSharded),
-        );
-        let total: f64 = ests.iter().map(|e| e.value).sum();
-        // Replayed marginals are the serial walk's, so they telescope to
-        // v(N) = 3 matched glove pairs exactly.
-        assert!((total - 3.0).abs() < 1e-9, "total {total}");
-    }
-
-    #[test]
-    fn all_adaptive_player_sharded_matches_the_serial_loop() {
-        let g = fixtures::majority(7);
-        let serial: Vec<(Estimate, bool)> = (0..7)
-            .map(|p| {
-                sampling::estimate_player_adaptive(&g, p, 0.05, 1.96, 40, 2000, player_seed(9, p))
-            })
-            .collect();
-        for threads in [1usize, 2, 4] {
-            let par = estimate_all_adaptive(
-                &g,
-                0.05,
-                1.96,
-                40,
-                2000,
-                9,
-                threads,
-                Schedule::PlayerSharded,
-            );
-            assert_eq!(serial, par, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn all_adaptive_budget_split_matches_the_per_player_driver() {
-        let g = fixtures::gloves(2, 3);
-        let par = estimate_all_adaptive(&g, 0.05, 1.96, 30, 1500, 7, 2, Schedule::BudgetSplit);
-        for (p, got) in par.iter().enumerate() {
-            let want = estimate_player_adaptive(&g, p, 0.05, 1.96, 30, 1500, player_seed(7, p), 2);
-            assert_eq!(*got, want, "player {p}");
-        }
-    }
-
-    #[test]
-    fn all_stratified_and_antithetic_player_sharded_match_serial() {
-        let g = fixtures::majority(5);
-        let serial_strat: Vec<Estimate> = (0..5)
-            .map(|p| stratified::estimate_player_stratified(&g, p, 30, player_seed(3, p)))
-            .collect();
-        let serial_anti: Vec<Estimate> = (0..5)
-            .map(|p| stratified::estimate_player_antithetic(&g, p, 40, player_seed(3, p)))
-            .collect();
-        for threads in [1usize, 2, 4, 8] {
-            assert_estimates_eq(
-                &serial_strat,
-                &estimate_all_stratified(&g, 30, 3, threads, Schedule::PlayerSharded),
-            );
-            assert_estimates_eq(
-                &serial_anti,
-                &estimate_all_antithetic(&g, 40, 3, threads, Schedule::PlayerSharded),
-            );
-        }
-    }
-
-    #[test]
-    fn budget_split_all_drivers_are_reproducible() {
-        let g = fixtures::gloves(2, 3);
-        let s1 = estimate_all_stratified(&g, 20, 11, 3, Schedule::BudgetSplit);
-        let s2 = estimate_all_stratified(&g, 20, 11, 3, Schedule::BudgetSplit);
-        assert_estimates_eq(&s1, &s2);
-        let a1 = estimate_all_antithetic(&g, 30, 11, 3, Schedule::BudgetSplit);
-        let a2 = estimate_all_antithetic(&g, 30, 11, 3, Schedule::BudgetSplit);
-        assert_estimates_eq(&a1, &a2);
-    }
-
-    #[test]
-    fn schedule_auto_picks_by_player_count() {
-        // Plenty of players per worker: shard them.
-        assert_eq!(Schedule::auto(64, 4), Schedule::PlayerSharded);
-        assert_eq!(Schedule::auto(8, 2), Schedule::PlayerSharded);
-        // Too few claims per worker: split the budget instead.
-        assert_eq!(Schedule::auto(7, 2), Schedule::BudgetSplit);
-        assert_eq!(Schedule::auto(4, 8), Schedule::BudgetSplit);
-        // One worker never shards: both schedules replay serial exactly,
-        // so sharding would only add the walk-replay overhead.
-        assert_eq!(Schedule::auto(64, 1), Schedule::BudgetSplit);
-        assert_eq!(Schedule::auto(0, 1), Schedule::BudgetSplit);
-    }
-
-    #[test]
-    fn schedule_display_and_config_builder() {
-        assert_eq!(Schedule::BudgetSplit.to_string(), "budget");
-        assert_eq!(Schedule::PlayerSharded.to_string(), "player");
-        let cfg = ParallelConfig::new(10, 0, 2);
-        assert_eq!(cfg.schedule, Schedule::BudgetSplit);
-        assert_eq!(
-            cfg.with_schedule(Schedule::PlayerSharded).schedule,
-            Schedule::PlayerSharded
-        );
-        assert_eq!(Schedule::default(), Schedule::BudgetSplit);
-    }
-
-    #[test]
-    fn work_stealing_adaptive_matches_the_serial_round_ladder() {
-        // The one-hot fixture is the shape the stealing schedule exists
-        // for: player 0's budget runs to the cap, everyone else stops at
-        // two batches.
-        let g = fixtures::one_hot(9, 0);
-        // ±1 marginals have unit variance: a 0.03 half-width needs ~4300
-        // samples, so the 2000-sample cap bites and the hot player runs
-        // every round while the dummies stop at two batches.
-        let serial: Vec<(Estimate, bool)> = (0..9)
+    /// The serial reference of [`estimate_all_adaptive`]: the round-laddered
+    /// estimator per player under the [`player_seed`] ladder.
+    fn serial_adaptive<G: StochasticGame + ?Sized>(
+        g: &G,
+        (tol, z, batch, cap, seed): (f64, f64, usize, usize, u64),
+    ) -> Vec<(Estimate, bool)> {
+        (0..g.num_players())
             .map(|p| {
                 sampling::estimate_player_adaptive_rounds(
-                    &g,
+                    g,
                     p,
-                    0.03,
-                    1.96,
-                    25,
-                    2000,
-                    player_seed(7, p),
+                    tol,
+                    z,
+                    batch,
+                    cap,
+                    player_seed(seed, p),
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn adaptive_matches_the_serial_round_ladder_on_the_skewed_fixture() {
+        // One-hot: player 0's ±1 marginals (unit variance) need ~4300
+        // samples for a 0.03 half-width, so it runs to the 2000-sample cap
+        // while every dummy stops at two batches — the shape round
+        // stealing exists for.
+        let g = fixtures::one_hot(9, 0);
+        let knobs = (0.03, 1.96, 25, 2000, 7);
+        let serial = serial_adaptive(&g, knobs);
         assert!(!serial[0].1);
         assert_eq!(serial[0].0.samples, 2000);
         assert!(serial[1].1);
         assert_eq!(serial[1].0.samples, 50);
-        for threads in [1usize, 2, 3, 4, 8] {
-            let par =
-                estimate_all_adaptive(&g, 0.03, 1.96, 25, 2000, 7, threads, Schedule::WorkStealing);
+        let (tol, z, batch, cap, seed) = knobs;
+        for threads in THREADS {
+            let par = estimate_all_adaptive(&g, tol, z, batch, cap, seed, threads);
             assert_eq!(serial, par, "threads {threads}");
         }
     }
 
     #[test]
-    fn work_stealing_adaptive_matches_serial_on_a_fixture_game() {
-        // Also pin on a game whose eval consumes the RNG (replacement-style
-        // draw counts vary), so the round ladder's independence from worker
-        // interleaving is exercised with real RNG consumption.
+    fn adaptive_matches_the_serial_round_ladder_on_gloves() {
         let g = fixtures::gloves(3, 4);
-        let serial: Vec<(Estimate, bool)> = (0..7)
-            .map(|p| {
-                sampling::estimate_player_adaptive_rounds(
-                    &g,
-                    p,
-                    0.08,
-                    1.96,
-                    30,
-                    1500,
-                    player_seed(3, p),
-                )
-            })
-            .collect();
-        for threads in [2usize, 4, 7] {
-            let par =
-                estimate_all_adaptive(&g, 0.08, 1.96, 30, 1500, 3, threads, Schedule::WorkStealing);
+        let knobs = (0.08, 1.96, 30, 1500, 3);
+        let serial = serial_adaptive(&g, knobs);
+        let (tol, z, batch, cap, seed) = knobs;
+        for threads in THREADS {
+            let par = estimate_all_adaptive(&g, tol, z, batch, cap, seed, threads);
             assert_eq!(serial, par, "threads {threads}");
         }
     }
 
     #[test]
-    fn work_stealing_caps_in_whole_rounds() {
+    fn adaptive_caps_in_whole_rounds() {
         let g = fixtures::one_hot(3, 0);
-        for threads in [1usize, 2, 4] {
-            let out =
-                estimate_all_adaptive(&g, 1e-12, 1.96, 10, 95, 5, threads, Schedule::WorkStealing);
+        for threads in THREADS {
+            let out = estimate_all_adaptive(&g, 1e-12, 1.96, 10, 95, 5, threads);
             // ceil(95 / 10) = 10 rounds → exactly 100 samples at the cap.
             assert_eq!(out[0].0.samples, 100, "threads {threads}");
             assert!(!out[0].1);
@@ -1971,82 +721,10 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_uniform_budget_drivers_fall_back_to_player_sharding() {
-        // estimate_all / stratified / antithetic have uniform per-player
-        // budgets, so stealing degenerates to whole-player claiming there
-        // (the walk driver has its own block-stealing engine, pinned by
-        // `work_stealing_walk_is_serial_at_any_thread_count`).
-        let g = fixtures::majority(9);
-        let cfg = SamplingConfig {
-            samples: 120,
-            seed: 13,
-        };
-        let serial = sampling::estimate_all(&g, cfg);
-        for threads in [1usize, 2, 4] {
-            let par = estimate_all(
-                &g,
-                ParallelConfig::from_sampling(cfg, threads).with_schedule(Schedule::WorkStealing),
-            );
-            assert_estimates_eq(&serial, &par);
-            assert_estimates_eq(
-                &estimate_all_stratified(&g, 20, 3, threads, Schedule::WorkStealing),
-                &estimate_all_stratified(&g, 20, 3, 1, Schedule::PlayerSharded),
-            );
-            assert_estimates_eq(
-                &estimate_all_antithetic(&g, 30, 3, threads, Schedule::WorkStealing),
-                &estimate_all_antithetic(&g, 30, 3, 1, Schedule::PlayerSharded),
-            );
-        }
-    }
-
-    #[test]
-    fn work_stealing_walk_is_serial_at_any_thread_count() {
-        // Block-stealing replay must be bit-identical to the serial walk
-        // across every budget shape: below one block, exactly one block,
-        // a ragged tail, and several whole blocks per player.
-        let g = fixtures::paper_example_2_3();
-        for samples in [0usize, 5, 32, 33, 100] {
-            let cfg = SamplingConfig { samples, seed: 17 };
-            let serial = sampling::estimate_all_walk(&g, cfg);
-            for threads in [1usize, 2, 4, 8] {
-                let par = estimate_all_walk(
-                    &g,
-                    ParallelConfig::from_sampling(cfg, threads)
-                        .with_schedule(Schedule::WorkStealing),
-                );
-                assert_estimates_eq(&serial, &par);
-            }
-        }
-    }
-
-    #[test]
-    fn walk_replay_blocks_tile_the_serial_stream() {
-        // Concatenating skip-ahead blocks reproduces the full replay's
-        // marginals exactly, wherever the block seams fall.
-        let g = fixtures::gloves(3, 4);
-        let full = walk_replay_block(&g, 2, 77, 0, 70);
-        assert_eq!(full.len(), 70);
-        for splits in [vec![70], vec![32, 32, 6], vec![1, 69], vec![40, 30]] {
-            let mut tiled = Vec::new();
-            let mut start = 0;
-            for len in splits {
-                tiled.extend(walk_replay_block(&g, 2, 77, start, len));
-                start += len;
-            }
-            let same = full
-                .iter()
-                .zip(&tiled)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same && tiled.len() == 70, "seams changed the marginals");
-        }
-    }
-
-    #[test]
-    fn work_stealing_converges_to_exact_values() {
+    fn adaptive_converges_to_exact_values() {
         let g = fixtures::gloves(2, 3);
         let exact = shapley_exact(&g).unwrap();
-        let out =
-            estimate_all_adaptive(&g, 0.02, 1.96, 200, 100_000, 11, 4, Schedule::WorkStealing);
+        let out = estimate_all_adaptive(&g, 0.02, 1.96, 200, 100_000, 11, 4);
         for (p, want) in exact.iter().enumerate() {
             assert!(
                 (out[p].0.value - want).abs() < 0.05,
@@ -2054,14 +732,6 @@ mod tests {
                 out[p].0.value
             );
         }
-    }
-
-    #[test]
-    fn steal_schedule_display_and_family() {
-        assert_eq!(Schedule::WorkStealing.to_string(), "steal");
-        assert!(Schedule::WorkStealing.claims_players());
-        assert!(Schedule::PlayerSharded.claims_players());
-        assert!(!Schedule::BudgetSplit.claims_players());
     }
 
     #[test]
@@ -2074,85 +744,56 @@ mod tests {
     }
 
     #[test]
-    fn anytime_final_checkpoint_matches_batch_for_every_schedule() {
+    fn every_anytime_checkpoint_is_a_completed_run_of_its_budget() {
         let g = fixtures::gloves(3, 4);
-        for schedule in [
-            Schedule::BudgetSplit,
-            Schedule::PlayerSharded,
-            Schedule::WorkStealing,
-        ] {
-            for threads in [1, 4] {
-                let cfg = ParallelConfig::new(70, 99, threads).with_schedule(schedule);
-                let batch = estimate_all_walk(&g, cfg);
-                let mut checkpoints = 0;
-                let mut last_completed = 0;
-                let (anytime, finished) = estimate_all_walk_anytime(&g, cfg, 17, |cp| {
-                    checkpoints += 1;
-                    assert!(
-                        cp.completed > last_completed,
-                        "checkpoints must make progress"
-                    );
-                    last_completed = cp.completed;
-                    assert_eq!(cp.total, 70);
-                    for e in cp.estimates {
-                        assert!(e.value.is_finite() && e.std_dev.is_finite());
-                    }
-                    AnytimeControl::Continue
-                });
-                assert!(finished, "{schedule} t{threads}: full budget must run");
-                assert!(checkpoints >= 2, "70/17 walks means several checkpoints");
-                assert_eq!(anytime.len(), batch.len());
-                for (a, b) in anytime.iter().zip(&batch) {
-                    assert_eq!(
-                        a.value.to_bits(),
-                        b.value.to_bits(),
-                        "{schedule} t{threads}: anytime final must be bit-identical"
-                    );
-                    assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
-                    assert_eq!(a.samples, b.samples);
-                }
+        for threads in THREADS {
+            let cfg = ParallelConfig::new(70, 99, threads);
+            let mut checkpoints = Vec::new();
+            let (last, finished) = estimate_all_walk_anytime(&g, cfg, 17, |cp| {
+                assert_eq!(cp.total, 70);
+                checkpoints.push((cp.completed, cp.estimates.to_vec()));
+                AnytimeControl::Continue
+            });
+            assert!(finished, "t{threads}: full budget must run");
+            let completed: Vec<usize> = checkpoints.iter().map(|(c, _)| *c).collect();
+            assert_eq!(completed, [17, 34, 51, 68, 70], "t{threads}");
+            for (budget, estimates) in &checkpoints {
+                let run = estimate_all_walk(&g, ParallelConfig::new(*budget, 99, threads));
+                assert_eq!(*estimates, run, "t{threads}: checkpoint at {budget}");
             }
+            assert_eq!(last, checkpoints.last().unwrap().1);
         }
     }
 
     #[test]
     fn anytime_stop_returns_the_partial_estimate() {
         let g = fixtures::gloves(3, 4);
-        let cfg = ParallelConfig::new(500, 5, 2).with_schedule(Schedule::PlayerSharded);
         let mut seen = 0;
-        let (partial, finished) = estimate_all_walk_anytime(&g, cfg, 20, |cp| {
-            seen = cp.completed;
-            AnytimeControl::Stop
-        });
+        let (partial, finished) =
+            estimate_all_walk_anytime(&g, ParallelConfig::new(500, 5, 2), 20, |cp| {
+                seen = cp.completed;
+                AnytimeControl::Stop
+            });
         assert!(!finished, "stopping early must report an unfinished run");
         assert_eq!(seen, 20, "stopped at the first checkpoint");
-        // The partial estimate is exactly a completed 20-walk run: the
-        // replay schedules' intermediate-snapshot contract.
-        let small = estimate_all_walk(
-            &g,
-            ParallelConfig::new(20, 5, 2).with_schedule(Schedule::PlayerSharded),
-        );
-        for (a, b) in partial.iter().zip(&small) {
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-            assert_eq!(a.samples, 20);
-            assert_eq!(b.samples, 20);
-        }
+        let small = estimate_all_walk(&g, ParallelConfig::new(20, 5, 1));
+        assert_eq!(partial, small);
     }
 
     #[test]
     fn anytime_zero_budget_checkpoints_once_and_finishes() {
         let g = fixtures::gloves(2, 2);
-        let cfg = ParallelConfig::new(0, 1, 2).with_schedule(Schedule::BudgetSplit);
         let mut checkpoints = 0;
-        let (out, finished) = estimate_all_walk_anytime(&g, cfg, 10, |cp| {
-            checkpoints += 1;
-            assert_eq!(cp.completed, 0);
-            for e in cp.estimates {
-                assert_eq!(e.samples, 0);
-                assert!(e.value.is_finite() && e.std_dev.is_finite());
-            }
-            AnytimeControl::Continue
-        });
+        let (out, finished) =
+            estimate_all_walk_anytime(&g, ParallelConfig::new(0, 1, 2), 10, |cp| {
+                checkpoints += 1;
+                assert_eq!(cp.completed, 0);
+                for e in cp.estimates {
+                    assert_eq!(e.samples, 0);
+                    assert!(e.value.is_finite() && e.std_dev.is_finite());
+                }
+                AnytimeControl::Continue
+            });
         assert!(finished);
         assert_eq!(checkpoints, 1);
         assert!(out.iter().all(|e| e.samples == 0));

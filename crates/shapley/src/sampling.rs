@@ -77,19 +77,16 @@ impl Estimate {
 /// laddered by a golden-ratio multiple of the player index, so per-player
 /// sample streams are decorrelated but fully determined by the base seed.
 ///
-/// Shared by [`estimate_all`], the parallel engine's player-sharded
-/// schedules, and `trex` core's adaptive explainer — every all-player
-/// driver must ladder identically for the serial-equivalence contracts to
-/// compose.
+/// Shared by [`estimate_all`] and every all-player driver of
+/// [`crate::parallel`]: each must ladder identically for the
+/// serial-equivalence contract to compose.
 pub fn player_seed(seed: u64, player: usize) -> u64 {
     seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(player as u64 + 1))
 }
 
 /// SplitMix64 finalizer (Steele, Lea, Flood 2014) — the standard 64-bit
-/// mixer. One copy serves every seed ladder in the crate: the parallel
-/// engine's worker streams and the round ladder below must all decorrelate
-/// with the same function, or two ladders could collide.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+/// mixer behind the round ladder below.
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -102,10 +99,10 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 ///
 /// Laddering per *round* instead of running one continuous stream is what
 /// makes a round a relocatable unit of work: any worker can compute round
-/// `r` of any player from `(seed, r)` alone, so the work-stealing schedule
-/// (`trex_shapley::parallel::Schedule::WorkStealing`) can spread one
-/// player's rounds across workers and still merge, in round order, to the
-/// exact statistics of the serial round-laddered loop.
+/// `r` of any player from `(seed, r)` alone, so
+/// [`crate::parallel::estimate_all_adaptive`] can spread one player's
+/// rounds across workers and still merge, in round order, to the exact
+/// statistics of the serial round-laddered loop.
 pub fn round_seed(seed: u64, round: usize) -> u64 {
     if round == 0 {
         seed
@@ -114,19 +111,11 @@ pub fn round_seed(seed: u64, round: usize) -> u64 {
     }
 }
 
-/// Draw a uniform permutation of `0..n` (Fisher–Yates).
+/// Draw a uniform permutation of `0..n` (Fisher–Yates) into `perm`.
 ///
 /// Shared with [`crate::parallel`]: the serial and parallel estimators must
-/// consume the RNG identically for the `threads = 1` bit-for-bit contract,
-/// so there is exactly one copy of every sampling primitive.
-pub(crate) fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
-    let mut perm = Vec::with_capacity(n);
-    random_permutation_into(&mut perm, n, rng);
-    perm
-}
-
-/// [`random_permutation`] into a reused buffer: identical RNG draws and
-/// output, no per-sample allocation.
+/// consume the RNG identically for the bit-for-bit contract, so there is
+/// exactly one copy of every sampling primitive.
 pub(crate) fn random_permutation_into<R: Rng + ?Sized>(
     perm: &mut Vec<usize>,
     n: usize,
@@ -140,11 +129,10 @@ pub(crate) fn random_permutation_into<R: Rng + ?Sized>(
     }
 }
 
-/// Reused per-walk buffers: the permutation, the growing prefix coalition,
-/// and the walk's materialized prefix batch. One set of allocations per
-/// *driver* instead of per walk.
+/// Reused per-walk buffers: the growing prefix coalition and the walk's
+/// materialized prefix batch. One set of allocations per worker instead of
+/// per walk.
 pub(crate) struct WalkScratch {
-    perm: Vec<usize>,
     prefix: Coalition,
     /// The walk's `n + 1` prefix coalitions, materialized so the whole walk
     /// evaluates through one [`Game::value_batch`] call; the word buffers
@@ -155,23 +143,48 @@ pub(crate) struct WalkScratch {
 impl WalkScratch {
     pub(crate) fn new(n: usize) -> Self {
         WalkScratch {
-            perm: Vec::with_capacity(n),
             prefix: Coalition::empty(n),
             prefixes: vec![Coalition::empty(n); n + 1],
         }
+    }
+
+    /// Evaluate the `n + 1` prefix coalitions of `perm` (∅, then one more
+    /// player at a time) as one batch: a batched oracle sees one dispatch
+    /// per walk instead of `n + 1`, and the values are identical to
+    /// incremental per-prefix `value` calls.
+    pub(crate) fn prefix_values<G: Game + ?Sized>(&mut self, game: &G, perm: &[usize]) -> Vec<f64> {
+        let s = &mut self.prefix;
+        s.clear();
+        debug_assert_eq!(self.prefixes.len(), perm.len() + 1);
+        self.prefixes[0].clone_from(s);
+        for (i, &p) in perm.iter().enumerate() {
+            s.insert(p);
+            self.prefixes[i + 1].clone_from(s);
+        }
+        let values = game.value_batch(&self.prefixes);
+        assert_eq!(
+            values.len(),
+            perm.len() + 1,
+            "value_batch must answer per coalition"
+        );
+        values
+    }
+}
+
+/// Push one walk's marginals `values[i + 1] − values[i]` into the stats of
+/// the player `perm[i]` inserted at step `i`, in walk order.
+pub(crate) fn fold_walk(stats: &mut [RunningStats], perm: &[usize], values: &[f64]) {
+    for (i, &p) in perm.iter().enumerate() {
+        stats[p].push(values[i + 1] - values[i]);
     }
 }
 
 /// One marginal sample for `player` (Example 2.5): draw a permutation, form
 /// the predecessor coalition, evaluate the pair, return `v(S∪{i}) − v(S)`.
-/// Shared with [`crate::parallel`] (see [`random_permutation`]).
-pub(crate) fn marginal_sample<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    rng: &mut rand::rngs::StdRng,
-) -> f64 {
+fn marginal_sample<G: StochasticGame + ?Sized>(game: &G, player: usize, rng: &mut StdRng) -> f64 {
     let n = game.num_players();
-    let perm = random_permutation(n, rng);
+    let mut perm = Vec::with_capacity(n);
+    random_permutation_into(&mut perm, n, rng);
     let mut coalition = Coalition::empty(n);
     for &p in &perm {
         if p == player {
@@ -184,34 +197,19 @@ pub(crate) fn marginal_sample<G: StochasticGame + ?Sized>(
 }
 
 /// One full permutation walk (Castro et al.): visit the players in a fresh
-/// random order, pushing every incremental marginal into `stats`. Shared
-/// with [`crate::parallel`] (see [`random_permutation`]); `scratch` is
-/// reused across walks and does not affect the RNG stream or the output.
+/// random order, pushing every incremental marginal into `stats`. `perm`
+/// and `scratch` are reused across walks and do not affect the RNG stream
+/// or the output.
 pub(crate) fn walk_once<G: Game + ?Sized>(
     game: &G,
-    rng: &mut rand::rngs::StdRng,
+    rng: &mut StdRng,
     stats: &mut [RunningStats],
+    perm: &mut Vec<usize>,
     scratch: &mut WalkScratch,
 ) {
-    let n = game.num_players();
-    random_permutation_into(&mut scratch.perm, n, rng);
-    let s = &mut scratch.prefix;
-    s.clear();
-    // Materialize the walk's n+1 prefix coalitions and evaluate them as one
-    // batch: a batched oracle sees one dispatch per walk instead of n+1,
-    // and the values — hence the pushed marginals and their fold order —
-    // are identical to incremental per-prefix `value` calls.
-    debug_assert_eq!(scratch.prefixes.len(), n + 1);
-    scratch.prefixes[0].clone_from(s);
-    for (i, &p) in scratch.perm.iter().enumerate() {
-        s.insert(p);
-        scratch.prefixes[i + 1].clone_from(s);
-    }
-    let values = game.value_batch(&scratch.prefixes);
-    assert_eq!(values.len(), n + 1, "value_batch must answer per coalition");
-    for (i, &p) in scratch.perm.iter().enumerate() {
-        stats[p].push(values[i + 1] - values[i]);
-    }
+    random_permutation_into(perm, game.num_players(), rng);
+    let values = scratch.prefix_values(game, perm);
+    fold_walk(stats, perm, &values);
 }
 
 /// Estimate the Shapley value of a single `player` with `config.samples`
@@ -228,11 +226,7 @@ pub fn estimate_player<G: StochasticGame + ?Sized>(
     for _ in 0..config.samples {
         stats.push(marginal_sample(game, player, &mut rng));
     }
-    Estimate {
-        value: stats.mean(),
-        std_dev: stats.std_dev(),
-        samples: stats.count(),
-    }
+    stats.estimate()
 }
 
 /// Estimate all players independently (`config.samples` samples each).
@@ -264,71 +258,66 @@ pub fn estimate_all_walk<G: Game + ?Sized>(game: &G, config: SamplingConfig) -> 
     let n = game.num_players();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut stats = vec![RunningStats::new(); n];
+    let mut perm = Vec::with_capacity(n);
     let mut scratch = WalkScratch::new(n);
     for _ in 0..config.samples {
-        walk_once(game, &mut rng, &mut stats, &mut scratch);
+        walk_once(game, &mut rng, &mut stats, &mut perm, &mut scratch);
     }
-    stats
-        .into_iter()
-        .map(|st| Estimate {
-            value: st.mean(),
-            std_dev: st.std_dev(),
-            samples: st.count(),
-        })
-        .collect()
+    stats.iter().map(RunningStats::estimate).collect()
 }
 
-/// Adaptive estimation of one player: keep sampling in `batch`-sized chunks
-/// until the `z`-confidence half-width drops below `tolerance` or
-/// `max_samples` is reached. Returns the estimate and whether it converged.
-pub fn estimate_player_adaptive<G: StochasticGame + ?Sized>(
+/// One `batch`-sized round of a player's adaptive budget: `batch` marginal
+/// samples from a fresh RNG seeded [`round_seed`]`(seed, round)`. A pure
+/// function of its arguments, so any worker can compute any round.
+pub(crate) fn adaptive_round<G: StochasticGame + ?Sized>(
     game: &G,
     player: usize,
+    batch: usize,
+    seed: u64,
+    round: usize,
+) -> RunningStats {
+    let mut rng = StdRng::seed_from_u64(round_seed(seed, round));
+    let mut stats = RunningStats::new();
+    for _ in 0..batch {
+        stats.push(marginal_sample(game, player, &mut rng));
+    }
+    stats
+}
+
+/// The adaptive stopping rule on the statistics folded so far: converged
+/// once at least two batches are in and the `z`-confidence half-width is
+/// within `tolerance`, given up once `max_samples` are in, else `None`
+/// (run another round).
+pub(crate) fn adaptive_stop(
+    stats: &RunningStats,
     tolerance: f64,
     z: f64,
     batch: usize,
     max_samples: usize,
-    seed: u64,
-) -> (Estimate, bool) {
-    let n = game.num_players();
-    assert!(player < n, "player {player} out of range");
-    assert!(batch > 0, "batch must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stats = RunningStats::new();
-    loop {
-        for _ in 0..batch {
-            stats.push(marginal_sample(game, player, &mut rng));
-        }
-        let est = Estimate {
-            value: stats.mean(),
-            std_dev: stats.std_dev(),
-            samples: stats.count(),
-        };
-        // Require at least two batches before trusting the variance.
-        if stats.count() >= 2 * batch && est.ci_half_width(z) <= tolerance {
-            return (est, true);
-        }
-        if stats.count() >= max_samples {
-            return (est, false);
-        }
+) -> Option<(Estimate, bool)> {
+    let est = stats.estimate();
+    // Require at least two batches before trusting the variance.
+    if stats.count() >= 2 * batch && est.ci_half_width(z) <= tolerance {
+        Some((est, true))
+    } else if stats.count() >= max_samples {
+        Some((est, false))
+    } else {
+        None
     }
 }
 
-/// Round-laddered adaptive estimation of one player: the stopping rule of
-/// [`estimate_player_adaptive`] (same `batch`/`tolerance`/`z`/`max_samples`
-/// semantics), but round `r` draws its `batch` samples from a *fresh* RNG
-/// seeded [`round_seed`]`(seed, r)` instead of continuing one sequential
-/// stream.
+/// Adaptive estimation of one player: sample in `batch`-sized rounds until
+/// the `z`-confidence half-width drops below `tolerance` (after at least
+/// two rounds) or `max_samples` is reached. Returns the estimate and
+/// whether it converged.
 ///
-/// This is the **serial reference of the work-stealing schedule**
-/// (`trex_shapley::parallel::Schedule::WorkStealing`): because every round
-/// is a pure function of `(seed, round)`, rounds can be computed on any
-/// worker in any order and folded back in round order, reproducing this
-/// function bit for bit at any thread count. The price is a different (but
-/// equally valid) sample stream than [`estimate_player_adaptive`] — the two
-/// estimators agree statistically, not bitwise. A sequential stream cannot
-/// be split across workers: each round's RNG state would depend on all
-/// previous rounds' draws.
+/// Round `r` draws its samples from a *fresh* RNG seeded
+/// [`round_seed`]`(seed, r)` instead of continuing one sequential stream,
+/// and is folded in with the exact parallel-Welford merge. That makes every
+/// round a pure function of `(seed, r)`, so
+/// [`crate::parallel::estimate_all_adaptive`] can compute rounds on any
+/// worker in any order, fold them back in round order, and reproduce this
+/// function bit for bit at any thread count.
 pub fn estimate_player_adaptive_rounds<G: StochasticGame + ?Sized>(
     game: &G,
     player: usize,
@@ -343,27 +332,9 @@ pub fn estimate_player_adaptive_rounds<G: StochasticGame + ?Sized>(
     assert!(batch > 0, "batch must be positive");
     let mut stats = RunningStats::new();
     for round in 0.. {
-        let mut rng = StdRng::seed_from_u64(round_seed(seed, round));
-        // Accumulate the round separately, then combine with the exact
-        // parallel-Welford merge: the work-stealing engine folds whole
-        // rounds, and the fold arithmetic is part of the bitwise contract.
-        let mut round_stats = RunningStats::new();
-        for _ in 0..batch {
-            round_stats.push(marginal_sample(game, player, &mut rng));
-        }
-        stats.merge(&round_stats);
-        let est = Estimate {
-            value: stats.mean(),
-            std_dev: stats.std_dev(),
-            samples: stats.count(),
-        };
-        // The exact stopping rule of `estimate_player_adaptive`: at least
-        // two batches before trusting the variance, then the CI check.
-        if stats.count() >= 2 * batch && est.ci_half_width(z) <= tolerance {
-            return (est, true);
-        }
-        if stats.count() >= max_samples {
-            return (est, false);
+        stats.merge(&adaptive_round(game, player, batch, seed, round));
+        if let Some(done) = adaptive_stop(&stats, tolerance, z, batch, max_samples) {
+            return done;
         }
     }
     unreachable!("the sample cap terminates the round loop")
@@ -461,21 +432,6 @@ mod tests {
         };
         // Not strictly monotone, but 100x samples should clearly beat 1x.
         assert!(err(40_000) < err(400) + 1e-9);
-    }
-
-    #[test]
-    fn adaptive_stops_when_tight() {
-        let g = fixtures::unanimity(6, vec![0, 1, 2]);
-        let (est, converged) = estimate_player_adaptive(&g, 0, 0.02, 1.96, 500, 200_000, 7);
-        assert!(converged);
-        assert!((est.value - 1.0 / 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn adaptive_reports_non_convergence() {
-        let g = fixtures::gloves(2, 2);
-        let (_est, converged) = estimate_player_adaptive(&g, 0, 1e-9, 1.96, 10, 50, 7);
-        assert!(!converged);
     }
 
     #[test]

@@ -21,71 +21,6 @@ use crate::game::{Coalition, StochasticGame};
 use crate::sampling::Estimate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
-
-/// One worker's share of a stratified estimate: the contiguous `strata`
-/// range of coalition sizes, `samples_per_stratum` samples each, drawn from
-/// a single RNG stream seeded with `seed`.
-///
-/// Shared with [`crate::parallel`]: the serial estimator is exactly the
-/// `0..n` chunk, so there is one copy of the sampling primitive and the
-/// parallel path with one worker replays it bit for bit. The shuffle pool
-/// carries across strata *within* a chunk (partial Fisher–Yates yields a
-/// uniform `k`-subset from any starting arrangement, so chunk boundaries do
-/// not bias the strata).
-pub(crate) fn stratified_chunk<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    strata: Range<usize>,
-    samples_per_stratum: usize,
-    seed: u64,
-) -> Vec<RunningStats> {
-    let n = game.num_players();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pool: Vec<usize> = (0..n).filter(|i| *i != player).collect();
-    let mut out = Vec::with_capacity(strata.len());
-    for k in strata {
-        let mut stats = RunningStats::new();
-        for _ in 0..samples_per_stratum {
-            // Partial Fisher–Yates: first k entries become the coalition.
-            for i in 0..k {
-                let j = rng.gen_range(i..pool.len());
-                pool.swap(i, j);
-            }
-            let coalition = Coalition::from_players(n, pool[..k].iter().copied());
-            let (with, without) = game.eval_pair(&coalition, player, &mut rng);
-            stats.push(with - without);
-        }
-        out.push(stats);
-    }
-    out
-}
-
-/// Combine per-stratum statistics into the stratified [`Estimate`]: the mean
-/// of the per-stratum means, with `std_dev` backed out of the stratified
-/// standard error so [`Estimate::std_error`] is correct. Shared with
-/// [`crate::parallel`] (see [`stratified_chunk`]).
-pub(crate) fn stratified_estimate(
-    stratum_stats: &[RunningStats],
-    samples_per_stratum: usize,
-) -> Estimate {
-    let n = stratum_stats.len();
-    let mean: f64 = stratum_stats.iter().map(RunningStats::mean).sum::<f64>() / n as f64;
-    // Var(estimate) = (1/n²) Σ_k Var(stratum mean_k) = (1/n²) Σ_k s_k²/m.
-    let var_of_mean: f64 = stratum_stats
-        .iter()
-        .map(|s| s.variance() / samples_per_stratum as f64)
-        .sum::<f64>()
-        / (n as f64 * n as f64);
-    let total_samples = n * samples_per_stratum;
-    // Back out a std_dev such that Estimate::std_error() = sqrt(var_of_mean).
-    let std_dev = (var_of_mean * total_samples as f64).sqrt();
-    Estimate {
-        value: mean,
-        std_dev,
-        samples: total_samples,
-    }
-}
 
 /// Stratified-by-coalition-size estimator for one player.
 ///
@@ -106,23 +41,54 @@ pub fn estimate_player_stratified<G: StochasticGame + ?Sized>(
         samples_per_stratum > 0,
         "need at least one sample per stratum"
     );
-    let stratum_stats = stratified_chunk(game, player, 0..n, samples_per_stratum, seed);
-    stratified_estimate(&stratum_stats, samples_per_stratum)
+    let mut rng = StdRng::seed_from_u64(seed);
+    // The shuffle pool carries across strata: partial Fisher–Yates yields
+    // a uniform `k`-subset from any starting arrangement.
+    let mut pool: Vec<usize> = (0..n).filter(|i| *i != player).collect();
+    let stratum_stats: Vec<RunningStats> = (0..n)
+        .map(|k| {
+            let mut stats = RunningStats::new();
+            for _ in 0..samples_per_stratum {
+                // Partial Fisher–Yates: first k entries become the coalition.
+                for i in 0..k {
+                    let j = rng.gen_range(i..pool.len());
+                    pool.swap(i, j);
+                }
+                let coalition = Coalition::from_players(n, pool[..k].iter().copied());
+                let (with, without) = game.eval_pair(&coalition, player, &mut rng);
+                stats.push(with - without);
+            }
+            stats
+        })
+        .collect();
+    let mean: f64 = stratum_stats.iter().map(RunningStats::mean).sum::<f64>() / n as f64;
+    // Var(estimate) = (1/n²) Σ_k Var(stratum mean_k) = (1/n²) Σ_k s_k²/m.
+    let var_of_mean: f64 = stratum_stats
+        .iter()
+        .map(|s| s.variance() / samples_per_stratum as f64)
+        .sum::<f64>()
+        / (n as f64 * n as f64);
+    let total_samples = n * samples_per_stratum;
+    // Back out a std_dev such that Estimate::std_error() = sqrt(var_of_mean).
+    let std_dev = (var_of_mean * total_samples as f64).sqrt();
+    Estimate {
+        value: mean,
+        std_dev,
+        samples: total_samples,
+    }
 }
 
-/// One worker's share of an antithetic estimate: `pairs` permutation pairs
-/// drawn from a single RNG stream seeded with `seed`, starting from the
-/// identity permutation.
-///
-/// Shared with [`crate::parallel`] (see [`stratified_chunk`] for the
-/// contract): the serial estimator is exactly the full-budget chunk.
-pub(crate) fn antithetic_chunk<G: StochasticGame + ?Sized>(
+/// Antithetic-pairs estimator for one player: each iteration draws one
+/// permutation, uses it *and* its reverse, and records the average of the
+/// two marginals as a single observation.
+pub fn estimate_player_antithetic<G: StochasticGame + ?Sized>(
     game: &G,
     player: usize,
     pairs: usize,
     seed: u64,
-) -> RunningStats {
+) -> Estimate {
     let n = game.num_players();
+    assert!(player < n, "player {player} out of range ({n} players)");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = RunningStats::new();
     let mut perm: Vec<usize> = (0..n).collect();
@@ -146,26 +112,7 @@ pub(crate) fn antithetic_chunk<G: StochasticGame + ?Sized>(
         let backward = marginal(&mut perm.iter().rev().copied(), &mut rng);
         stats.push(0.5 * (forward + backward));
     }
-    stats
-}
-
-/// Antithetic-pairs estimator for one player: each iteration draws one
-/// permutation, uses it *and* its reverse, and records the average of the
-/// two marginals as a single observation.
-pub fn estimate_player_antithetic<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    pairs: usize,
-    seed: u64,
-) -> Estimate {
-    let n = game.num_players();
-    assert!(player < n, "player {player} out of range ({n} players)");
-    let stats = antithetic_chunk(game, player, pairs, seed);
-    Estimate {
-        value: stats.mean(),
-        std_dev: stats.std_dev(),
-        samples: stats.count(),
-    }
+    stats.estimate()
 }
 
 #[cfg(test)]
