@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use trex::{ExecConfig, Explainer};
 use trex_bench::RandomBinaryGame;
 use trex_constraints::{
-    find_all_violations_par, find_all_violations_par_pruned, generate_dcs, parse_dcs,
-    statically_unviolable, DcGenConfig, DenialConstraint,
+    find_all_violations_par, generate_dcs, parse_dcs, statically_unviolable, DcGenConfig,
+    DenialConstraint,
 };
 use trex_datagen::laliga;
 use trex_repair::MockRemoteRepair;
@@ -272,13 +272,14 @@ fn main() {
         violation_rows.push((threads, dt.as_secs_f64() * 1e3, violations.len()));
     }
 
-    println!("\n== static pruning: full vs pruned scan (2000 rows, 2 real + 3 dead DCs) ==");
-    println!("(the analyzer proves the injected X* constraints can never be violated;");
-    println!(" --prune-redundant skips their scans. Output is asserted byte-identical");
-    println!(" while we measure — only the dead DCs' wasted pair scans disappear)");
+    println!("\n== dead constraints: live DCs alone vs program with 3 dead DCs (2000 rows) ==");
+    println!("(the analyzer proves the injected X* constraints can never be violated,");
+    println!(" and every scan skips them. Witness lists are asserted identical, and");
+    println!(" the program must cost less than 2x the live DCs alone)");
     // The live constraints are the same two FDs as the curve above; the
     // generator only injects the dead ones (contradictory order pairs with
-    // no equality join key, so each costs a full nested-loop pass).
+    // no equality join key, so scanning one would cost a full nested-loop
+    // pass, several times the live scan).
     let gen_cfg = DcGenConfig {
         count: 0,
         max_lhs: 2,
@@ -287,37 +288,33 @@ fn main() {
         redundant: 0,
         unsat: 3,
     };
-    let mut noisy_dcs = violation_dcs(&table);
-    noisy_dcs.extend(
+    let live_dcs = violation_dcs(&table);
+    let mut program = live_dcs.clone();
+    program.extend(
         generate_dcs(table.schema(), &gen_cfg)
             .iter()
             .map(|dc| dc.resolved(table.schema()).unwrap()),
     );
-    let pruned_away = noisy_dcs
+    let dead = program
         .iter()
         .filter(|dc| statically_unviolable(dc).is_some())
         .count();
     assert_eq!(
-        pruned_away, gen_cfg.unsat,
+        dead, gen_cfg.unsat,
         "every injected X* constraint must be proven unviolable"
     );
     println!(
         "{:>8} {:>14} {:>14} {:>10} {:>12}",
-        "threads", "full", "pruned", "saved", "violations"
+        "threads", "live", "program", "ratio", "violations"
     );
     // Best of 3 per measurement, same rationale as the steal curve: the
-    // pruned-beats-full assertion gates CI, so a single preempted run must
-    // not flip the comparison.
-    let scan_best_of = |threads: usize, pruned: bool| {
+    // ratio assertion gates CI, so a single preempted run must not flip it.
+    let scan_best_of = |dcs: &[DenialConstraint], threads: usize| {
         let mut best: Option<std::time::Duration> = None;
         let mut out = Vec::new();
         for _ in 0..3 {
             let start = Instant::now();
-            out = if pruned {
-                find_all_violations_par_pruned(&noisy_dcs, &table, threads)
-            } else {
-                find_all_violations_par(&noisy_dcs, &table, threads)
-            };
+            out = find_all_violations_par(dcs, &table, threads);
             let dt = start.elapsed();
             if best.is_none_or(|b| dt < b) {
                 best = Some(dt);
@@ -325,33 +322,29 @@ fn main() {
         }
         (best.expect("three runs produce a best"), out)
     };
-    let mut prune_rows: Vec<(usize, f64, f64, usize)> = Vec::new();
+    let mut dead_rows: Vec<(usize, f64, f64, usize)> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        let (full_dt, full) = scan_best_of(threads, false);
-        let (pruned_dt, pruned) = scan_best_of(threads, true);
-        // The pruning contract, asserted while we measure: skipping
-        // statically-unviolable DCs is invisible in the witness list.
+        let (live_dt, live) = scan_best_of(&live_dcs, threads);
+        let (program_dt, found) = scan_best_of(&program, threads);
         assert_eq!(
-            full, pruned,
-            "pruned scan changed the output at {threads} threads"
+            live, found,
+            "dead DCs changed the witness list at {threads} threads"
         );
-        // The injected dead DCs have no equality-join key, so each costs a
-        // full nested-loop pass when unpruned — the pruned scan must win.
         assert!(
-            pruned_dt < full_dt,
-            "pruning must beat the full scan at {threads} threads \
-             ({pruned_dt:?} vs {full_dt:?})"
+            program_dt < 2 * live_dt,
+            "dead DCs must be skipped at {threads} threads \
+             ({program_dt:?} for the program vs {live_dt:?} for the live DCs)"
         );
         println!(
-            "{threads:>8} {full_dt:>14.3?} {pruned_dt:>14.3?} {:>9.2}x {:>12}",
-            full_dt.as_secs_f64() / pruned_dt.as_secs_f64().max(1e-12),
-            full.len()
+            "{threads:>8} {live_dt:>14.3?} {program_dt:>14.3?} {:>9.2}x {:>12}",
+            program_dt.as_secs_f64() / live_dt.as_secs_f64().max(1e-12),
+            live.len()
         );
-        prune_rows.push((
+        dead_rows.push((
             threads,
-            full_dt.as_secs_f64() * 1e3,
-            pruned_dt.as_secs_f64() * 1e3,
-            full.len(),
+            live_dt.as_secs_f64() * 1e3,
+            program_dt.as_secs_f64() * 1e3,
+            live.len(),
         ));
     }
 
@@ -470,12 +463,12 @@ fn main() {
                 )
             })
             .collect();
-        let prune_json: Vec<String> = prune_rows
+        let dead_json: Vec<String> = dead_rows
             .iter()
-            .map(|(threads, full_ms, pruned_ms, count)| {
+            .map(|(threads, live_ms, program_ms, count)| {
                 format!(
-                    "    {{ \"threads\": {threads}, \"full_ms\": {full_ms:.3}, \
-                     \"pruned_ms\": {pruned_ms:.3}, \"violations\": {count} }}"
+                    "    {{ \"threads\": {threads}, \"live_ms\": {live_ms:.3}, \
+                     \"program_ms\": {program_ms:.3}, \"violations\": {count} }}"
                 )
             })
             .collect();
@@ -511,11 +504,11 @@ fn main() {
                 "    \"dcs\": 2,\n",
                 "    \"per_thread\": [\n{violations}\n    ]\n",
                 "  }},\n",
-                "  \"prune\": {{\n",
+                "  \"dead_dcs\": {{\n",
                 "    \"rows\": 2000,\n",
                 "    \"dcs_total\": {dcs_total},\n",
-                "    \"dcs_pruned\": {dcs_pruned},\n",
-                "    \"per_thread\": [\n{prune}\n    ]\n",
+                "    \"dcs_dead\": {dcs_dead},\n",
+                "    \"per_thread\": [\n{dead}\n    ]\n",
                 "  }},\n",
                 "  \"batched\": {{\n",
                 "    \"latency_ms\": {latency_ms},\n",
@@ -530,9 +523,9 @@ fn main() {
             steal_hash = steal_hash,
             steal = steal_json.join(",\n"),
             violations = violation_json.join(",\n"),
-            dcs_total = noisy_dcs.len(),
-            dcs_pruned = pruned_away,
-            prune = prune_json.join(",\n"),
+            dcs_total = program.len(),
+            dcs_dead = dead,
+            dead = dead_json.join(",\n"),
             latency_ms = remote_latency.as_millis(),
             batched_speedup = batched_speedup,
             batched = batched_json.join(",\n"),

@@ -92,8 +92,7 @@ impl Args {
     }
 
     /// Parse the shared execution flags — `--threads`, `--oracle-cap`,
-    /// `--oracle-batch`, `--seed`, `--prune-redundant` — into one
-    /// [`ExecConfig`].
+    /// `--oracle-batch`, `--seed` — into one [`ExecConfig`].
     ///
     /// This is the single validation path for every subcommand that takes
     /// execution knobs: `--threads` absent or `0` resolves to the available
@@ -101,9 +100,7 @@ impl Args {
     /// everywhere), `--oracle-cap` bounds the repair-oracle memo cache (`0`
     /// disables caching), `--oracle-batch` caps how many cache-missing
     /// coalition queries each oracle dispatch carries (must be ≥ 1;
-    /// identical output at any cap), `--seed` feeds the sampling seed, and
-    /// the boolean `--prune-redundant` skips violation scans of
-    /// statically-unviolable DCs (identical output, less work).
+    /// identical output at any cap), and `--seed` feeds the sampling seed.
     /// The knob names, validation rules, and error wording all live in
     /// [`trex_shapley::exec_config_from_knobs`], which the `trex-server`
     /// request parser calls too — a bad `?threads=999999` over HTTP reads
@@ -180,7 +177,6 @@ mod tests {
         assert_eq!(cfg.oracle_cap(), None);
         assert_eq!(cfg.oracle_batch(), None);
         assert_eq!(cfg.seed(), None);
-        assert!(!cfg.prune_redundant());
         // Explicit 0 also means "available parallelism".
         let b = Args::parse(["explain", "--threads", "0"]).unwrap();
         assert!(b.exec_config().unwrap().threads() >= 1);
@@ -198,7 +194,6 @@ mod tests {
             "64",
             "--seed",
             "7",
-            "--prune-redundant",
         ])
         .unwrap();
         let cfg = a.exec_config().unwrap();
@@ -206,7 +201,6 @@ mod tests {
         assert_eq!(cfg.oracle_cap(), Some(4096));
         assert_eq!(cfg.oracle_batch(), Some(64));
         assert_eq!(cfg.seed(), Some(7));
-        assert!(cfg.prune_redundant());
         assert!(a.reject_unknown().is_ok(), "every knob is consumed");
     }
 
@@ -218,6 +212,16 @@ mod tests {
         a.exec_config().unwrap();
         let err = a.reject_unknown().unwrap_err().to_string();
         assert_eq!(err, "unknown flag --schedule");
+    }
+
+    #[test]
+    fn the_pruning_switch_is_an_unknown_flag() {
+        // Every violation scan skips dead constraints, so there is no
+        // pruning switch.
+        let a = Args::parse(["violations", "--prune-redundant"]).unwrap();
+        a.exec_config().unwrap();
+        let err = a.reject_unknown().unwrap_err().to_string();
+        assert_eq!(err, "unknown flag --prune-redundant");
     }
 
     #[test]

@@ -53,10 +53,9 @@ ENGINE FLAGS:
   --engine holistic    conflict-hypergraph baseline
 
 EXEC FLAGS:
-  --threads N, --oracle-cap N, --oracle-batch N, --seed N, and
-  --prune-redundant form one execution-configuration surface, parsed
-  identically by violations, repair, and explain (each command consumes
-  the knobs that apply to it).
+  --threads N, --oracle-cap N, --oracle-batch N, and --seed N form one
+  execution-configuration surface, parsed identically by violations,
+  repair, and explain (each command consumes the knobs that apply to it).
   --threads N (default: all hardware threads; 0 also means that) runs
   explain's cell sampling and the row-pair violation scan of violations
   and repair on N workers. Output is identical at ANY thread count: the
@@ -64,10 +63,9 @@ EXEC FLAGS:
   a wall-time knob only. --seed N (default 0) seeds explain's sampling;
   --adaptive samples each cell in --batch-sized rounds, each from its own
   seed laddered off --seed.
-  --prune-redundant skips the violation scans of constraints the static
-  analyzer proves can never be violated (run trex lint to see which);
-  witness output is identical with or without it — only wasted work is
-  skipped.
+  Every violation scan skips the constraints the static analyzer proves
+  can never be violated (run trex lint to see which); they have no
+  witnesses to report.
 
 LINT:
   trex lint runs the static analyzer over a constraint program: schema
@@ -250,11 +248,7 @@ fn cmd_violations(args: &Args) -> Result<(), ArgError> {
     args.reject_unknown()?;
     let resolved = resolve_all(&table, &dcs)?;
     println!("{}", render_input_screen(&table, &dcs));
-    let violations = if cfg.prune_redundant() {
-        trex_constraints::find_all_violations_par_pruned(&resolved, &table, cfg.threads())
-    } else {
-        find_all_violations_par(&resolved, &table, cfg.threads())
-    };
+    let violations = find_all_violations_par(&resolved, &table, cfg.threads());
     if violations.is_empty() {
         println!("table is clean: no violations.");
         return Ok(());
@@ -410,8 +404,8 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
 fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
     let (table, dcs) = load_inputs(args)?;
     // Lint shares the exec-flag group with the scan commands so pipelines
-    // can pass one flag set everywhere; only --prune-redundant affects its
-    // report (the plan marks what a pruned scan would skip).
+    // can pass one flag set everywhere; none of the flags changes its
+    // report.
     let _cfg = args.exec_config()?;
     let json = args.has("json");
     args.reject_unknown()?;

@@ -28,28 +28,27 @@
 //!
 //! # Soundness
 //!
-//! The unviolability verdict is what scan pruning rests on, so it is
-//! deliberately conservative: it only uses *data-independent* reasoning that
-//! stays valid under the exact null semantics of [`CmpOp::eval`] (plain
-//! nulls compare false under every operator; labeled nulls equal only their
-//! own label). The dense-domain assumption (`x < 5 & x > 4` is *satisfiable*
+//! The unviolability verdict is what the violation scan's dead-DC skipping
+//! rests on, so it is deliberately conservative: it only uses
+//! *data-independent* reasoning that stays valid under the exact null
+//! semantics of [`CmpOp::eval`] (plain nulls compare false under every
+//! operator; labeled nulls equal only their own label). The dense-domain assumption (`x < 5 & x > 4` is *satisfiable*
 //! over ints) errs in the feasible direction — the analyzer may miss an
 //! unsatisfiable DC but never claims a satisfiable one unviolable. Type
 //! mismatches (`TREX-E002`/`E003`) are diagnostics only and are *not* used
-//! for pruning, since a table's dynamic cell contents can disagree with its
+//! for skipping, since a table's dynamic cell contents can disagree with its
 //! declared schema.
 //!
 //! Subsumption is advisory (warn-only): dropping a subsumed DC would drop
 //! the witnesses carrying its own name, and the `=`⇒`<=` weakening has a
 //! labeled-null edge (two cells with the same null label are `=` but not
-//! `<=`). The scan pruning behind `ExecConfig::prune_redundant` therefore
-//! skips only [`statically_unviolable`] DCs, whose witness lists are
-//! provably empty — output stays byte-identical.
+//! `<=`). The program scan ([`crate::parallel::find_all_violations_par`])
+//! therefore skips only [`statically_unviolable`] DCs, whose witness lists
+//! are provably empty — output stays byte-identical.
 
 use crate::ast::{CmpOp, DenialConstraint, Operand, Predicate, TupleVar};
 use crate::diagnostics::{codes, json_str, Diagnostic, Severity};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use trex_table::{DType, Schema, Table, Value};
 
 // ---------------------------------------------------------------------------
@@ -109,31 +108,32 @@ impl TypeClass {
 // Normalized predicate form
 // ---------------------------------------------------------------------------
 
-/// An operand in canonical form: attribute references by `(var, name)`,
-/// constants by value. Ordered so every unordered operand pair has one
-/// canonical orientation (attributes sort before constants).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum NormOperand {
-    Attr(u8, String),
-    Const(Value),
+/// An operand in canonical form, borrowed from its predicate: attribute
+/// references by `(var, name)`, constants by value. Ordered so every
+/// unordered operand pair has one canonical orientation (attributes sort
+/// before constants).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum NormOperand<'a> {
+    Attr(u8, &'a str),
+    Const(&'a Value),
 }
 
-fn norm_operand(o: &Operand) -> NormOperand {
+fn norm_operand(o: &Operand) -> NormOperand<'_> {
     match o {
         Operand::Attr { var, name, .. } => NormOperand::Attr(
             match var {
                 TupleVar::T1 => 0,
                 TupleVar::T2 => 1,
             },
-            name.clone(),
+            name,
         ),
-        Operand::Const(v) => NormOperand::Const(v.clone()),
+        Operand::Const(v) => NormOperand::Const(v),
     }
 }
 
 /// A predicate in canonical orientation: operands sorted, operator flipped to
 /// match. `t2.A > t1.A` and `t1.A < t2.A` normalize identically.
-fn normalize(p: &Predicate) -> (NormOperand, CmpOp, NormOperand) {
+fn normalize(p: &Predicate) -> (NormOperand<'_>, CmpOp, NormOperand<'_>) {
     let l = norm_operand(&p.left);
     let r = norm_operand(&p.right);
     if l <= r {
@@ -204,6 +204,19 @@ fn const_pair_feasible(op1: CmpOp, c1: &Value, op2: CmpOp, c2: &Value) -> bool {
     }
 }
 
+/// `p` as `var.attr op const`, when it compares an attribute with a
+/// concrete constant. Plain nulls are caught by pass 1 of
+/// [`statically_unviolable`]; labeled-null constants have bespoke equality
+/// and get no interval reasoning.
+fn attr_op_const(p: &Predicate) -> Option<(TupleVar, &str, CmpOp, &Value)> {
+    let (var, name, op, c) = match (&p.left, &p.right) {
+        (Operand::Attr { var, name, .. }, Operand::Const(c)) => (*var, name, p.op, c),
+        (Operand::Const(c), Operand::Attr { var, name, .. }) => (*var, name, p.op.flipped(), c),
+        _ => return None,
+    };
+    c.is_concrete().then_some((var, name.as_str(), op, c))
+}
+
 /// Proof that `dc` can never be violated on any table, or `None`.
 ///
 /// Only data-independent facts are used (see the module docs on soundness),
@@ -248,55 +261,44 @@ pub fn statically_unviolable(dc: &DenialConstraint) -> Option<String> {
     // Intersect the ordering sets of every operator applied to one
     // normalized (lhs, rhs); an empty intersection is unsatisfiable even
     // under labeled nulls (same-label `=` and cross-label `!=` never rescue
-    // a pair of operators with disjoint masks).
-    let mut masks: HashMap<(NormOperand, NormOperand), (u8, String)> = HashMap::new();
-    for p in &dc.predicates {
+    // a pair of operators with disjoint masks). Every program scan runs
+    // this check, so it rescans the few earlier predicates instead of
+    // building a map, and allocates only to report a finding.
+    for (j, p) in dc.predicates.iter().enumerate() {
         let (l, op, r) = normalize(p);
-        let entry = masks
-            .entry((l, r))
-            .or_insert((REL_L | REL_E | REL_G, p.to_string()));
-        entry.0 &= rel_mask(op);
-        if entry.0 == 0 {
+        let mut mask = rel_mask(op);
+        let mut last = None;
+        for q in &dc.predicates[..j] {
+            let (ql, qop, qr) = normalize(q);
+            if (ql, qr) == (l, r) {
+                mask &= rel_mask(qop);
+                last = Some(q);
+            }
+        }
+        if let (0, Some(q)) = (mask, last) {
             return Some(format!(
-                "contradictory predicates `{}` and `{p}` cannot both hold",
-                entry.1
+                "contradictory predicates `{q}` and `{p}` cannot both hold"
             ));
         }
-        entry.1 = p.to_string();
     }
 
     // Pass 3: empty constant intervals per (var, attr). Normalize each
-    // attribute-vs-constant predicate to `attr op const` and test every pair
-    // for joint satisfiability. Non-concrete constants are skipped (plain
-    // nulls were already caught above; labeled-null constants have bespoke
-    // equality and get no interval reasoning).
-    type ConstPreds<'a> = Vec<(CmpOp, &'a Value, &'a Predicate)>;
-    let mut by_attr: HashMap<(u8, String), ConstPreds> = HashMap::new();
-    for p in &dc.predicates {
-        let (var, name, op, c) = match (&p.left, &p.right) {
-            (Operand::Attr { var, name, .. }, Operand::Const(c)) => (var, name, p.op, c),
-            (Operand::Const(c), Operand::Attr { var, name, .. }) => (var, name, p.op.flipped(), c),
-            _ => continue,
-        };
-        if !c.is_concrete() {
+    // attribute-vs-constant predicate to `attr op const` and test every
+    // pair for joint satisfiability.
+    for (j, p) in dc.predicates.iter().enumerate() {
+        let Some((var, name, op, c)) = attr_op_const(p) else {
             continue;
-        }
-        let key = (
-            match var {
-                TupleVar::T1 => 0,
-                TupleVar::T2 => 1,
-            },
-            name.clone(),
-        );
-        let prior = by_attr.entry(key).or_default();
-        for (op0, c0, p0) in prior.iter() {
-            if !const_pair_feasible(*op0, c0, op, c) {
+        };
+        for p0 in &dc.predicates[..j] {
+            let Some((var0, name0, op0, c0)) = attr_op_const(p0) else {
+                continue;
+            };
+            if (var0, name0) == (var, name) && !const_pair_feasible(op0, c0, op, c) {
                 return Some(format!(
                     "predicates `{p0}` and `{p}` leave no possible value for {var}.{name}"
                 ));
             }
         }
-        prior.push((op, c, p));
     }
 
     None

@@ -122,9 +122,10 @@ impl<'a> CompiledDc<'a> {
     /// Resolve each fast predicate's column slice and dictionary against one
     /// encoding, so the per-pair loop runs on locals instead of re-indexing
     /// `enc` for every binding. Fast *equality-join* predicates on
-    /// `skip_key` attributes are dropped: inside an equality group every row
-    /// shares one non-null code per key attribute, and a code is always
-    /// sql-equal to itself, so those predicates hold tautologically.
+    /// `skip_key` attributes are dropped: inside an equality group the
+    /// rows' non-null codes on each key attribute share one SQL-equality
+    /// class ([`Dictionary::eq_class`]), so those predicates hold
+    /// tautologically.
     pub(crate) fn bind<'e>(
         &self,
         enc: &'e EncodedTable,

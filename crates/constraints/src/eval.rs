@@ -1,11 +1,13 @@
-//! Violation detection.
+//! Violation witnesses and the nested-loop reference scan.
 //!
 //! A binary DC `¬(p1 ∧ … ∧ pk)` is violated by an *ordered* pair of distinct
 //! tuples `(t1, t2)` on which every predicate holds; a unary DC by a single
 //! tuple. [`find_violations`] enumerates all violations of one DC against a
-//! table, returning [`Violation`] *witnesses* (which rows, which cells) —
-//! repair algorithms consume the cells to decide what to change, and the
-//! HoloClean-style engine uses them to mark noisy cells.
+//! table by brute force, returning [`Violation`] *witnesses* (which rows,
+//! which cells) — repair algorithms consume the cells to decide what to
+//! change, and the HoloClean-style engine uses them to mark noisy cells.
+//! Programs scan through [`crate::parallel::find_all_violations_par`];
+//! this module's loop is the reference that scan is tested against.
 //!
 //! Ordered-pair semantics matter: `¬(t1.A = t2.A ∧ t1.B > t2.B)` is
 //! asymmetric, so `(i, j)` violating does not imply `(j, i)` does. For
@@ -19,7 +21,7 @@
 use crate::ast::{DenialConstraint, Operand, Predicate, TupleVar};
 use std::fmt;
 use std::sync::Arc;
-use trex_table::{AttrId, CellRef, Table, Value};
+use trex_table::{CellRef, Table, Value};
 
 /// A single violation witness of one DC.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,8 +121,8 @@ pub fn violates_binding(dc: &DenialConstraint, table: &Table, row1: usize, row2:
 }
 
 /// The witness for the ordered binding `(t1 = r1, t2 = r2)` if it violates
-/// `dc`. Shared with [`crate::parallel`]: the serial and parallel scans must
-/// build identical witnesses, so there is exactly one copy of this logic.
+/// `dc`. Shared with [`crate::parallel`], whose unary scans build their
+/// witnesses here.
 pub(crate) fn violation_for(
     dc: &DenialConstraint,
     table: &Table,
@@ -144,8 +146,9 @@ pub(crate) fn violation_for(
 /// Find all violations of a single resolved DC, by nested-loop evaluation.
 ///
 /// Binary DCs scan all ordered pairs `(i, j)`, `i ≠ j`; unary DCs scan all
-/// rows. See [`crate::index::find_violations_indexed`] for the
-/// hash-partitioned fast path.
+/// rows. This is the test reference of the program scan,
+/// [`crate::parallel::find_all_violations_par`], which partitions equality
+/// joins instead.
 pub fn find_violations(dc: &DenialConstraint, table: &Table) -> Vec<Violation> {
     let n = table.num_rows();
     let mut out = Vec::new();
@@ -164,90 +167,6 @@ pub fn find_violations(dc: &DenialConstraint, table: &Table) -> Vec<Violation> {
         for i in 0..n {
             if let Some(v) = violation_for(dc, table, i, i) {
                 out.push(v);
-            }
-        }
-    }
-    out
-}
-
-/// Find all violations of every DC in `dcs` (resolved), concatenated in
-/// constraint order.
-pub fn find_all_violations(dcs: &[DenialConstraint], table: &Table) -> Vec<Violation> {
-    dcs.iter()
-        .flat_map(|dc| find_violations(dc, table))
-        .collect()
-}
-
-/// `true` iff the table satisfies every DC (no violations at all).
-pub fn is_clean(dcs: &[DenialConstraint], table: &Table) -> bool {
-    dcs.iter().all(|dc| {
-        let n = table.num_rows();
-        if dc.is_binary() {
-            (0..n).all(|i| (0..n).all(|j| i == j || !violates_binding(dc, table, i, j)))
-        } else {
-            (0..n).all(|i| !violates_binding(dc, table, i, i))
-        }
-    })
-}
-
-/// Reduce a violation list to the sorted distinct cells it implicates.
-/// Shared with [`crate::parallel`] so the serial and parallel noisy-cell
-/// sets cannot drift apart.
-pub(crate) fn collect_noisy_cells(violations: Vec<Violation>) -> Vec<CellRef> {
-    let mut out: Vec<CellRef> = Vec::new();
-    for v in violations {
-        for c in v.cells {
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
-/// The set of distinct cells implicated in any violation of `dcs` — the
-/// "noisy cells" that repair engines consider changing.
-pub fn noisy_cells(dcs: &[DenialConstraint], table: &Table) -> Vec<CellRef> {
-    collect_noisy_cells(find_all_violations(dcs, table))
-}
-
-/// Rows of `table` whose binding as *either* tuple variable violates `dc`.
-pub fn violating_rows(dc: &DenialConstraint, table: &Table) -> Vec<usize> {
-    let mut rows: Vec<usize> = Vec::new();
-    for v in find_violations(dc, table) {
-        for r in [Some(v.row1), v.row2].into_iter().flatten() {
-            if !rows.contains(&r) {
-                rows.push(r);
-            }
-        }
-    }
-    rows.sort_unstable();
-    rows
-}
-
-/// Count violations per constraint, in `dcs` order.
-pub fn violation_counts(dcs: &[DenialConstraint], table: &Table) -> Vec<(String, usize)> {
-    dcs.iter()
-        .map(|dc| (dc.name.clone(), find_violations(dc, table).len()))
-        .collect()
-}
-
-/// Helper: which attribute ids of `t1`'s row does this DC read? Used by
-/// repair engines to know which cells a violation puts in question.
-pub fn t1_attrs(dc: &DenialConstraint) -> Vec<AttrId> {
-    let mut out = Vec::new();
-    for p in &dc.predicates {
-        for o in [&p.left, &p.right] {
-            if let Operand::Attr {
-                var: TupleVar::T1,
-                attr_id: Some(id),
-                ..
-            } = o
-            {
-                if !out.contains(id) {
-                    out.push(*id);
-                }
             }
         }
     }
@@ -338,48 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn is_clean_detects_cleanliness() {
-        let t = soccer();
-        let c1 = resolved("!(t1.Team = t2.Team & t1.City != t2.City)", t.schema());
-        assert!(!is_clean(std::slice::from_ref(&c1), &t));
-        let mut clean = t.clone();
-        let city = t.schema().id("City");
-        let country = t.schema().id("Country");
-        clean.set(CellRef::new(2, city), Value::str("Madrid"));
-        clean.set(CellRef::new(2, country), Value::str("Spain"));
-        assert!(is_clean(&[c1], &clean));
-    }
-
-    #[test]
-    fn noisy_cells_sorted_and_deduped() {
-        let t = soccer();
-        let c1 = resolved("!(t1.Team = t2.Team & t1.City != t2.City)", t.schema());
-        let cells = noisy_cells(&[c1.clone(), c1], &t);
-        assert_eq!(cells.len(), 4);
-        assert!(cells.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn violating_rows_collects_both_sides() {
-        let t = soccer();
-        let c1 = resolved("!(t1.Team = t2.Team & t1.City != t2.City)", t.schema());
-        assert_eq!(violating_rows(&c1, &t), vec![0, 2]);
-    }
-
-    #[test]
-    fn violation_counts_per_constraint() {
-        let t = soccer();
-        let c1 = resolved("!(t1.Team = t2.Team & t1.City != t2.City)", t.schema());
-        let c2 = resolved(
-            "!(t1.City = t2.City & t1.Country != t2.Country)",
-            t.schema(),
-        );
-        let counts = violation_counts(&[c1, c2], &t);
-        assert_eq!(counts[0].1, 2);
-        assert_eq!(counts[1].1, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "unresolved attribute")]
     fn unresolved_dc_panics_loudly() {
         let t = soccer();
@@ -388,19 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn t1_attrs_lists_read_attributes() {
-        let t = soccer();
-        let dc = resolved("!(t1.Team = t2.Team & t1.City != t2.City)", t.schema());
-        let attrs = t1_attrs(&dc);
-        assert_eq!(attrs, vec![t.schema().id("Team"), t.schema().id("City")]);
-    }
-
-    #[test]
     fn empty_table_has_no_violations() {
         let t = Table::empty(Schema::of_strings(["A"]));
         let dc = resolved("!(t1.A = t2.A)", t.schema());
         assert!(find_violations(&dc, &t).is_empty());
-        assert!(is_clean(&[dc], &t));
     }
 
     #[test]

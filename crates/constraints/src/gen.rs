@@ -26,12 +26,12 @@ pub struct DcGenConfig {
     /// Number of extra *redundant* DCs to append (`R1, R2, …`): each copies
     /// a base DC and weakens one predicate's operator, so the static
     /// analyzer flags it as subsumed. For exercising the analyzer and the
-    /// pruning benchmarks.
+    /// dead-DC benchmarks.
     pub redundant: usize,
     /// Number of extra *statically unviolable* DCs to append (`X1, X2, …`):
     /// each has the shape `¬(t1.A < t2.A ∧ t1.A > t2.A)` — contradictory,
-    /// with no equality join key, so an unpruned scan pays the full
-    /// nested-loop cost for provably zero witnesses.
+    /// with no equality join key, so a scan that did not skip dead DCs
+    /// would pay the full nested-loop cost for provably zero witnesses.
     pub unsat: usize,
 }
 

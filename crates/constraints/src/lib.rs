@@ -7,11 +7,13 @@
 //!   against a schema.
 //! * [`parser`] — textual syntax, `C1: !(t1.Team = t2.Team & t1.City !=
 //!   t2.City)`, with `Display` round-tripping.
-//! * [`eval`] — violation detection with full witnesses (which rows/cells).
-//! * [`index`] — hash-partitioned detection for equality-led DCs (ablation
-//!   A2 of DESIGN.md).
-//! * [`parallel`] — the same detection split over scoped worker threads;
-//!   output is identical to the serial scans at any thread count.
+//! * [`parallel`] — the violation scan: [`find_all_violations_par`]
+//!   partitions equality joins, splits each DC over worker threads with
+//!   the same output at every thread count, and skips DCs the analyzer
+//!   proves dead; [`find_violations_par_with`] is the per-DC scan the rule
+//!   engine runs over its working codes.
+//! * [`eval`] — violation witnesses (which rows/cells) and the nested-loop
+//!   [`find_violations`], the reference the scan is tested against.
 //! * [`fd`] — the functional-dependency subset: FD ↔ DC conversion and
 //!   exact FD discovery.
 //! * [`gen`] — random DC generation for scaling benchmarks.
@@ -28,7 +30,6 @@ pub mod diagnostics;
 pub mod eval;
 pub mod fd;
 pub mod gen;
-pub mod index;
 pub mod mine;
 pub mod parallel;
 pub mod parser;
@@ -39,21 +40,11 @@ pub use analyze::{
 };
 pub use ast::{CmpOp, DenialConstraint, Operand, Predicate, ResolveError, Span, TupleVar};
 pub use diagnostics::{Diagnostic, Severity};
-pub use eval::{
-    find_all_violations, find_violations, is_clean, noisy_cells, violates_binding, violating_rows,
-    violation_counts, Violation,
-};
+pub use eval::{find_violations, violates_binding, Violation};
 pub use fd::{discover_fds, discover_fds_approx, fds_of, FunctionalDependency};
 pub use gen::{generate_dcs, DcGenConfig};
-pub use index::{
-    find_all_violations_indexed, find_all_violations_indexed_pruned, find_violations_indexed,
-    is_clean_indexed,
-};
 pub use mine::{mine_dcs, MineConfig};
-pub use parallel::{
-    find_all_violations_par, find_all_violations_par_pruned, find_violations_par,
-    find_violations_par_with, is_clean_par, noisy_cells_par,
-};
+pub use parallel::{find_all_violations_par, find_violations_par_with};
 pub use parser::{parse_dc, parse_dc_named, parse_dcs, ParseError};
 
 // Property tests, gated behind the `proptest` feature to keep plain
@@ -88,10 +79,17 @@ mod proptests {
         })
     }
 
+    /// Small tables over an `Int` schema whose cells are nulls, integers,
+    /// and their `Float` aliases (`Float(2.0)` SQL-equals `Int(2)` but has
+    /// its own dictionary code), so equality joins meet both.
     fn arb_table() -> impl Strategy<Value = Table> {
         proptest::collection::vec(
             proptest::collection::vec(
-                prop_oneof![Just(Value::Null), (0i64..4).prop_map(Value::Int)],
+                prop_oneof![
+                    Just(Value::Null),
+                    (0i64..4).prop_map(Value::Int),
+                    (0i64..4).prop_map(|i| Value::Float(i as f64)),
+                ],
                 4,
             ),
             0..7,
@@ -115,15 +113,13 @@ mod proptests {
         }
 
         #[test]
-        fn indexed_equals_nested_loop(dc in arb_dc(), t in arb_table()) {
+        fn scan_equals_nested_loop(dc in arb_dc(), t in arb_table()) {
             let mut dc = dc;
             dc.resolve(t.schema()).unwrap();
-            let mut a: Vec<(usize, Option<usize>)> = find_violations(&dc, &t)
-                .into_iter().map(|v| (v.row1, v.row2)).collect();
-            let mut b: Vec<(usize, Option<usize>)> = find_violations_indexed(&dc, &t)
-                .into_iter().map(|v| (v.row1, v.row2)).collect();
-            a.sort();
-            b.sort();
+            let mut a = find_violations(&dc, &t);
+            let mut b = find_all_violations_par(std::slice::from_ref(&dc), &t, 1);
+            a.sort_by_key(|v| (v.row1, v.row2));
+            b.sort_by_key(|v| (v.row1, v.row2));
             prop_assert_eq!(a, b);
         }
 
@@ -147,14 +143,14 @@ mod proptests {
             let mut dc = dc;
             dc.resolve(t.schema()).unwrap();
             let masked = t.masked_keep(&vec![false; t.num_cells()]);
-            prop_assert!(is_clean(&[dc], &masked));
+            prop_assert!(find_all_violations_par(&[dc], &masked, 1).is_empty());
         }
 
         #[test]
         fn unviolable_verdicts_mean_zero_witnesses(dc in arb_dc(), t in arb_table()) {
-            // The soundness contract pruning rests on: a DC the analyzer
-            // proves statically unviolable has an empty brute-force witness
-            // list on every generated table.
+            // The soundness contract dead-DC skipping rests on: a DC the
+            // analyzer proves statically unviolable has an empty
+            // brute-force witness list on every generated table.
             if statically_unviolable(&dc).is_some() {
                 let mut dc = dc;
                 dc.resolve(t.schema()).unwrap();
@@ -163,7 +159,7 @@ mod proptests {
         }
 
         #[test]
-        fn pruned_scan_is_byte_identical_at_any_thread_count(
+        fn program_scan_matches_the_nested_loop_at_any_thread_count(
             dcs in proptest::collection::vec(arb_dc(), 1..4),
             t in arb_table(),
         ) {
@@ -176,12 +172,21 @@ mod proptests {
                     dc
                 })
                 .collect();
-            let serial = find_all_violations_indexed(&dcs, &t);
-            prop_assert_eq!(&serial, &find_all_violations_indexed_pruned(&dcs, &t));
-            for threads in [1, 2, 4, 8] {
+            // Compared per DC as a witness set (the DC names are
+            // distinct), the scan — dead DCs skipped — is the nested loop;
+            // every thread count returns the 1-thread output.
+            let key = |v: &Violation| (v.constraint.clone(), v.row1, v.row2);
+            let mut reference: Vec<Violation> =
+                dcs.iter().flat_map(|dc| find_violations(dc, &t)).collect();
+            reference.sort_by_key(key);
+            let one = find_all_violations_par(&dcs, &t, 1);
+            let mut sorted = one.clone();
+            sorted.sort_by_key(key);
+            prop_assert_eq!(&reference, &sorted);
+            for threads in [2, 4, 8] {
                 prop_assert_eq!(
-                    &serial,
-                    &find_all_violations_par_pruned(&dcs, &t, threads),
+                    &one,
+                    &find_all_violations_par(&dcs, &t, threads),
                     "threads = {}", threads
                 );
             }

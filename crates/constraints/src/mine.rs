@@ -170,17 +170,11 @@ pub fn mine_dcs(table: &Table, config: &MineConfig) -> Vec<DenialConstraint> {
     found
 }
 
-/// Does `table` satisfy every mined DC? (Sanity helper used by tests and
-/// the demo loop: mined constraints must by construction be violation-free
-/// on their training table.)
-pub fn all_satisfied(dcs: &[DenialConstraint], table: &Table) -> bool {
-    crate::eval::is_clean(dcs, table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fd::FunctionalDependency;
+    use crate::parallel::find_all_violations_par;
     use trex_table::TableBuilder;
 
     fn clean_table() -> Table {
@@ -203,7 +197,7 @@ mod tests {
         let t = clean_table();
         let dcs = mine_dcs(&t, &MineConfig::default());
         assert!(!dcs.is_empty());
-        assert!(all_satisfied(&dcs, &t));
+        assert!(find_all_violations_par(&dcs, &t, 1).is_empty());
     }
 
     #[test]
@@ -295,7 +289,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("; ")
         );
-        assert!(all_satisfied(&dcs, &t));
+        assert!(find_all_violations_par(&dcs, &t, 1).is_empty());
     }
 
     #[test]
@@ -325,6 +319,6 @@ mod tests {
         // With no tuple pairs, every single predicate is vacuously valid
         // and minimality reduces the output to the size-1 DCs.
         assert!(dcs.iter().all(|d| d.predicates.len() == 1));
-        assert!(all_satisfied(&dcs, &t));
+        assert!(find_all_violations_par(&dcs, &t, 1).is_empty());
     }
 }

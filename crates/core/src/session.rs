@@ -8,13 +8,14 @@
 
 use crate::explain::{CellExplanation, ConstraintExplanation, ExplainError, Explainer};
 use crate::games::MaskMode;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use trex_constraints::{DenialConstraint, ResolveError, Violation};
 use trex_repair::{OracleBackend, OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
 use trex_shapley::{AnytimeCheckpoint, AnytimeControl, ExecConfig, SamplingConfig};
 use trex_table::{CellRef, Table, Value};
 
-/// One entry of the session's repair history.
+/// One entry of the session's history of edits and repairs.
 #[derive(Debug, Clone)]
 pub struct HistoryEntry {
     /// What the user changed before this repair (human-readable).
@@ -32,13 +33,18 @@ pub struct Session {
     alg: Box<dyn RepairAlgorithm>,
     table: Table,
     dcs: Vec<DenialConstraint>,
-    history: Vec<HistoryEntry>,
+    history: VecDeque<HistoryEntry>,
     cfg: ExecConfig,
     backend: Option<Box<dyn OracleBackend>>,
     oracle_cache: Arc<OracleCache>,
 }
 
 impl Session {
+    /// How many history entries a session keeps: the most recent ones. A
+    /// long-lived server records one entry per edit or repair, so the
+    /// history must not grow without bound.
+    pub const HISTORY_LIMIT: usize = 1024;
+
     /// Start a session over a dirty table and constraint set. Explanations
     /// run single-threaded by default; see [`Session::with_config`].
     pub fn new(alg: Box<dyn RepairAlgorithm>, table: Table, dcs: Vec<DenialConstraint>) -> Self {
@@ -46,7 +52,7 @@ impl Session {
             alg,
             table,
             dcs,
-            history: Vec::new(),
+            history: VecDeque::new(),
             cfg: ExecConfig::default(),
             backend: None,
             oracle_cache: Arc::new(OracleCache::new()),
@@ -159,9 +165,21 @@ impl Session {
         &self.dcs
     }
 
-    /// The session history (one entry per repair run).
-    pub fn history(&self) -> &[HistoryEntry] {
+    /// The session history, oldest first: one entry per edit or repair,
+    /// the most recent [`Session::HISTORY_LIMIT`] of them.
+    pub fn history(&self) -> &VecDeque<HistoryEntry> {
         &self.history
+    }
+
+    /// Append a history entry, dropping the oldest once the history is full.
+    fn record(&mut self, action: String, cells_repaired: usize) {
+        if self.history.len() == Self::HISTORY_LIMIT {
+            self.history.pop_front();
+        }
+        self.history.push_back(HistoryEntry {
+            action,
+            cells_repaired,
+        });
     }
 
     /// The input screen's violation list: every witness of the current
@@ -174,20 +192,18 @@ impl Session {
     }
 
     /// [`Session::violations`] under a per-request execution configuration
-    /// (thread count and redundant-scan pruning; identical output at any
-    /// setting).
+    /// (its thread count; identical output at any setting).
     pub fn violations_for(&self, exec: &ExecConfig) -> Result<Vec<Violation>, ResolveError> {
         let resolved: Result<Vec<_>, _> = self
             .dcs
             .iter()
             .map(|d| d.resolved(self.table.schema()))
             .collect();
-        let resolved = resolved?;
-        Ok(if exec.prune_redundant() {
-            trex_constraints::find_all_violations_par_pruned(&resolved, &self.table, exec.threads())
-        } else {
-            trex_constraints::find_all_violations_par(&resolved, &self.table, exec.threads())
-        })
+        Ok(trex_constraints::find_all_violations_par(
+            &resolved?,
+            &self.table,
+            exec.threads(),
+        ))
     }
 
     /// Pre-flight static analysis of the session's constraint program
@@ -202,10 +218,7 @@ impl Session {
     /// The "Repair" button: run the black box on the current inputs.
     pub fn repair(&mut self) -> RepairResult {
         let result = self.alg.repair(&self.dcs, &self.table);
-        self.history.push(HistoryEntry {
-            action: "repair".to_string(),
-            cells_repaired: result.changes.len(),
-        });
+        self.record("repair".to_string(), result.changes.len());
         result
     }
 
@@ -334,10 +347,7 @@ impl Session {
     /// cells to make the repair more accurate", §1). Returns the previous
     /// value.
     pub fn set_cell(&mut self, cell: CellRef, value: Value) -> Value {
-        self.history.push(HistoryEntry {
-            action: format!("set {cell} := {value}"),
-            cells_repaired: 0,
-        });
+        self.record(format!("set {cell} := {value}"), 0);
         self.flush_oracle_cache();
         self.table.set(cell, value)
     }
@@ -346,10 +356,7 @@ impl Session {
     /// constraints", §1). Returns it if present.
     pub fn remove_constraint(&mut self, name: &str) -> Option<DenialConstraint> {
         let idx = self.dcs.iter().position(|d| d.name == name)?;
-        self.history.push(HistoryEntry {
-            action: format!("remove constraint {name}"),
-            cells_repaired: 0,
-        });
+        self.record(format!("remove constraint {name}"), 0);
         self.flush_oracle_cache();
         Some(self.dcs.remove(idx))
     }
@@ -391,10 +398,7 @@ impl Session {
     /// repair or explanation can trip over it.
     pub fn upsert_constraint(&mut self, dc: DenialConstraint) -> Result<(), ResolveError> {
         dc.resolved(self.table.schema())?;
-        self.history.push(HistoryEntry {
-            action: format!("upsert constraint {}", dc.name),
-            cells_repaired: 0,
-        });
+        self.record(format!("upsert constraint {}", dc.name), 0);
         self.flush_oracle_cache();
         match self.dcs.iter_mut().find(|d| d.name == dc.name) {
             Some(slot) => *slot = dc,
@@ -510,6 +514,21 @@ mod tests {
         assert_eq!(actions[1], "remove constraint C4");
         assert_eq!(actions[2], "repair");
         assert_eq!(s.history()[2].cells_repaired, 1);
+    }
+
+    #[test]
+    fn history_keeps_the_most_recent_entries() {
+        let mut s = session();
+        let cell = CellRef::new(4, s.table().schema().id("City"));
+        let action = |i: usize| format!("set {cell} := {}", Value::int(i as i64));
+        let edits = Session::HISTORY_LIMIT + 10;
+        for i in 0..edits {
+            s.set_cell(cell, Value::int(i as i64));
+        }
+        // Oldest first, starting at the 11th edit.
+        let kept: Vec<String> = s.history().iter().map(|h| h.action.clone()).collect();
+        let expected: Vec<String> = (10..edits).map(action).collect();
+        assert_eq!(kept, expected);
     }
 
     #[test]
@@ -681,8 +700,8 @@ mod tests {
             a.diagnostics
         );
         assert_eq!(a.plans.len(), 4);
-        // Inject a dead constraint: flagged, and with pruning enabled the
-        // violation list is unchanged.
+        // Inject a dead constraint: flagged, and the violation list is
+        // unchanged at any thread count.
         let before = s.violations().unwrap();
         s.upsert_constraint(
             trex_constraints::parse_dc_named(
@@ -697,14 +716,13 @@ mod tests {
             .verdicts
             .iter()
             .any(|v| v.name == "Dead" && v.unviolable.is_some()));
-        let unpruned = s.violations().unwrap();
-        assert_eq!(unpruned, before, "a dead DC contributes no witnesses");
-        let s = s.with_config(ExecConfig::new().with_prune_redundant(true).with_threads(2));
         assert_eq!(
             s.violations().unwrap(),
             before,
-            "pruned scan is byte-identical"
+            "a dead DC contributes no witnesses"
         );
+        let s = s.with_config(ExecConfig::new().with_threads(2));
+        assert_eq!(s.violations().unwrap(), before);
     }
 
     #[test]

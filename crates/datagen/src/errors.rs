@@ -21,7 +21,7 @@
 //! The [`ErrorKind::Duplicate`] kind copies a same-column value from a
 //! Zipf-chosen donor row ([`ErrorConfig::duplicate_skew`]): hot donors get
 //! copied over and over, deliberately growing one equality bucket — the
-//! skewed-key workload the giant-bucket splitter in `find_violations_par`
+//! skewed-key workload the giant-bucket splitter in `find_all_violations_par`
 //! has to handle.
 
 use crate::skew::ZipfSampler;

@@ -264,7 +264,7 @@ pub fn generate(config: &ScenarioConfig) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trex_constraints::is_clean_par;
+    use trex_constraints::find_all_violations_par;
     use trex_repair::RepairAlgorithm;
 
     fn cfg(schema: SchemaKind) -> ScenarioConfig {
@@ -284,7 +284,7 @@ mod tests {
                 .map(|d| d.resolved(s.clean.schema()).unwrap())
                 .collect();
             assert!(
-                is_clean_par(&resolved, &s.clean, 2),
+                find_all_violations_par(&resolved, &s.clean, 2).is_empty(),
                 "{schema}: clean table is dirty"
             );
             assert!(

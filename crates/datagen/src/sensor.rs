@@ -6,7 +6,7 @@
 //! sensors own a large share of the table. The two functional dependencies
 //! (`SensorId → Site`, `SensorId → Unit`) then hash-partition into one
 //! giant equality bucket plus a long tail — the workload shape the
-//! giant-bucket splitter in `find_violations_par` exists for — and the two
+//! giant-bucket splitter in `find_all_violations_par` exists for — and the two
 //! range constraints exercise the unary (non-indexed) scan path.
 
 use crate::skew::ZipfSampler;
@@ -121,7 +121,7 @@ pub fn sensor_algorithm1() -> RuleRepair {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use trex_constraints::is_clean;
+    use trex_constraints::find_all_violations_par;
 
     #[test]
     fn generated_readings_are_clean() {
@@ -135,7 +135,7 @@ mod tests {
             .iter()
             .map(|d| d.resolved(t.schema()).unwrap())
             .collect();
-        assert!(is_clean(&dcs, &t));
+        assert!(find_all_violations_par(&dcs, &t, 1).is_empty());
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
             .iter()
             .map(|d| d.resolved(t.schema()).unwrap())
             .collect();
-        let vs = trex_constraints::find_all_violations(&dcs, &t);
+        let vs = find_all_violations_par(&dcs, &t, 1);
         assert!(vs.iter().any(|v| &*v.constraint == "S3" && v.row1 == 3));
         assert!(vs.iter().any(|v| &*v.constraint == "S4" && v.row1 == 7));
     }

@@ -3,7 +3,7 @@
 //! Real scraped tables are not uniform: a handful of hot keys (popular
 //! teams, chatty sensors) own a disproportionate share of the rows, which
 //! is exactly what stresses the equality-bucket splitter behind
-//! `find_violations_par` — one giant bucket instead of many small ones.
+//! `find_all_violations_par` — one giant bucket instead of many small ones.
 //! [`ZipfSampler`] draws ranks `0..n` with `P(rank = k) ∝ 1/(k+1)^s`,
 //! deterministically per RNG stream, via a precomputed CDF and binary
 //! search (`O(n)` setup, `O(log n)` per draw).

@@ -153,7 +153,8 @@ pub fn train_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trex_constraints::{noisy_cells, parse_dcs};
+    use crate::holoclean::detect_errors;
+    use trex_constraints::parse_dcs;
     use trex_table::TableBuilder;
 
     fn setup() -> (Table, Vec<DenialConstraint>) {
@@ -210,7 +211,7 @@ mod tests {
     #[test]
     fn training_does_not_break_calibration() {
         let (t, dcs) = setup();
-        let noisy = noisy_cells(&dcs, &t);
+        let noisy = detect_errors(&dcs, &t, 1);
         let trained = train_weights(
             &dcs,
             &t,
@@ -250,7 +251,7 @@ mod tests {
                 .into_iter()
                 .map(|d| d.resolved(t.schema()).unwrap())
                 .collect();
-        let noisy = noisy_cells(&dcs, &t);
+        let noisy = detect_errors(&dcs, &t, 1);
         // Start with weights that prefer *changing* values (negative
         // minimality): the perceptron should push minimality back up
         // because clean cells must keep their observed values.

@@ -7,7 +7,7 @@
 //! rebuild its pipeline from scratch in Rust:
 //!
 //! 1. **error detection** — cells implicated in DC violations are *noisy*
-//!    ([`trex_constraints::noisy_cells`]);
+//!    (read off [`trex_constraints::find_all_violations_par`]'s witnesses);
 //! 2. **domain generation** — pruned candidate sets via co-occurrence
 //!    statistics ([`domain`]);
 //! 3. **featurization** — co-occurrence, minimality, constraint and
@@ -31,8 +31,24 @@ pub use features::{featurize, FeatureVector, FeatureWeights};
 pub use infer::{icm_sweep, train_weights, TrainConfig};
 
 use crate::traits::{RepairAlgorithm, RepairResult};
-use trex_constraints::{noisy_cells_par, DenialConstraint};
-use trex_table::Table;
+use trex_constraints::{find_all_violations_par, DenialConstraint};
+use trex_table::{CellRef, Table};
+
+/// The distinct cells implicated in any violation of the resolved `dcs`,
+/// sorted: the cells error detection marks noisy.
+pub(crate) fn detect_errors(
+    dcs: &[DenialConstraint],
+    table: &Table,
+    threads: usize,
+) -> Vec<CellRef> {
+    let mut cells: Vec<CellRef> = find_all_violations_par(dcs, table, threads)
+        .into_iter()
+        .flat_map(|v| v.cells)
+        .collect();
+    cells.sort_unstable();
+    cells.dedup();
+    cells
+}
 
 /// Configuration of the full engine.
 #[derive(Debug, Clone)]
@@ -112,7 +128,7 @@ impl RepairAlgorithm for HoloCleanStyle {
         let mut table = dirty.clone();
         for _ in 0..self.config.max_rounds {
             // 1. error detection on the current table.
-            let noisy = noisy_cells_par(&resolved, &table, self.config.threads);
+            let noisy = detect_errors(&resolved, &table, self.config.threads);
             if noisy.is_empty() {
                 break;
             }
@@ -157,8 +173,8 @@ impl RepairAlgorithm for HoloCleanStyle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trex_constraints::{is_clean, parse_dcs};
-    use trex_table::{CellRef, TableBuilder, Value};
+    use trex_constraints::parse_dcs;
+    use trex_table::{TableBuilder, Value};
 
     fn dcs() -> Vec<DenialConstraint> {
         parse_dcs(
@@ -191,7 +207,25 @@ mod tests {
             .iter()
             .map(|d| d.resolved(t.schema()).unwrap())
             .collect();
-        assert!(is_clean(&resolved, t));
+        assert!(find_all_violations_par(&resolved, t, 1).is_empty());
+    }
+
+    #[test]
+    fn detected_errors_are_each_implicated_cell_once_sorted() {
+        // Row 2's City conflicts with rows 0 and 1 under C1 (both orders),
+        // and C1 listed twice implicates nothing new.
+        let t = dirty();
+        let c1: Vec<_> = dcs()[..1]
+            .iter()
+            .map(|d| d.resolved(t.schema()).unwrap())
+            .collect();
+        let twice = [c1.clone(), c1].concat();
+        let (team, city) = (t.schema().id("Team"), t.schema().id("City"));
+        let expected: Vec<CellRef> = [0, 1, 2]
+            .into_iter()
+            .flat_map(|r| [CellRef::new(r, team), CellRef::new(r, city)])
+            .collect();
+        assert_eq!(detect_errors(&twice, &t, 1), expected);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use super::{FixAction, RuleRepair};
 use crate::traits::RepairResult;
 use std::collections::HashMap;
-use trex_constraints::{find_violations_par, DenialConstraint};
+use trex_constraints::{find_all_violations_par, DenialConstraint};
 use trex_table::{AttrId, CellRef, Table, Value};
 
 /// Pick the argmax of `counts` with the repair tie-break: highest count;
@@ -77,7 +77,7 @@ fn apply_rule(
 ) -> usize {
     let snapshot = table.clone();
     let mut rows: Vec<usize> = Vec::new();
-    for v in find_violations_par(dc, &snapshot, alg.threads) {
+    for v in find_all_violations_par(std::slice::from_ref(dc), &snapshot, alg.threads) {
         for r in [Some(v.row1), v.row2].into_iter().flatten() {
             if !rows.contains(&r) {
                 rows.push(r);

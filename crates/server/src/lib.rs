@@ -15,10 +15,11 @@
 //! | DELETE | `/constraint`  | remove a denial constraint by name               |
 //!
 //! Every endpoint accepts the CLI's execution knobs (`threads`,
-//! `oracle-cap`, `oracle-batch`, `seed`, `prune-redundant`) as query
-//! parameters, validated through the same
-//! `trex_shapley::exec_config_from_knobs` path as the CLI flags. `threads`
-//! never changes an answer, only how fast it arrives.
+//! `oracle-cap`, `oracle-batch`, `seed`) as query parameters, validated
+//! through the same `trex_shapley::exec_config_from_knobs` path as the CLI
+//! flags. `threads` never changes an answer, only how fast it arrives. A
+//! cell explanation's `samples` is capped at [`MAX_SAMPLES`]; a larger
+//! budget answers 400 before any work starts.
 //!
 //! The headline is the **anytime** mode of `GET /explain?kind=cells`:
 //! adding `budget_ms=N` (or `stream=1`) switches the response to
@@ -47,7 +48,7 @@ pub mod json;
 mod routes;
 
 use routes::ServerState;
-pub use routes::DEFAULT_SAMPLES;
+pub use routes::{DEFAULT_SAMPLES, MAX_SAMPLES};
 
 /// How the server binds and how many requests it works on at once.
 #[derive(Debug, Clone)]

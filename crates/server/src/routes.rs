@@ -25,6 +25,11 @@ use trex_table::{CellRef, Table, Value};
 /// does not pin `samples`.
 pub const DEFAULT_SAMPLES: usize = 2000;
 
+/// The largest per-player walk budget a request may ask for. A cell
+/// explanation holds the session's read lock for its whole walk, so an
+/// unbounded budget would stall every edit and repair behind it.
+pub const MAX_SAMPLES: usize = 100 * DEFAULT_SAMPLES;
+
 /// Default number of checkpoints an anytime stream aims for when the
 /// request does not pin `checkpoint` (the walks-per-checkpoint stride).
 const DEFAULT_CHECKPOINTS: usize = 20;
@@ -120,13 +125,7 @@ fn dispatch(state: &ServerState, req: &Request, stream: &mut Conn) -> Result<(),
 // --- parameter plumbing -------------------------------------------------
 
 /// Names [`request_exec`] consumes, shared by every endpoint allowlist.
-const EXEC_PARAMS: [&str; 5] = [
-    "threads",
-    "oracle-cap",
-    "oracle-batch",
-    "seed",
-    "prune-redundant",
-];
+const EXEC_PARAMS: [&str; 4] = ["threads", "oracle-cap", "oracle-batch", "seed"];
 
 /// Reject query parameters no handler reads — a typoed `?shedule=` must
 /// error, not silently fall back to defaults (mirrors the CLI's
@@ -491,6 +490,9 @@ fn explain_cells(
         let samples = parse_usize(req, "samples", DEFAULT_SAMPLES)?;
         if samples == 0 {
             return Err(BadRequest::new("samples must be >= 1"));
+        }
+        if samples > MAX_SAMPLES {
+            return Err(BadRequest::new(format!("samples must be <= {MAX_SAMPLES}")));
         }
         Ok((
             mode,

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 use trex::Session;
 use trex_datagen::laliga;
-use trex_server::{json, serve, ServerConfig, ServerHandle};
+use trex_server::{json, serve, ServerConfig, ServerHandle, MAX_SAMPLES};
 
 fn start_server() -> ServerHandle {
     let table = laliga::dirty_table();
@@ -319,6 +319,15 @@ fn bad_requests_get_pinned_errors() {
         "{body}"
     );
 
+    // Every violation scan skips dead constraints: there is no pruning
+    // switch.
+    let (status, body) = get(&server, "/violations?prune-redundant");
+    assert_eq!(status, 400);
+    assert!(
+        body.contains("unknown parameter \\\"prune-redundant\\\""),
+        "{body}"
+    );
+
     // Missing and malformed cells.
     let (status, body) = get(&server, "/explain");
     assert_eq!(status, 400);
@@ -459,6 +468,40 @@ fn oversized_constraint_programs_get_a_400_not_a_lost_worker() {
         request_with_timeout(&server, "GET", "/explain?kind=constraints&cell=t5.Country");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("25 constraints"), "{body}");
+    let (status, body) = request_with_timeout(&server, "GET", "/health");
+    assert_eq!(status, 200, "{body}");
+}
+
+#[test]
+fn oversized_sample_budgets_get_a_400_before_any_work() {
+    // One worker: a billion walks per player used to pin it (and the
+    // session read lock) for hours, so the request never answered.
+    let config = ServerConfig {
+        http_threads: 1,
+        ..ServerConfig::default()
+    };
+    let session = Session::new(
+        Box::new(laliga::algorithm1()),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    );
+    let server = serve(session, &config).expect("bind server");
+    let too_many = MAX_SAMPLES + 1;
+    for target in [
+        "/explain?kind=cells&cell=t5.Country&samples=1000000000".to_string(),
+        "/explain?kind=cells&cell=t5.Country&samples=1000000000&stream=1".to_string(),
+        format!("/explain?cell=t5.Country&samples={too_many}&budget_ms=50"),
+        // Checked before the repair-target pre-flight: t1.Team is not
+        // repaired, yet the budget is what the answer names.
+        "/explain?cell=t1.Team&samples=1000000000".to_string(),
+    ] {
+        let (status, body) = request_with_timeout(&server, "GET", &target);
+        assert_eq!(status, 400, "{target}: {body}");
+        assert!(
+            body.contains(&format!("samples must be <= {MAX_SAMPLES}")),
+            "{target}: {body}"
+        );
+    }
     let (status, body) = request_with_timeout(&server, "GET", "/health");
     assert_eq!(status, 200, "{body}");
 }

@@ -31,7 +31,6 @@ pub struct ExecConfig {
     oracle_cap: Option<usize>,
     oracle_batch: Option<usize>,
     seed: Option<u64>,
-    prune_redundant: bool,
 }
 
 impl Default for ExecConfig {
@@ -41,7 +40,6 @@ impl Default for ExecConfig {
             oracle_cap: None,
             oracle_batch: None,
             seed: None,
-            prune_redundant: false,
         }
     }
 }
@@ -91,15 +89,6 @@ impl ExecConfig {
         self
     }
 
-    /// Skip violation scans of DCs the static analyzer proves can never be
-    /// violated (default: off). Pruned DCs have provably empty witness
-    /// lists, so enabling this never changes scan output — only the wasted
-    /// work is skipped.
-    pub fn with_prune_redundant(mut self, prune: bool) -> Self {
-        self.prune_redundant = prune;
-        self
-    }
-
     /// Worker thread count (≥ 1).
     pub fn threads(&self) -> usize {
         self.threads
@@ -118,11 +107,6 @@ impl ExecConfig {
     /// Sampling seed, or `None` for the layer default.
     pub fn seed(&self) -> Option<u64> {
         self.seed
-    }
-
-    /// Whether statically-unviolable DCs are skipped during scans.
-    pub fn prune_redundant(&self) -> bool {
-        self.prune_redundant
     }
 
     /// The one warning/rejection message for an oracle batch size configured
@@ -144,13 +128,11 @@ impl ExecConfig {
 /// query parameters.
 ///
 /// `get(name)` looks up the raw value of knob `name` (`None` when absent);
-/// recognized names are `threads`, `oracle-cap`, `oracle-batch`, `seed`,
-/// and `prune-redundant` (presence alone enables pruning, matching the
-/// CLI's boolean-flag behavior). Validation and error wording are the
-/// contract here: `threads` absent or `0` resolves to the available
-/// parallelism via [`crate::parallel::resolve_threads`] (absurd counts keep
-/// the offending value and the cap in the message), `oracle-batch` must be
-/// ≥ 1. Callers
+/// recognized names are `threads`, `oracle-cap`, `oracle-batch`, and
+/// `seed`. Validation and error wording are the contract here: `threads`
+/// absent or `0` resolves to the available parallelism via
+/// [`crate::parallel::resolve_threads`] (absurd counts keep the offending
+/// value and the cap in the message), `oracle-batch` must be ≥ 1. Callers
 /// surface the returned message verbatim, so a bad `?threads=999999` on the
 /// server reads exactly like a bad `--threads 999999` on the CLI.
 pub fn exec_config_from_knobs<'v>(
@@ -188,9 +170,6 @@ pub fn exec_config_from_knobs<'v>(
             .map_err(|_| format!("--seed: cannot parse {v:?}"))?;
         cfg = cfg.with_seed(seed);
     }
-    if get("prune-redundant").is_some() {
-        cfg = cfg.with_prune_redundant(true);
-    }
     Ok(cfg)
 }
 
@@ -205,7 +184,6 @@ mod tests {
         assert_eq!(cfg.oracle_cap(), None);
         assert_eq!(cfg.oracle_batch(), None);
         assert_eq!(cfg.seed(), None);
-        assert!(!cfg.prune_redundant());
         assert_eq!(cfg, ExecConfig::default());
     }
 
@@ -215,13 +193,11 @@ mod tests {
             .with_threads(8)
             .with_oracle_cap(0)
             .with_oracle_batch(32)
-            .with_seed(7)
-            .with_prune_redundant(true);
+            .with_seed(7);
         assert_eq!(cfg.threads(), 8);
         assert_eq!(cfg.oracle_cap(), Some(0));
         assert_eq!(cfg.oracle_batch(), Some(32));
         assert_eq!(cfg.seed(), Some(7));
-        assert!(cfg.prune_redundant());
     }
 
     #[test]

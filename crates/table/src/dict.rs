@@ -166,6 +166,23 @@ impl Dictionary {
         &self.entries
     }
 
+    /// The canonical code of `code`'s SQL-equality class: `Int(2)` and
+    /// `Float(2.0)` are distinct codes with one class. Two codes other than
+    /// [`Dictionary::null_code`] are [`Dictionary::sql_eq_codes`] iff their
+    /// classes match, unless [`Dictionary::num_fallback`] is set.
+    #[inline]
+    pub fn eq_class(&self, code: u32) -> u32 {
+        self.eq_class[code as usize]
+    }
+
+    /// `true` when the column mixes floats with integers beyond `f64`
+    /// precision: SQL numeric equality is then not transitive, and
+    /// [`Dictionary::eq_class`] does not partition the column exactly.
+    #[inline]
+    pub fn num_fallback(&self) -> bool {
+        self.num_fallback
+    }
+
     /// Exactly [`Value::sql_eq`] on the decoded values, via codes.
     #[inline]
     pub fn sql_eq_codes(&self, a: u32, b: u32) -> bool {
@@ -520,6 +537,9 @@ mod tests {
         let c_f2 = d.code_of(&Value::Float(2.0)).unwrap();
         let c_i3 = d.code_of(&Value::int(3)).unwrap();
         assert_ne!(c_i2, c_f2);
+        assert_eq!(d.eq_class(c_i2), d.eq_class(c_f2));
+        assert_ne!(d.eq_class(c_i2), d.eq_class(c_i3));
+        assert!(!d.num_fallback());
         assert!(d.sql_eq_codes(c_i2, c_f2), "2 sql-equals 2.0");
         assert!(!d.sql_ne_codes(c_i2, c_f2));
         assert_eq!(d.sql_cmp_codes(c_i2, c_f2), Some(Ordering::Equal));
@@ -599,6 +619,7 @@ mod tests {
         let ca = d.code_of(&Value::int(a)).unwrap();
         let cb = d.code_of(&Value::int(b)).unwrap();
         let cf = d.code_of(&Value::Float(f)).unwrap();
+        assert!(d.num_fallback(), "2^53 and 2^53 + 1 both equal 2^53 as f64");
         for (x, y) in [(ca, cb), (ca, cf), (cb, cf), (cf, ca), (cb, ca)] {
             let (vx, vy) = (d.decode(x).clone(), d.decode(y).clone());
             assert_eq!(d.sql_eq_codes(x, y), vx.sql_eq(&vy), "{vx:?} vs {vy:?}");

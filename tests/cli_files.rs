@@ -51,7 +51,7 @@ fn shipped_files_repair_is_thread_count_invariant() {
         .iter()
         .map(|d| d.resolved(table.schema()).unwrap())
         .collect();
-    let serial = trex_constraints::find_all_violations_indexed(&resolved, &table);
+    let serial = trex_constraints::find_all_violations_par(&resolved, &table, 1);
     for threads in [1usize, 2, 4] {
         assert_eq!(
             serial,

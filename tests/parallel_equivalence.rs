@@ -17,9 +17,9 @@
 //!   and `Session::explain_cells_masked_anytime` print the 1-thread answer
 //!   at every thread count — including the Figure 2 ranking at 16 threads.
 //!
-//! The giant-bucket block split of `find_violations_par` rides along: it
-//! keeps the violation scan serial-identical on a table whose rows all
-//! share one equality-bucket key.
+//! The giant-bucket block split of `find_all_violations_par` rides along:
+//! it keeps the violation scan's output the 1-thread output on a table
+//! whose rows all share one equality-bucket key.
 //!
 //! CI's thread-matrix job re-runs this file with `TREX_TEST_THREADS` set to
 //! 1/2/4/8 on a machine with real cores; the variable adds that count to
@@ -422,7 +422,7 @@ fn giant_equality_bucket_detection_is_serial_identical() {
     // Regression for the block-split path: a pathological table whose rows
     // all share one equality-bucket key (every row the same Team) used to
     // land its entire pair scan on a single worker; the split must keep
-    // the output — witnesses and order — exactly the serial scan's at
+    // the output — witnesses and order — exactly the 1-thread scan's at
     // every thread count.
     let mut builder = trex_table::TableBuilder::new().str_columns(["Team", "City", "Country"]);
     for i in 0..53 {
@@ -436,7 +436,7 @@ fn giant_equality_bucket_detection_is_serial_identical() {
             .into_iter()
             .map(|dc| dc.resolved(table.schema()).unwrap())
             .collect();
-    let serial = trex_constraints::find_all_violations_indexed(&dcs, &table);
+    let serial = trex_constraints::find_all_violations_par(&dcs, &table, 1);
     assert!(!serial.is_empty(), "the bucket must conflict");
     for threads in thread_counts() {
         let par = trex_constraints::find_all_violations_par(&dcs, &table, threads);
