@@ -20,6 +20,7 @@
 
 use std::time::Instant;
 use trex::{CellGameMasked, MaskMode};
+use trex_bench::{parse_flag, usage_error};
 use trex_constraints::parse_dcs;
 use trex_datagen::laliga;
 use trex_repair::{FixAction, OracleStats, Rule, RuleRepair};
@@ -29,10 +30,13 @@ use trex_shapley::{
 };
 use trex_table::{CellRef, TableBuilder, Value};
 
+const USAGE: &str = "usage: exp_convergence [--samples N] [--threads N] [--max-m N] [--json PATH]";
+
 /// Minimal `--flag value` reader (the experiment binaries stay
-/// dependency-free; rich parsing lives in the CLI crate). Unknown flags are
-/// fatal: a typo in the CI bench-smoke command must fail the job, not
-/// silently fall back to defaults and mislabel the perf trajectory.
+/// dependency-free; rich parsing lives in the CLI crate). Unknown flags
+/// and malformed values are usage errors: a typo in the CI bench-smoke
+/// command must fail the job, not silently fall back to defaults and
+/// mislabel the perf trajectory.
 struct Flags {
     pairs: Vec<(String, String)>,
 }
@@ -45,19 +49,13 @@ impl Flags {
         let mut pairs = Vec::new();
         let mut iter = args.into_iter();
         while let Some(flag) = iter.next() {
-            assert!(
-                Self::KNOWN.contains(&flag.as_str()),
-                "unknown flag {flag:?} (known: {})",
-                Self::KNOWN.join(", ")
-            );
-            let value = iter
-                .next()
-                .unwrap_or_else(|| panic!("{flag}: missing value"));
-            assert!(
-                !value.starts_with("--"),
-                "{flag}: missing value (got flag {value:?})"
-            );
-            pairs.push((flag, value));
+            if !Self::KNOWN.contains(&flag.as_str()) {
+                usage_error(USAGE, format!("unknown flag {flag:?}"));
+            }
+            match iter.next() {
+                Some(value) if !value.starts_with("--") => pairs.push((flag, value)),
+                _ => usage_error(USAGE, format!("{flag}: missing value")),
+            }
         }
         Flags { pairs }
     }
@@ -72,11 +70,7 @@ impl Flags {
 
     fn get_usize(&self, name: &str, default: usize) -> usize {
         self.get(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{name}: bad value {v:?}"))
-            })
-            .unwrap_or(default)
+            .map_or(default, |v| parse_flag(USAGE, name, v))
     }
 }
 
@@ -125,7 +119,7 @@ fn main() {
     let flags = Flags::parse();
     let samples = flags.get_usize("--samples", 2000);
     let threads =
-        resolve_threads(flags.get_usize("--threads", 0)).unwrap_or_else(|e| panic!("{e}"));
+        resolve_threads(flags.get_usize("--threads", 0)).unwrap_or_else(|e| usage_error(USAGE, e));
     let max_m = flags.get_usize("--max-m", 32_768);
     let json_path = flags.get("--json").map(str::to_string);
 

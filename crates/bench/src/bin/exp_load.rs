@@ -26,9 +26,14 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use trex::Session;
+use trex_bench::{parse_flag, usage_error};
 use trex_datagen::{generate_scenario, laliga, ScenarioConfig, SchemaKind};
 use trex_repair::RepairAlgorithm as _;
 use trex_server::{json, serve, ServerConfig};
+
+const USAGE: &str = "usage: exp_load [--schema NAME] [--rows N] [--seed N] [--clients N] \
+                     [--requests N] [--samples N] [--budget-ms N] [--http-threads N] \
+                     [--addr HOST:PORT] [--json PATH]";
 
 struct LoadArgs {
     schema: SchemaKind,
@@ -44,8 +49,9 @@ struct LoadArgs {
 }
 
 /// Minimal flag reader in the `exp_stress` style (the experiment binaries
-/// stay dependency-free). Any unknown flag is fatal: a typo in the CI
-/// command must fail the job, not silently mislabel the artifact.
+/// stay dependency-free). Any unknown flag or malformed value is a usage
+/// error: a typo in the CI command must fail the job, not silently
+/// mislabel the artifact.
 fn parse_args() -> LoadArgs {
     let mut out = LoadArgs {
         schema: SchemaKind::Laliga,
@@ -61,32 +67,31 @@ fn parse_args() -> LoadArgs {
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
-        let mut value = || {
-            let v = iter
-                .next()
-                .unwrap_or_else(|| panic!("{flag}: missing value"));
-            assert!(!v.starts_with("--"), "{flag}: missing value");
-            v
+        let mut value = || match iter.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => usage_error(USAGE, format!("{flag}: missing value")),
         };
-        match flag.as_str() {
-            "--schema" => out.schema = value().parse().expect("--schema"),
-            "--rows" => out.rows = value().parse().expect("--rows"),
-            "--seed" => out.seed = value().parse().expect("--seed"),
-            "--clients" => out.clients = value().parse().expect("--clients"),
-            "--requests" => out.requests = value().parse().expect("--requests"),
-            "--samples" => out.samples = value().parse().expect("--samples"),
-            "--budget-ms" => out.budget_ms = value().parse().expect("--budget-ms"),
-            "--http-threads" => out.http_threads = value().parse().expect("--http-threads"),
+        let f = flag.as_str();
+        match f {
+            "--schema" => out.schema = parse_flag(USAGE, f, &value()),
+            "--rows" => out.rows = parse_flag(USAGE, f, &value()),
+            "--seed" => out.seed = parse_flag(USAGE, f, &value()),
+            "--clients" => out.clients = parse_flag(USAGE, f, &value()),
+            "--requests" => out.requests = parse_flag(USAGE, f, &value()),
+            "--samples" => out.samples = parse_flag(USAGE, f, &value()),
+            "--budget-ms" => out.budget_ms = parse_flag(USAGE, f, &value()),
+            "--http-threads" => out.http_threads = parse_flag(USAGE, f, &value()),
             "--addr" => out.addr = Some(value()),
             "--json" => out.json = Some(value()),
-            other => panic!(
-                "unknown flag {other:?} (known: --schema --rows --seed --clients \
-                 --requests --samples --budget-ms --http-threads --addr --json)"
-            ),
+            other => usage_error(USAGE, format!("unknown flag {other:?}")),
         }
     }
-    assert!(out.clients >= 1, "--clients must be >= 1");
-    assert!(out.requests >= 1, "--requests must be >= 1");
+    if out.clients == 0 {
+        usage_error(USAGE, "--clients must be >= 1");
+    }
+    if out.requests == 0 {
+        usage_error(USAGE, "--requests must be >= 1");
+    }
     out
 }
 

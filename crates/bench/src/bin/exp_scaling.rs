@@ -13,15 +13,12 @@
 //!                   exp_scaling.json the CI bench-smoke job uploads as an
 //!                   artifact next to bench_current.json)
 
-use std::time::{Duration, Instant};
-use trex::{ExecConfig, Explainer};
-use trex_bench::RandomBinaryGame;
+use std::time::Instant;
+use trex_bench::{usage_error, RandomBinaryGame};
 use trex_constraints::{
     find_all_violations_par, generate_dcs, parse_dcs, statically_unviolable, DcGenConfig,
     DenialConstraint,
 };
-use trex_datagen::laliga;
-use trex_repair::MockRemoteRepair;
 use trex_shapley::{
     estimate_all_walk, estimate_player, estimate_player_adaptive_rounds, parallel, player_seed,
     shapley_exact, Estimate, ParallelConfig, SamplingConfig, StochasticGame,
@@ -81,18 +78,22 @@ fn adaptive_hash(results: &[(Estimate, bool)]) -> u64 {
     )
 }
 
+const USAGE: &str = "usage: exp_scaling [--json PATH]";
+
 /// Minimal `--json PATH` reader (the experiment binaries stay
-/// dependency-free). Any other flag is fatal: a typo in the CI command must
-/// fail the job, not silently mislabel the artifact.
+/// dependency-free). Any other flag is a usage error: a typo in the CI
+/// command must fail the job, not silently mislabel the artifact.
 fn json_flag() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.into_iter();
+    let mut iter = std::env::args().skip(1);
     let mut path = None;
     while let Some(flag) = iter.next() {
-        assert!(flag == "--json", "unknown flag {flag:?} (known: --json)");
-        let value = iter.next().expect("--json: missing value");
-        assert!(!value.starts_with("--"), "--json: missing value");
-        path = Some(value);
+        if flag != "--json" {
+            usage_error(USAGE, format!("unknown flag {flag:?}"));
+        }
+        match iter.next() {
+            Some(value) if !value.starts_with("--") => path = Some(value),
+            _ => usage_error(USAGE, "--json: missing value"),
+        }
     }
     path
 }
@@ -348,83 +349,6 @@ fn main() {
         ));
     }
 
-    println!("\n== batched oracle dispatch: throughput vs batch size (1ms/call remote) ==");
-    println!("(the constraint explanation's 16 coalition repairs, answered by a");
-    println!(" MockRemoteRepair that sleeps 1ms per answer_batch round trip — the");
-    println!(" per-call-latency profile of a repair service. --oracle-batch style");
-    println!(" caps trade dispatches for batch size; the explanation is asserted");
-    println!(" byte-identical to the inline path at every cap while we measure)");
-    println!(
-        "{:>8} {:>12} {:>14} {:>16} {:>10}",
-        "batch", "dispatches", "time", "queries/s", "speedup"
-    );
-    let alg = laliga::algorithm1();
-    let demo_table = laliga::dirty_table();
-    let demo_dcs = laliga::constraints();
-    let demo_cell = laliga::cell_of_interest(&demo_table);
-    let inline_reference = Explainer::new(&alg)
-        .explain_constraints(&demo_dcs, &demo_table, demo_cell)
-        .expect("the demo cell explains");
-    let remote_latency = Duration::from_millis(1);
-    let mut unbatched_throughput = None;
-    let mut best_throughput = 0f64;
-    let mut batched_rows: Vec<(usize, usize, usize, f64, f64)> = Vec::new();
-    for batch in [1usize, 2, 4, 8, 16] {
-        let remote = MockRemoteRepair::mock(laliga::algorithm1(), remote_latency);
-        let explainer = Explainer::new(&alg)
-            .with_config(ExecConfig::new().with_oracle_batch(batch))
-            .with_oracle_backend(&remote);
-        // Best of 3, same rationale as the steal curve: the ≥2× assertion
-        // below gates CI. Each explanation rebuilds its oracle, so every
-        // run pays the full cold-cache dispatch schedule.
-        let mut best: Option<(Duration, trex_repair::BatchStats)> = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let (cons, _, stats) = explainer
-                .explain_constraints_with_batch_stats(&demo_dcs, &demo_table, demo_cell)
-                .expect("the demo cell explains");
-            let dt = start.elapsed();
-            // The transport contract, asserted while we measure: routing
-            // the coalition repairs through a batching remote backend is
-            // invisible in the explanation.
-            assert_eq!(
-                cons.exact, inline_reference.exact,
-                "batched explanation diverged at batch size {batch}"
-            );
-            if best.as_ref().is_none_or(|(b, _)| dt < *b) {
-                best = Some((dt, stats));
-            }
-        }
-        let (dt, stats) = best.expect("three runs produce a best");
-        assert_eq!(stats.queries, 16, "4 DCs -> 16 cold coalitions per run");
-        assert_eq!(stats.batches, 16usize.div_ceil(batch), "batch size {batch}");
-        let throughput = stats.queries as f64 / dt.as_secs_f64().max(1e-12);
-        let base = *unbatched_throughput.get_or_insert(throughput);
-        best_throughput = best_throughput.max(throughput);
-        println!(
-            "{batch:>8} {:>12} {dt:>14.3?} {throughput:>16.0} {:>9.2}x",
-            stats.batches,
-            throughput / base.max(1e-12)
-        );
-        batched_rows.push((
-            batch,
-            stats.batches,
-            stats.queries,
-            dt.as_secs_f64() * 1e3,
-            throughput,
-        ));
-    }
-    let batched_speedup = best_throughput / unbatched_throughput.expect("batch 1 ran").max(1e-12);
-    // The headline claim: against a per-call-latency backend, batching must
-    // recover at least 2× the per-call-dispatch throughput (16 round trips
-    // collapse into 1 at batch 16, so the expected margin is ~an order of
-    // magnitude; simulated latency makes this hold on any hardware).
-    assert!(
-        batched_speedup >= 2.0,
-        "batched dispatch must be >= 2x per-call dispatch ({batched_speedup:.2}x)"
-    );
-    println!("best over per-call dispatch: {batched_speedup:.2}x");
-
     println!("\ninterpretation: exact doubles per added player; sampling is flat per sample");
     println!("and splits across workers — and so does the violation scan, which is why");
     println!("repair loops (detect → fix → re-detect) take --threads too. This is the");
@@ -472,16 +396,6 @@ fn main() {
                 )
             })
             .collect();
-        let batched_json: Vec<String> = batched_rows
-            .iter()
-            .map(|(batch, dispatches, queries, ms, throughput)| {
-                format!(
-                    "    {{ \"batch\": {batch}, \"dispatches\": {dispatches}, \
-                     \"queries\": {queries}, \"wall_ms\": {ms:.3}, \
-                     \"queries_per_sec\": {throughput:.1} }}"
-                )
-            })
-            .collect();
         let json = format!(
             concat!(
                 "{{\n",
@@ -509,12 +423,6 @@ fn main() {
                 "    \"dcs_total\": {dcs_total},\n",
                 "    \"dcs_dead\": {dcs_dead},\n",
                 "    \"per_thread\": [\n{dead}\n    ]\n",
-                "  }},\n",
-                "  \"batched\": {{\n",
-                "    \"latency_ms\": {latency_ms},\n",
-                "    \"dcs\": 4,\n",
-                "    \"speedup_best_vs_unbatched\": {batched_speedup:.2},\n",
-                "    \"per_batch\": [\n{batched}\n    ]\n",
                 "  }}\n",
                 "}}\n",
             ),
@@ -526,9 +434,6 @@ fn main() {
             dcs_total = program.len(),
             dcs_dead = dead,
             dead = dead_json.join(",\n"),
-            latency_ms = remote_latency.as_millis(),
-            batched_speedup = batched_speedup,
-            batched = batched_json.join(",\n"),
         );
         std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("\nwrote {path}");

@@ -26,18 +26,20 @@
 //!   --threads N       worker threads, 0 = all cores (default 0)
 //!   --oracle-cap N    bound the explain oracle to N entries (default:
 //!                     oracle default; small values force evictions)
-//!   --oracle-batch N  cap the coalition queries per oracle dispatch
-//!                     (>= 1; default unbounded; identical output)
 //!   --budget-secs N   wall-clock budget; exceeding it fails the run
 //!                     (default 1800)
 //!   --json PATH       write the machine-readable artifact
 
 use std::time::Instant;
 use trex::Session;
+use trex_bench::{parse_flag, usage_error};
 use trex_datagen::{generate_scenario, ErrorRates, ScenarioConfig, SchemaKind};
 use trex_repair::RepairAlgorithm as _;
 use trex_shapley::{parallel, resolve_threads, ExecConfig};
 use trex_table::EncodedTable;
+
+const USAGE: &str = "usage: exp_stress [--schema NAME] [--rows N] [--seed N] [--rate F] \
+                     [--skew F] [--threads N] [--oracle-cap N] [--budget-secs N] [--json PATH]";
 
 struct StressArgs {
     schema: SchemaKind,
@@ -47,14 +49,14 @@ struct StressArgs {
     skew: f64,
     threads: usize,
     oracle_cap: Option<usize>,
-    oracle_batch: Option<usize>,
     budget_secs: u64,
     json: Option<String>,
 }
 
 /// Minimal flag reader in the `exp_scaling` style (the experiment binaries
-/// stay dependency-free). Any unknown flag is fatal: a typo in the CI
-/// command must fail the job, not silently mislabel the artifact.
+/// stay dependency-free). Any unknown flag or malformed value is a usage
+/// error: a typo in the CI command must fail the job, not silently
+/// mislabel the artifact.
 fn parse_args() -> StressArgs {
     let mut out = StressArgs {
         schema: SchemaKind::Soccer,
@@ -64,38 +66,27 @@ fn parse_args() -> StressArgs {
         skew: 1.2,
         threads: 0,
         oracle_cap: None,
-        oracle_batch: None,
         budget_secs: 1800,
         json: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
-        let mut value = || {
-            let v = iter
-                .next()
-                .unwrap_or_else(|| panic!("{flag}: missing value"));
-            assert!(!v.starts_with("--"), "{flag}: missing value");
-            v
+        let mut value = || match iter.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => usage_error(USAGE, format!("{flag}: missing value")),
         };
-        match flag.as_str() {
-            "--schema" => out.schema = value().parse().expect("--schema"),
-            "--rows" => out.rows = value().parse().expect("--rows"),
-            "--seed" => out.seed = value().parse().expect("--seed"),
-            "--rate" => out.rate = value().parse().expect("--rate"),
-            "--skew" => out.skew = value().parse().expect("--skew"),
-            "--threads" => out.threads = value().parse().expect("--threads"),
-            "--oracle-cap" => out.oracle_cap = Some(value().parse().expect("--oracle-cap")),
-            "--oracle-batch" => {
-                let batch: usize = value().parse().expect("--oracle-batch");
-                assert!(batch >= 1, "--oracle-batch must be >= 1");
-                out.oracle_batch = Some(batch);
-            }
-            "--budget-secs" => out.budget_secs = value().parse().expect("--budget-secs"),
+        let f = flag.as_str();
+        match f {
+            "--schema" => out.schema = parse_flag(USAGE, f, &value()),
+            "--rows" => out.rows = parse_flag(USAGE, f, &value()),
+            "--seed" => out.seed = parse_flag(USAGE, f, &value()),
+            "--rate" => out.rate = parse_flag(USAGE, f, &value()),
+            "--skew" => out.skew = parse_flag(USAGE, f, &value()),
+            "--threads" => out.threads = parse_flag(USAGE, f, &value()),
+            "--oracle-cap" => out.oracle_cap = Some(parse_flag(USAGE, f, &value())),
+            "--budget-secs" => out.budget_secs = parse_flag(USAGE, f, &value()),
             "--json" => out.json = Some(value()),
-            other => panic!(
-                "unknown flag {other:?} (known: --schema --rows --seed --rate --skew \
-                 --threads --oracle-cap --oracle-batch --budget-secs --json)"
-            ),
+            other => usage_error(USAGE, format!("unknown flag {other:?}")),
         }
     }
     out
@@ -162,7 +153,7 @@ fn finish_phase(name: &'static str, rows: usize, started: Instant, extra: Vec<St
 
 fn main() {
     let args = parse_args();
-    let threads = resolve_threads(args.threads).expect("--threads");
+    let threads = resolve_threads(args.threads).unwrap_or_else(|e| usage_error(USAGE, e));
     println!(
         "== exp_stress: {} @ {} rows (seed {}, rate {}, skew {}, {} thread(s), budget {}s) ==",
         args.schema, args.rows, args.seed, args.rate, args.skew, threads, args.budget_secs,
@@ -211,9 +202,6 @@ fn main() {
     if let Some(cap) = args.oracle_cap {
         cfg = cfg.with_oracle_cap(cap);
     }
-    if let Some(batch) = args.oracle_batch {
-        cfg = cfg.with_oracle_batch(batch);
-    }
 
     // The session drives the remaining phases end to end, exactly like the
     // demo loop: detection and repair on the session's worker threads, the
@@ -256,8 +244,8 @@ fn main() {
     // constraint half — the solver that stays exact at any table size).
     let cell = repair.changes[0].cell;
     let started = Instant::now();
-    let (explanation, oracle, batches) = session
-        .explain_constraints_with_batch_stats(cell)
+    let (explanation, oracle) = session
+        .explain_constraints_with_stats(cell)
         .expect("a repaired cell explains");
     let top = explanation.ranking.top().expect("non-empty ranking");
     phases.push(finish_phase(
@@ -268,9 +256,8 @@ fn main() {
             format!("\"explained_cell\": \"{cell}\""),
             format!("\"top_constraint\": \"{}\"", top.label),
             format!(
-                "\"oracle\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-                 \"batches\": {}, \"batched_queries\": {} }}",
-                oracle.hits, oracle.misses, oracle.evictions, batches.batches, batches.queries
+                "\"oracle\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {} }}",
+                oracle.hits, oracle.misses, oracle.evictions
             ),
         ],
     ));
@@ -317,7 +304,6 @@ fn main() {
                 "  \"threads\": {threads},\n",
                 "  \"hardware_threads\": {hw},\n",
                 "  \"oracle_capacity\": {cap},\n",
-                "  \"oracle_batch\": {batch},\n",
                 "  \"budget_secs\": {budget},\n",
                 "  \"elapsed_secs\": {elapsed:.3},\n",
                 "  \"within_budget\": {within},\n",
@@ -341,9 +327,6 @@ fn main() {
             cap = args
                 .oracle_cap
                 .map_or("null".to_string(), |c| c.to_string()),
-            batch = args
-                .oracle_batch
-                .map_or("null".to_string(), |b| b.to_string()),
             budget = args.budget_secs,
             elapsed = elapsed,
             within = within_budget,

@@ -8,6 +8,25 @@ use trex_constraints::DenialConstraint;
 use trex_datagen::{errors, soccer};
 use trex_table::Table;
 
+/// Reject an experiment binary's command line: print `message` and the
+/// binary's `usage` to stderr, then exit with status 2. An unknown flag or
+/// a malformed value is a usage error, not a panic with a backtrace.
+pub fn usage_error(usage: &str, message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}\n\n{usage}");
+    std::process::exit(2)
+}
+
+/// Parse `value` as the value of `flag`, or exit through [`usage_error`].
+pub fn parse_flag<T>(usage: &str, flag: &str, value: &str) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .unwrap_or_else(|e| usage_error(usage, format!("{flag}: cannot parse {value:?} ({e})")))
+}
+
 /// A standings workload of roughly `rows` rows with `dirt` fraction of
 /// Country cells corrupted out-of-domain — the canonical benchmark input.
 pub fn standings_workload(rows: usize, dirt: f64, seed: u64) -> (Table, Vec<DenialConstraint>) {

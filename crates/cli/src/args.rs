@@ -92,15 +92,13 @@ impl Args {
     }
 
     /// Parse the shared execution flags — `--threads`, `--oracle-cap`,
-    /// `--oracle-batch`, `--seed` — into one [`ExecConfig`].
+    /// `--seed` — into one [`ExecConfig`].
     ///
     /// This is the single validation path for every subcommand that takes
     /// execution knobs: `--threads` absent or `0` resolves to the available
     /// parallelism (absurd counts are rejected with one error message
     /// everywhere), `--oracle-cap` bounds the repair-oracle memo cache (`0`
-    /// disables caching), `--oracle-batch` caps how many cache-missing
-    /// coalition queries each oracle dispatch carries (must be ≥ 1;
-    /// identical output at any cap), and `--seed` feeds the sampling seed.
+    /// disables caching), and `--seed` feeds the sampling seed.
     /// The knob names, validation rules, and error wording all live in
     /// [`trex_shapley::exec_config_from_knobs`], which the `trex-server`
     /// request parser calls too — a bad `?threads=999999` over HTTP reads
@@ -175,7 +173,6 @@ mod tests {
         let cfg = a.exec_config().unwrap();
         assert!(cfg.threads() >= 1, "absent --threads resolves to ≥ 1");
         assert_eq!(cfg.oracle_cap(), None);
-        assert_eq!(cfg.oracle_batch(), None);
         assert_eq!(cfg.seed(), None);
         // Explicit 0 also means "available parallelism".
         let b = Args::parse(["explain", "--threads", "0"]).unwrap();
@@ -190,8 +187,6 @@ mod tests {
             "4",
             "--oracle-cap",
             "4096",
-            "--oracle-batch",
-            "64",
             "--seed",
             "7",
         ])
@@ -199,7 +194,6 @@ mod tests {
         let cfg = a.exec_config().unwrap();
         assert_eq!(cfg.threads(), 4);
         assert_eq!(cfg.oracle_cap(), Some(4096));
-        assert_eq!(cfg.oracle_batch(), Some(64));
         assert_eq!(cfg.seed(), Some(7));
         assert!(a.reject_unknown().is_ok(), "every knob is consumed");
     }
@@ -212,6 +206,16 @@ mod tests {
         a.exec_config().unwrap();
         let err = a.reject_unknown().unwrap_err().to_string();
         assert_eq!(err, "unknown flag --schedule");
+    }
+
+    #[test]
+    fn oracle_batch_is_an_unknown_flag() {
+        // Every coalition query goes through the one oracle, so there is
+        // no batch size to configure.
+        let a = Args::parse(["explain", "--oracle-batch", "16"]).unwrap();
+        a.exec_config().unwrap();
+        let err = a.reject_unknown().unwrap_err().to_string();
+        assert_eq!(err, "unknown flag --oracle-batch");
     }
 
     #[test]
@@ -235,15 +239,10 @@ mod tests {
         for bad in [
             vec!["x", "--threads", "many"],
             vec!["x", "--oracle-cap", "lots"],
-            vec!["x", "--oracle-batch", "heaps"],
             vec!["x", "--seed", "entropy"],
         ] {
             let a = Args::parse(bad.clone()).unwrap();
             assert!(a.exec_config().is_err(), "{bad:?}");
         }
-        // A zero batch is rejected before it can reach the config's panic.
-        let a = Args::parse(["x", "--oracle-batch", "0"]).unwrap();
-        let err = a.exec_config().unwrap_err().to_string();
-        assert!(err.contains(">= 1"), "{err}");
     }
 }

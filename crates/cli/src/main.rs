@@ -53,9 +53,9 @@ ENGINE FLAGS:
   --engine holistic    conflict-hypergraph baseline
 
 EXEC FLAGS:
-  --threads N, --oracle-cap N, --oracle-batch N, and --seed N form one
-  execution-configuration surface, parsed identically by violations,
-  repair, and explain (each command consumes the knobs that apply to it).
+  --threads N, --oracle-cap N, and --seed N form one execution-
+  configuration surface, parsed identically by violations, repair, and
+  explain (each command consumes the knobs that apply to it).
   --threads N (default: all hardware threads; 0 also means that) runs
   explain's cell sampling and the row-pair violation scan of violations
   and repair on N workers. Output is identical at ANY thread count: the
@@ -80,11 +80,6 @@ ORACLE CAPACITY:
   entries (second-chance eviction once full; 0 disables caching). Results
   are identical at any capacity — a smaller cache only recomputes more.
   Default: 1048576 entries.
-  --oracle-batch N (must be >= 1; default unbounded) caps how many
-  cache-missing coalition queries each oracle dispatch carries. Results
-  are identical at any cap — the knob only matters for throughput when a
-  per-call-latency oracle backend answers the batches (see the library's
-  OracleBackend trait; the built-in engines answer inline).
 
 SERVE:
   trex serve loads one (table, constraints, engine) triple and answers
@@ -172,8 +167,14 @@ fn load_inputs(args: &Args) -> Result<(Table, Vec<DenialConstraint>), ArgError> 
 
 /// Build the selected engine under the shared execution configuration
 /// (engines consume its thread count for their violation scans; `chase`
-/// does no violation scanning, so the config is a no-op for it).
-fn load_engine(args: &Args, cfg: &ExecConfig) -> Result<Box<dyn RepairAlgorithm>, ArgError> {
+/// does no violation scanning, so the config is a no-op for it). A rule
+/// list must name only columns of `table` and constraints of `dcs`.
+fn load_engine(
+    args: &Args,
+    cfg: &ExecConfig,
+    table: &Table,
+    dcs: &[DenialConstraint],
+) -> Result<Box<dyn RepairAlgorithm>, ArgError> {
     match args.get("engine").unwrap_or("holoclean") {
         "holoclean" => {
             let engine = if args.has("train") {
@@ -191,6 +192,9 @@ fn load_engine(args: &Args, cfg: &ExecConfig) -> Result<Box<dyn RepairAlgorithm>
                 .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
             let engine =
                 RuleRepair::parse_rules(&text).map_err(|e| ArgError(format!("{path}: {e}")))?;
+            engine
+                .check_against(table.schema(), dcs)
+                .map_err(|e| ArgError(format!("{path}: {e}")))?;
             Ok(Box::new(engine.with_exec(cfg)))
         }
         "chase" => Ok(Box::new(FdChaseRepair::new())),
@@ -198,16 +202,6 @@ fn load_engine(args: &Args, cfg: &ExecConfig) -> Result<Box<dyn RepairAlgorithm>
         other => Err(ArgError(format!(
             "unknown engine {other:?} (holoclean | rules | chase | holistic)"
         ))),
-    }
-}
-
-/// The CLI never attaches an `OracleBackend`, so a requested
-/// `--oracle-batch` can never group anything — say so instead of silently
-/// ignoring the flag. (The server API rejects the same condition outright;
-/// both sides share this one message.)
-fn warn_unbatchable(cfg: &ExecConfig) {
-    if cfg.oracle_batch().is_some() {
-        eprintln!("warning: {}", ExecConfig::ORACLE_BATCH_WITHOUT_BACKEND);
     }
 }
 
@@ -263,8 +257,9 @@ fn cmd_violations(args: &Args) -> Result<(), ArgError> {
 fn cmd_repair(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
     let cfg = args.exec_config()?;
-    let engine = load_engine(args, &cfg)?;
+    let engine = load_engine(args, &cfg, &table, &dcs)?;
     args.reject_unknown()?;
+    resolve_all(&table, &dcs)?;
     let result = engine.repair(&dcs, &table);
     println!("engine: {}\n", engine.name());
     println!("{}", render_repair_screen(&table, &result.changes));
@@ -274,8 +269,7 @@ fn cmd_repair(args: &Args) -> Result<(), ArgError> {
 fn cmd_explain(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
     let cfg = args.exec_config()?;
-    warn_unbatchable(&cfg);
-    let engine = load_engine(args, &cfg)?;
+    let engine = load_engine(args, &cfg, &table, &dcs)?;
     let cell_spec = args.require("cell")?.to_string();
     let cell = parse_cell(&table, &cell_spec)?;
     let want_cells = args.has("cells");
@@ -317,6 +311,7 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
     if batch == 0 {
         return Err(ArgError("--batch must be at least 1".to_string()));
     }
+    resolve_all(&table, &dcs)?;
 
     let explainer = Explainer::new(engine.as_ref()).with_config(cfg);
     let constraints = explainer
@@ -375,8 +370,7 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
 fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let (table, dcs) = load_inputs(args)?;
     let cfg = args.exec_config()?;
-    warn_unbatchable(&cfg);
-    let engine = load_engine(args, &cfg)?;
+    let engine = load_engine(args, &cfg, &table, &dcs)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let http_threads: usize = args.get_parsed("http-threads", 4)?;
     args.reject_unknown()?;
@@ -670,19 +664,10 @@ mod tests {
         for command in ["explain", "repair", "violations"] {
             let a = Args::parse([command, "--threads", "4"]).unwrap();
             assert_eq!(a.exec_config().unwrap().threads(), 4, "{command}");
-            let b = Args::parse([command, "--oracle-batch", "16"]).unwrap();
-            assert_eq!(
-                b.exec_config().unwrap().oracle_batch(),
-                Some(16),
-                "{command}"
-            );
             let d = Args::parse([command, "--threads", "999999"]).unwrap();
             let err = d.exec_config().unwrap_err().to_string();
             assert!(err.contains("999999"), "{command}: {err}");
             assert!(err.contains("1024"), "{command}: {err}");
-            let f = Args::parse([command, "--oracle-batch", "0"]).unwrap();
-            let err = f.exec_config().unwrap_err().to_string();
-            assert!(err.contains("--oracle-batch"), "{command}: {err}");
         }
     }
 
@@ -782,16 +767,102 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A shipped `data/` file, by path.
+    fn shipped(name: &str) -> String {
+        format!("{}/../../data/{name}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    #[test]
+    fn repair_and_explain_reject_a_dc_on_an_unknown_column() {
+        // Regression: `rules`, `holoclean` and `holistic` panicked inside
+        // the repair on a DC naming an unknown column, and `chase`
+        // repaired nothing and exited 0.
+        let dir = std::env::temp_dir().join(format!("trex-bad-dc-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dcs = dir.join("bad.dcs");
+        std::fs::write(&dcs, "C1: !(t1.Team = t2.Team & t1.Nope != t2.Nope)\n").unwrap();
+        let rules = dir.join("c1.rules");
+        std::fs::write(&rules, "C1: City <- most_common\n").unwrap();
+        let (table, dcs, rules) = (
+            shipped("laliga_dirty.csv"),
+            dcs.to_str().unwrap().to_string(),
+            rules.to_str().unwrap().to_string(),
+        );
+        for engine in ["rules", "holoclean", "holistic", "chase"] {
+            for command in ["repair", "explain"] {
+                let mut raw = vec![command, "--table", &table, "--dcs", &dcs];
+                raw.extend(["--engine", engine, "--threads", "1"]);
+                if engine == "rules" {
+                    raw.extend(["--rules", &rules]);
+                }
+                if command == "explain" {
+                    raw.extend(["--cell", "t5.Country"]);
+                }
+                let a = Args::parse(raw).unwrap();
+                let run = if command == "repair" {
+                    cmd_repair
+                } else {
+                    cmd_explain
+                };
+                let err = run(&a).unwrap_err().to_string();
+                assert_eq!(
+                    err, "constraint C1: unknown attribute \"Nope\"",
+                    "{command} --engine {engine}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rule_lists_naming_unknown_columns_or_constraints_fail_to_load() {
+        // Regression: these lists loaded and silently repaired nothing.
+        let dir = std::env::temp_dir().join(format!("trex-bad-rules-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let table =
+            read_csv_strings(&std::fs::read_to_string(shipped("laliga_dirty.csv")).unwrap())
+                .unwrap();
+        let dcs = parse_dcs(&std::fs::read_to_string(shipped("laliga.dcs")).unwrap()).unwrap();
+        let load = |rules: &str| {
+            let a = Args::parse(["repair", "--engine", "rules", "--rules", rules]).unwrap();
+            load_engine(&a, &ExecConfig::new(), &table, &dcs).map(|e| e.name().to_string())
+        };
+        assert_eq!(load(&shipped("algorithm1.rules")).unwrap(), "algorithm1");
+        for (text, offender) in [
+            (
+                "C1: Nope <- most_common\nC2: Country <- most_common_given(Missing)\n",
+                "rule `C1: Nope <- most_common`: unknown column \"Nope\"",
+            ),
+            (
+                "C2: Country <- most_common_given(Missing)\n",
+                "rule `C2: Country <- most_common_given(Missing)`: unknown column \"Missing\"",
+            ),
+            (
+                "C9: City <- most_common\n",
+                "rule `C9: City <- most_common`: unknown constraint \"C9\"",
+            ),
+        ] {
+            let path = dir.join("bad.rules");
+            std::fs::write(&path, text).unwrap();
+            let path = path.to_str().unwrap();
+            let err = load(path).unwrap_err().to_string();
+            assert_eq!(err, format!("{path}: {offender}"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn engine_selection() {
         let cfg = ExecConfig::new();
+        let t = table();
+        let load = |a: &Args| load_engine(a, &cfg, &t, &[]);
         let a = Args::parse(["repair", "--engine", "chase"]).unwrap();
-        assert_eq!(load_engine(&a, &cfg).unwrap().name(), "fd-chase");
+        assert_eq!(load(&a).unwrap().name(), "fd-chase");
         let b = Args::parse(["repair"]).unwrap();
-        assert_eq!(load_engine(&b, &cfg).unwrap().name(), "holoclean-style");
+        assert_eq!(load(&b).unwrap().name(), "holoclean-style");
         let c = Args::parse(["repair", "--engine", "nope"]).unwrap();
-        assert!(load_engine(&c, &cfg).is_err());
+        assert!(load(&c).is_err());
         let d = Args::parse(["repair", "--engine", "rules"]).unwrap();
-        assert!(load_engine(&d, &cfg).is_err()); // missing --rules
+        assert!(load(&d).is_err()); // missing --rules
     }
 }

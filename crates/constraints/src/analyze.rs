@@ -808,7 +808,7 @@ fn mentions_t1(dc: &DenialConstraint) -> bool {
     })
 }
 
-/// The cost model shared by [`plan_report`] and [`scan_cost_estimates`]:
+/// The cost model behind [`plan_report`] (and so `trex lint`'s scan plan):
 /// one DC's expected scan shape and candidate-binding count against a table
 /// of `n` rows with per-column `distinct` counts (schema order).
 fn dc_scan_plan(dc: &DenialConstraint, schema: &Schema, n: u64, distinct: &[usize]) -> DcPlan {
@@ -849,24 +849,6 @@ fn dc_scan_plan(dc: &DenialConstraint, schema: &Schema, n: u64, distinct: &[usiz
         join_attrs,
         estimated_pairs: n.saturating_mul(n) / fanout,
     }
-}
-
-/// Per-DC scan-cost estimates against `table`, in **input order**: the
-/// static analyzer's [`DcPlan::estimated_pairs`] cost model without the
-/// verdict pass (every DC is costed as if it will actually be scanned).
-/// This is the hook batch schedulers use to order coalition scans by
-/// expected work — e.g. `trex-repair`'s batched oracle dispatches the most
-/// expensive coalitions first — instead of treating every DC as equally
-/// expensive. The distinct counts come from the table's own encoding
-/// ([`Table::encoded`]).
-pub fn scan_cost_estimates(dcs: &[DenialConstraint], table: &Table) -> Vec<u64> {
-    let enc = table.encoded();
-    let distinct = enc.distinct_counts();
-    let schema = table.schema();
-    let n = table.num_rows() as u64;
-    dcs.iter()
-        .map(|dc| dc_scan_plan(dc, schema, n, &distinct).estimated_pairs)
-        .collect()
 }
 
 /// Build the plan report: one entry per DC, most expensive first.
@@ -1373,11 +1355,6 @@ mod tests {
         assert_eq!(a.plans[1].join_attrs, vec!["Team".to_string()]);
         let json = a.plans[0].to_json();
         assert!(json.contains("\"strategy\": \"nested-loop\""), "{json}");
-
-        // The scheduler hook exposes the same cost model in input order,
-        // without the verdict pass: "Dead" is costed as if scanned.
-        let costs = scan_cost_estimates(&dcs, &table);
-        assert_eq!(costs, vec![100, 380, 20, 380]);
     }
 
     #[test]

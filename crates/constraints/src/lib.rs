@@ -35,8 +35,7 @@ pub mod parallel;
 pub mod parser;
 
 pub use analyze::{
-    analyze, analyze_with_table, scan_cost_estimates, statically_unviolable, Analysis, DcPlan,
-    DcVerdict, PlanStrategy,
+    analyze, analyze_with_table, statically_unviolable, Analysis, DcPlan, DcVerdict, PlanStrategy,
 };
 pub use ast::{CmpOp, DenialConstraint, Operand, Predicate, ResolveError, Span, TupleVar};
 pub use diagnostics::{Diagnostic, Severity};

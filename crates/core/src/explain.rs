@@ -11,9 +11,7 @@ use crate::ranking::Ranking;
 use std::fmt;
 use std::sync::Arc;
 use trex_constraints::DenialConstraint;
-use trex_repair::{
-    BatchStats, OracleBackend, OracleCache, RepairAlgorithm, RepairResult, ShardedOracle,
-};
+use trex_repair::{OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
 use trex_shapley::{
     parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, ExactError,
     ExecConfig, Game, ParallelConfig, Rational, SamplingConfig, StochasticGame,
@@ -159,50 +157,23 @@ pub struct CellExplanation {
 /// The memoizing repair oracle behind the coalition games grows with the
 /// number of distinct coalition tables visited;
 /// [`ExecConfig::with_oracle_cap`] bounds it (entries, second-chance
-/// eviction) without changing any result.
-///
-/// Oracle misses are answered by the wrapped algorithm by default.
-/// [`Explainer::with_oracle_backend`] routes them through an
-/// [`OracleBackend`] instead — misses then travel in bounded batches
-/// ([`ExecConfig::with_oracle_batch`]), concurrent identical coalitions
-/// dedup through single-flight, and batch formation orders constraint-game
-/// coalitions by the static analyzer's scan-cost estimates. A faithful
-/// backend (one honoring [`OracleBackend`]'s contract) never changes any
-/// explanation — only who computes it, and how many round trips it takes.
+/// eviction) without changing any result. Every coalition query goes
+/// through that one oracle, whose misses the wrapped algorithm answers.
 pub struct Explainer<'a> {
     alg: &'a dyn RepairAlgorithm,
     cfg: ExecConfig,
-    backend: Option<&'a dyn OracleBackend>,
     cache: Option<Arc<OracleCache>>,
 }
 
 impl<'a> Explainer<'a> {
     /// Wrap a repair algorithm (single sampling worker, default oracle
-    /// capacity, local oracle dispatch).
+    /// capacity).
     pub fn new(alg: &'a dyn RepairAlgorithm) -> Self {
         Explainer {
             alg,
             cfg: ExecConfig::default(),
-            backend: None,
             cache: None,
         }
-    }
-
-    /// Answer coalition oracle misses through `backend` — e.g. a
-    /// `trex_repair::RemoteRepair` whose per-call latency the batching
-    /// layer amortizes — instead of invoking the wrapped algorithm once
-    /// per query. The backend must answer exactly what the wrapped
-    /// algorithm would ([`OracleBackend`]'s fidelity contract); the
-    /// full-table repair that determines a cell's repair target always
-    /// runs on the local algorithm.
-    pub fn with_oracle_backend(mut self, backend: &'a dyn OracleBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// The configured oracle backend, if any.
-    pub fn oracle_backend(&self) -> Option<&'a dyn OracleBackend> {
-        self.backend
     }
 
     /// Memoize coalition repairs in `cache` instead of a fresh private
@@ -258,39 +229,23 @@ impl<'a> Explainer<'a> {
         trex_constraints::analyze_with_table(dcs, table)
     }
 
-    /// Whether the batched-dispatch machinery is in play (a batch bound or
-    /// a backend is configured) — the only case where computing scan-cost
-    /// estimates for batch ordering buys anything.
-    fn batching_configured(&self) -> bool {
-        self.cfg.oracle_batch().is_some() || self.backend.is_some()
-    }
-
-    /// Build a coalition oracle carrying every configured knob: capacity
-    /// bound, batch bound, and backend.
+    /// Build a coalition oracle: the shared cache when one is attached,
+    /// else a private cache under the configured capacity bound.
     fn build_oracle<'b>(&self) -> ShardedOracle<'b>
     where
         'a: 'b,
     {
-        let mut oracle = match &self.cache {
+        match &self.cache {
             Some(cache) => ShardedOracle::with_shared_cache(self.alg, Arc::clone(cache)),
             None => match self.cfg.oracle_cap() {
                 Some(cap) => ShardedOracle::with_capacity(self.alg, cap),
                 None => ShardedOracle::new(self.alg),
             },
-        };
-        if let Some(batch) = self.cfg.oracle_batch() {
-            oracle = oracle.with_batch(batch);
         }
-        if let Some(backend) = self.backend {
-            oracle = oracle.with_backend(backend);
-        }
-        oracle
     }
 
     /// Build the constraint game with this explainer's oracle
-    /// configuration. When batching is configured, the static analyzer's
-    /// per-DC scan-cost estimates are attached so batch formation orders
-    /// coalition scans most-expensive-first.
+    /// configuration.
     fn constraint_game<'b>(
         &self,
         dcs: &'b [DenialConstraint],
@@ -301,12 +256,7 @@ impl<'a> Explainer<'a> {
     where
         'a: 'b,
     {
-        let game = ConstraintGame::with_oracle(self.build_oracle(), dcs, dirty, cell, target);
-        if self.batching_configured() {
-            game.with_dc_costs(trex_constraints::scan_cost_estimates(dcs, dirty))
-        } else {
-            game
-        }
+        ConstraintGame::with_oracle(self.build_oracle(), dcs, dirty, cell, target)
     }
 
     /// Build the masked cell game with this explainer's oracle
@@ -380,20 +330,6 @@ impl<'a> Explainer<'a> {
         dirty: &Table,
         cell: CellRef,
     ) -> Result<(ConstraintExplanation, trex_repair::OracleStats), ExplainError> {
-        self.explain_constraints_with_batch_stats(dcs, dirty, cell)
-            .map(|(explanation, stats, _)| (explanation, stats))
-    }
-
-    /// [`Explainer::explain_constraints_with_stats`], additionally
-    /// returning the oracle's batched-dispatch counters ([`BatchStats`]):
-    /// how many backend dispatches ran and how many coalition queries they
-    /// carried. Zero unless a solver path evaluated coalitions in batches.
-    pub fn explain_constraints_with_batch_stats(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<(ConstraintExplanation, trex_repair::OracleStats, BatchStats), ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = self.constraint_game(dcs, dirty, cell, target.clone());
         // The rational solver has the lower player cap, so it runs first:
@@ -416,7 +352,7 @@ impl<'a> Explainer<'a> {
                 .collect(),
             target,
         };
-        Ok((explanation, game.oracle_stats(), game.oracle_batch_stats()))
+        Ok((explanation, game.oracle_stats()))
     }
 
     /// Pairwise **Shapley interaction indices** of the constraints for the
@@ -1140,46 +1076,6 @@ mod tests {
                 .unwrap();
             assert_eq!(cells.values, reference_cells.values, "capacity {capacity}");
         }
-    }
-
-    #[test]
-    fn batched_and_backend_explanations_match_the_plain_path() {
-        // A faithful backend plus any batch bound must reproduce the
-        // default explainer byte for byte — constraints and cells — while
-        // actually routing misses through the backend.
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        let cfg = SamplingConfig {
-            samples: 120,
-            seed: 3,
-        };
-        let reference_cons = Explainer::new(&alg)
-            .explain_constraints(&dcs, &dirty, cell)
-            .unwrap();
-        let reference_cells = Explainer::new(&alg)
-            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
-            .unwrap();
-        let remote =
-            trex_repair::MockRemoteRepair::mock(laliga::algorithm1(), std::time::Duration::ZERO);
-        for batch in [1usize, 7, 64] {
-            let ex = Explainer::new(&alg)
-                .with_config(ExecConfig::new().with_oracle_batch(batch))
-                .with_oracle_backend(&remote);
-            assert_eq!(ex.config().oracle_batch(), Some(batch));
-            assert_eq!(ex.oracle_backend().unwrap().name(), "remote(algorithm1)");
-            let (cons, _, batch_stats) = ex
-                .explain_constraints_with_batch_stats(&dcs, &dirty, cell)
-                .unwrap();
-            assert_eq!(cons.exact, reference_cons.exact, "batch {batch}");
-            assert!(batch_stats.batches > 0, "misses must travel in batches");
-            let cells = ex
-                .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, cfg)
-                .unwrap();
-            assert_eq!(cells.values, reference_cells.values, "batch {batch}");
-        }
-        assert!(remote.calls() > 0, "the backend answered real queries");
     }
 
     #[test]

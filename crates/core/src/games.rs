@@ -25,13 +25,10 @@
 //! so there is nothing to cache and every sample pays a full repair.
 
 use rand::RngCore;
-use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use trex_constraints::DenialConstraint;
-use trex_repair::{
-    hash_value, BatchStats, CoalitionQuery, OracleStats, RepairAlgorithm, ShardedOracle,
-};
+use trex_repair::{hash_value, OracleStats, RepairAlgorithm, ShardedOracle};
 use trex_shapley::{Coalition, Game, StochasticGame};
 use trex_table::{CellRef, EncodedTable, Table, TableSamplers, Value};
 
@@ -77,9 +74,6 @@ pub struct ConstraintGame<'a> {
     dirty_fp: u64,
     target_hash: u64,
     dc_hashes: Vec<u64>,
-    /// Per-DC scan-cost estimates (input order); when present, batched
-    /// dispatches order coalition scans most-expensive-first.
-    dc_costs: Option<Vec<u64>>,
 }
 
 impl<'a> ConstraintGame<'a> {
@@ -107,15 +101,13 @@ impl<'a> ConstraintGame<'a> {
             target_hash: hash_value(&target),
             target,
             dc_hashes,
-            dc_costs: None,
         }
     }
 
     /// Build the game around a caller-configured oracle — capacity bound,
-    /// batch size, custom [`trex_repair::OracleBackend`]; see
+    /// shard count, or a cache shared across requests; see
     /// [`ShardedOracle`]'s builders. Answers are identical to
-    /// [`ConstraintGame::new`] whenever the oracle's backend honors the
-    /// backend trait's fidelity contract.
+    /// [`ConstraintGame::new`].
     pub fn with_oracle(
         oracle: ShardedOracle<'a>,
         dcs: &'a [DenialConstraint],
@@ -124,20 +116,6 @@ impl<'a> ConstraintGame<'a> {
         target: Value,
     ) -> Self {
         Self::build(oracle, dcs, dirty, cell, target)
-    }
-
-    /// Attach per-DC scan-cost estimates (input order — e.g.
-    /// `trex_constraints::scan_cost_estimates`): batched dispatches then
-    /// order coalition scans by the summed cost of their member DCs,
-    /// most expensive first, instead of treating every DC as equally
-    /// expensive. Ordering never changes any answer.
-    ///
-    /// # Panics
-    /// Panics unless there is exactly one cost per DC.
-    pub fn with_dc_costs(mut self, costs: Vec<u64>) -> Self {
-        assert_eq!(costs.len(), self.dcs.len(), "need one cost per DC");
-        self.dc_costs = Some(costs);
-        self
     }
 
     /// Build the game. `target` is the clean value `t^c[A]` the repair is
@@ -190,12 +168,6 @@ impl<'a> ConstraintGame<'a> {
         self.oracle.stats()
     }
 
-    /// Batched-dispatch statistics (dispatches, queries carried) of the
-    /// oracle, accumulated so far.
-    pub fn oracle_batch_stats(&self) -> BatchStats {
-        self.oracle.batch_stats()
-    }
-
     /// Fingerprint the subset from the precomputed per-DC hashes: two
     /// coalitions share a key exactly when they select the same DC
     /// display sequence, the same sharing `hash_dcs` over the cloned
@@ -209,17 +181,6 @@ impl<'a> ConstraintGame<'a> {
         }
         len.hash(&mut h);
         (h.finish(), self.dirty_fp, self.cell, self.target_hash)
-    }
-
-    /// The coalition's scan as an owned-subset [`CoalitionQuery`].
-    fn coalition_query(&self, coalition: &Coalition) -> CoalitionQuery<'_> {
-        let subset: Vec<DenialConstraint> = coalition.iter().map(|i| self.dcs[i].clone()).collect();
-        CoalitionQuery {
-            dcs: Cow::Owned(subset),
-            table: Cow::Borrowed(self.dirty),
-            cell: self.cell,
-            target: Cow::Borrowed(&self.target),
-        }
     }
 }
 
@@ -246,29 +207,6 @@ impl Game for ConstraintGame<'_> {
         } else {
             0.0
         }
-    }
-
-    /// Batched evaluation through [`ShardedOracle::query_keyed_batch`]:
-    /// cache keys are the per-coalition [`Self::coalition_key`]s (so
-    /// answers and [`OracleStats`] are byte-identical to per-coalition
-    /// [`Game::value`] calls), misses dedup through single-flight, and
-    /// dispatches are ordered by the summed [`Self::with_dc_costs`]
-    /// estimates of each coalition's member DCs when attached.
-    fn value_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
-        let keys: Vec<_> = coalitions.iter().map(|c| self.coalition_key(c)).collect();
-        let costs: Option<Vec<u64>> = self.dc_costs.as_ref().map(|per_dc| {
-            coalitions
-                .iter()
-                .map(|c| c.iter().map(|i| per_dc[i]).fold(0u64, u64::saturating_add))
-                .collect()
-        });
-        self.oracle
-            .query_keyed_batch(&keys, costs.as_deref(), |i| {
-                self.coalition_query(&coalitions[i])
-            })
-            .into_iter()
-            .map(|repaired| if repaired { 1.0 } else { 0.0 })
-            .collect()
     }
 
     fn player_label(&self, i: usize) -> String {
@@ -377,10 +315,9 @@ impl<'a> CellGameMasked<'a> {
     }
 
     /// Build the game around a caller-configured oracle — capacity bound,
-    /// batch size, custom [`trex_repair::OracleBackend`]; see
+    /// shard count, or a cache shared across requests; see
     /// [`ShardedOracle`]'s builders. Answers are identical to
-    /// [`CellGameMasked::new`] whenever the oracle's backend honors the
-    /// backend trait's fidelity contract.
+    /// [`CellGameMasked::new`].
     pub fn with_oracle(
         oracle: ShardedOracle<'a>,
         dcs: &'a [DenialConstraint],
@@ -400,12 +337,6 @@ impl<'a> CellGameMasked<'a> {
     /// Oracle cache statistics.
     pub fn oracle_stats(&self) -> OracleStats {
         self.oracle.stats()
-    }
-
-    /// Batched-dispatch statistics (dispatches, queries carried) of the
-    /// oracle, accumulated so far.
-    pub fn oracle_batch_stats(&self) -> BatchStats {
-        self.oracle.batch_stats()
     }
 
     /// Build the coalition table: players in `coalition` keep their dirty
@@ -483,27 +414,6 @@ impl Game for CellGameMasked<'_> {
         } else {
             0.0
         }
-    }
-
-    /// Batched evaluation through [`ShardedOracle::query_keyed_batch`]:
-    /// cache keys are the per-coalition [`Self::coalition_key`]s (so
-    /// answers and [`OracleStats`] are byte-identical to per-coalition
-    /// [`Game::value`] calls) and misses dedup through single-flight.
-    /// Every cell-game query scans the same full DC set against a
-    /// same-sized masked table, so no per-query cost ordering applies;
-    /// masked tables are materialized only for actual misses.
-    fn value_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
-        let keys: Vec<_> = coalitions.iter().map(|c| self.coalition_key(c)).collect();
-        self.oracle
-            .query_keyed_batch(&keys, None, |i| CoalitionQuery {
-                dcs: Cow::Borrowed(self.dcs),
-                table: Cow::Owned(self.coalition_table(&coalitions[i])),
-                cell: self.cell,
-                target: Cow::Borrowed(&self.target),
-            })
-            .into_iter()
-            .map(|repaired| if repaired { 1.0 } else { 0.0 })
-            .collect()
     }
 
     fn player_label(&self, i: usize) -> String {
@@ -645,58 +555,6 @@ mod tests {
         let stats = game.oracle_stats();
         assert_eq!(stats.misses, 16);
         assert_eq!(stats.hits, 16);
-    }
-
-    #[test]
-    fn batched_values_match_per_coalition_values() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let cell = laliga::cell_of_interest(&dirty);
-        // Constraint game, with the analyzer's cost estimates attached so
-        // the dispatch reorders — reordering must not change answers.
-        let game = ConstraintGame::new(&alg, &dcs, &dirty, cell, Value::str("Spain"))
-            .with_dc_costs(trex_constraints::scan_cost_estimates(&dcs, &dirty));
-        let n = Game::num_players(&game);
-        let coalitions: Vec<Coalition> =
-            (0..1u64 << n).map(|m| Coalition::from_mask(n, m)).collect();
-        let reference = ConstraintGame::new(&alg, &dcs, &dirty, cell, Value::str("Spain"));
-        let want: Vec<f64> = coalitions.iter().map(|c| reference.value(c)).collect();
-        assert_eq!(game.value_batch(&coalitions), want);
-        assert_eq!(game.oracle_stats(), reference.oracle_stats());
-        assert_eq!(
-            game.oracle_batch_stats(),
-            BatchStats {
-                batches: 1,
-                queries: 16
-            }
-        );
-        // A second batch is answered from cache: no new dispatches.
-        assert_eq!(game.value_batch(&coalitions), want);
-        assert_eq!(game.oracle_batch_stats().batches, 1);
-
-        // Cell game: same check over a handful of prefix coalitions.
-        let cg = CellGameMasked::new(
-            &alg,
-            &dcs,
-            &dirty,
-            cell,
-            Value::str("Spain"),
-            MaskMode::Null,
-        );
-        let m = Game::num_players(&cg);
-        let prefixes: Vec<Coalition> = (0..=m).map(|k| Coalition::from_players(m, 0..k)).collect();
-        let cg_ref = CellGameMasked::new(
-            &alg,
-            &dcs,
-            &dirty,
-            cell,
-            Value::str("Spain"),
-            MaskMode::Null,
-        );
-        let want: Vec<f64> = prefixes.iter().map(|c| cg_ref.value(c)).collect();
-        assert_eq!(cg.value_batch(&prefixes), want);
-        assert_eq!(cg.oracle_stats(), cg_ref.oracle_stats());
     }
 
     #[test]

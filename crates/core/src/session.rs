@@ -11,7 +11,7 @@ use crate::games::MaskMode;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use trex_constraints::{DenialConstraint, ResolveError, Violation};
-use trex_repair::{OracleBackend, OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
+use trex_repair::{OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
 use trex_shapley::{AnytimeCheckpoint, AnytimeControl, ExecConfig, SamplingConfig};
 use trex_table::{CellRef, Table, Value};
 
@@ -35,7 +35,6 @@ pub struct Session {
     dcs: Vec<DenialConstraint>,
     history: VecDeque<HistoryEntry>,
     cfg: ExecConfig,
-    backend: Option<Box<dyn OracleBackend>>,
     oracle_cache: Arc<OracleCache>,
 }
 
@@ -54,7 +53,6 @@ impl Session {
             dcs,
             history: VecDeque::new(),
             cfg: ExecConfig::default(),
-            backend: None,
             oracle_cache: Arc::new(OracleCache::new()),
         }
     }
@@ -88,22 +86,6 @@ impl Session {
     /// The pinned oracle capacity, if any (`None` = the oracle default).
     pub fn oracle_capacity(&self) -> Option<usize> {
         self.cfg.oracle_cap()
-    }
-
-    /// Route the session's coalition queries through an [`OracleBackend`]
-    /// instead of calling the wrapped algorithm inline — e.g. a
-    /// [`trex_repair::RemoteRepair`] adapter for a per-call-latency repair
-    /// service. Combine with [`ExecConfig::with_oracle_batch`] to bound how
-    /// many cache-missing coalitions each backend call carries. Explanations
-    /// are byte-identical with or without a backend.
-    pub fn with_oracle_backend(mut self, backend: Box<dyn OracleBackend>) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// The installed oracle backend, if any.
-    pub fn oracle_backend(&self) -> Option<&dyn OracleBackend> {
-        self.backend.as_deref()
     }
 
     /// The session's shared coalition-answer cache. Every explanation run
@@ -144,15 +126,13 @@ impl Session {
     /// oracle instead (results are identical either way — only memo
     /// reuse differs).
     fn explainer_for(&self, exec: &ExecConfig) -> Explainer<'_> {
-        let mut ex = Explainer::new(self.alg.as_ref()).with_config(*exec);
-        if let Some(backend) = self.backend.as_deref() {
-            ex = ex.with_oracle_backend(backend);
-        }
+        let ex = Explainer::new(self.alg.as_ref()).with_config(*exec);
         let requested = exec.oracle_cap().unwrap_or(ShardedOracle::DEFAULT_CAPACITY);
         if requested == self.oracle_cache.capacity() {
-            ex = ex.with_oracle_cache(Arc::clone(&self.oracle_cache));
+            ex.with_oracle_cache(Arc::clone(&self.oracle_cache))
+        } else {
+            ex
         }
-        ex
     }
 
     /// The current (possibly user-edited) dirty table.
@@ -255,28 +235,6 @@ impl Session {
     ) -> Result<(ConstraintExplanation, trex_repair::OracleStats), ExplainError> {
         self.explainer()
             .explain_constraints_with_stats(&self.dcs, &self.table, cell)
-    }
-
-    /// [`Session::explain_constraints_with_stats`], additionally returning
-    /// the oracle's batch-dispatch counters: how many bounded dispatch
-    /// groups [`trex_repair::ShardedOracle::query_keyed_batch`] formed and
-    /// how many cache-missing queries they carried — whether those groups
-    /// were answered inline or by an installed
-    /// [`Session::with_oracle_backend`]. [`ExecConfig::with_oracle_batch`]
-    /// caps the group size.
-    pub fn explain_constraints_with_batch_stats(
-        &self,
-        cell: CellRef,
-    ) -> Result<
-        (
-            ConstraintExplanation,
-            trex_repair::OracleStats,
-            trex_repair::BatchStats,
-        ),
-        ExplainError,
-    > {
-        self.explainer()
-            .explain_constraints_with_batch_stats(&self.dcs, &self.table, cell)
     }
 
     /// The "Explain" button, cell half (sampling estimator of §2.3).
@@ -650,44 +608,6 @@ mod tests {
         assert!(stats.evictions > 0, "capacity 4 must evict: {stats:?}");
         assert_eq!(unbounded.evictions, 0, "{unbounded:?}");
         assert!(unbounded.hits > 0, "the rational pass re-reads the memo");
-    }
-
-    #[test]
-    fn session_backend_and_batching_reproduce_the_inline_path() {
-        let remote = session()
-            .with_config(ExecConfig::new().with_oracle_batch(8))
-            .with_oracle_backend(Box::new(trex_repair::MockRemoteRepair::mock(
-                Box::new(laliga::algorithm1()),
-                std::time::Duration::ZERO,
-            )));
-        let reference = session();
-        assert_eq!(
-            remote.oracle_backend().unwrap().name(),
-            "remote(algorithm1)"
-        );
-        assert!(reference.oracle_backend().is_none());
-        let cell = laliga::cell_of_interest(remote.table());
-        let (cons, _, capped) = remote.explain_constraints_with_batch_stats(cell).unwrap();
-        let (want, _, inline) = reference
-            .explain_constraints_with_batch_stats(cell)
-            .unwrap();
-        assert_eq!(cons.exact, want.exact);
-        assert_eq!(capped.queries, inline.queries, "same misses either way");
-        assert!(
-            capped.batches > inline.batches,
-            "a batch cap of 8 splits the 16-coalition dispatch: {capped:?} vs {inline:?}"
-        );
-        let cfg = SamplingConfig {
-            samples: 200,
-            seed: 5,
-        };
-        let cells = remote
-            .explain_cells_masked(cell, MaskMode::Null, cfg)
-            .unwrap();
-        let want = reference
-            .explain_cells_masked(cell, MaskMode::Null, cfg)
-            .unwrap();
-        assert_eq!(cells.values, want.values);
     }
 
     #[test]

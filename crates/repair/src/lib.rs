@@ -5,7 +5,8 @@
 //!
 //! * [`traits`] — the black-box interface: `Alg(C, T^d) → T^c` and the
 //!   binary view `Alg|t[A] ∈ {0,1}` of §2.1, plus the memoizing
-//!   [`CachedOracle`] (ablation A1).
+//!   [`ShardedOracle`] (ablation A1 turns its cache off with
+//!   `--oracle-cap 0`).
 //! * [`simple`] — the paper's **Algorithm 1**, generalized to rule lists
 //!   (`constraint → most-common / conditional-most-probable fix`).
 //! * [`holoclean`] — a from-scratch **HoloClean-style** probabilistic
@@ -24,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod chase;
 pub mod holistic;
 pub mod holoclean;
@@ -32,15 +32,14 @@ pub mod metrics;
 pub mod simple;
 pub mod traits;
 
-pub use backend::{CoalitionQuery, LocalBackend, MockRemoteRepair, OracleBackend, RemoteRepair};
 pub use chase::FdChaseRepair;
 pub use holistic::HolisticRepair;
 pub use holoclean::{HoloCleanConfig, HoloCleanStyle};
 pub use metrics::{cell_accuracy, score_repair, score_tables, RepairQuality};
 pub use simple::{FixAction, Rule, RuleParseError, RuleRepair};
 pub use traits::{
-    hash_dcs, hash_value, repairs_cell_to, BatchStats, CachedOracle, NoOpRepair, OracleCache,
-    OracleKey, OracleStats, PanicGuard, RepairAlgorithm, RepairResult, ShardedOracle,
+    hash_dcs, hash_value, repairs_cell_to, NoOpRepair, OracleCache, OracleKey, OracleStats,
+    PanicGuard, RepairAlgorithm, RepairResult, ShardedOracle,
 };
 
 // Property tests, gated behind the `proptest` feature to keep plain
@@ -149,10 +148,10 @@ mod proptests {
 
         /// The oracle's answer is stable under caching.
         #[test]
-        fn cached_oracle_matches_uncached(t in arb_table()) {
+        fn sharded_oracle_matches_uncached(t in arb_table()) {
             if t.num_rows() == 0 { return Ok(()); }
             let alg = HolisticRepair::new();
-            let oracle = CachedOracle::new(&alg);
+            let oracle = ShardedOracle::new(&alg);
             let cell = t.cells().next().unwrap();
             let target = Value::Int(0);
             let plain = repairs_cell_to(&alg, &dcs(), &t, cell, &target);

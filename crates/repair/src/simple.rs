@@ -52,7 +52,7 @@ use crate::traits::{RepairAlgorithm, RepairResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 use trex_constraints::{find_violations_par_with, DenialConstraint};
-use trex_table::{CellChange, CellRef, CodeClass, Dictionary, EncodedTable, Table, Value};
+use trex_table::{CellChange, CellRef, CodeClass, Dictionary, EncodedTable, Schema, Table, Value};
 
 #[cfg(test)]
 mod reference;
@@ -115,6 +115,31 @@ impl Rule {
     }
 }
 
+/// The [`RuleRepair::parse_rules`] syntax of one rule, e.g.
+/// `C2: Country <- most_common_given(City)`.
+impl std::fmt::Display for Rule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.action {
+            FixAction::MostCommon { attr } => {
+                write!(f, "{}: {attr} <- most_common", self.constraint)
+            }
+            FixAction::MostCommonGiven { attr, given } => write!(
+                f,
+                "{}: {attr} <- most_common_given({given})",
+                self.constraint
+            ),
+            FixAction::SetConstant { attr, value } => {
+                let rendered = match value {
+                    Value::Int(n) => n.to_string(),
+                    Value::Float(x) => x.to_string(),
+                    other => format!("\"{other}\""),
+                };
+                write!(f, "{}: {attr} <- const({rendered})", self.constraint)
+            }
+        }
+    }
+}
+
 /// The generalized Algorithm 1.
 #[derive(Debug, Clone)]
 pub struct RuleRepair {
@@ -166,31 +191,37 @@ impl RuleRepair {
     /// rules. This is how `trex datagen` exports a scenario's Algorithm 1
     /// for the `--engine rules` pipeline.
     pub fn rules_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+        self.rules.iter().map(|rule| format!("{rule}\n")).collect()
+    }
+
+    /// Check every rule against the program it will repair with: its
+    /// constraint must be one of `dcs`, and its target column and `given`
+    /// column must exist in `schema`. The error names the first offending
+    /// rule and the unknown name.
+    ///
+    /// [`RepairAlgorithm::repair`] deliberately does not check: the
+    /// coalition games pass it subsets of the program, and a rule whose
+    /// constraint is absent from a subset correctly does nothing. Check
+    /// once, where the rule list and the program are loaded together.
+    pub fn check_against(&self, schema: &Schema, dcs: &[DenialConstraint]) -> Result<(), String> {
         for rule in &self.rules {
-            let _ = match &rule.action {
-                FixAction::MostCommon { attr } => {
-                    writeln!(out, "{}: {attr} <- most_common", rule.constraint)
-                }
-                FixAction::MostCommonGiven { attr, given } => {
-                    writeln!(
-                        out,
-                        "{}: {attr} <- most_common_given({given})",
-                        rule.constraint
-                    )
-                }
-                FixAction::SetConstant { attr, value } => {
-                    let rendered = match value {
-                        Value::Int(n) => n.to_string(),
-                        Value::Float(x) => x.to_string(),
-                        other => format!("\"{other}\""),
-                    };
-                    writeln!(out, "{}: {attr} <- const({rendered})", rule.constraint)
-                }
+            if !dcs.iter().any(|dc| dc.name == rule.constraint) {
+                return Err(format!(
+                    "rule `{rule}`: unknown constraint {:?}",
+                    rule.constraint
+                ));
+            }
+            let given = match &rule.action {
+                FixAction::MostCommonGiven { given, .. } => Some(given.as_str()),
+                _ => None,
             };
+            for column in std::iter::once(rule.action.target_attr()).chain(given) {
+                if schema.resolve(column).is_none() {
+                    return Err(format!("rule `{rule}`: unknown column {column:?}"));
+                }
+            }
         }
-        out
+        Ok(())
     }
 
     /// Apply one rule to the violations of one constraint on the working

@@ -9,21 +9,17 @@
 //!   target value? ([`repairs_cell_to`], §2.1's binary view).
 //!
 //! Shapley computation evaluates the binary view on thousands of coalition
-//! variants of `(C, T^d)`; [`CachedOracle`] memoizes those queries keyed by
+//! variants of `(C, T^d)`; [`ShardedOracle`] memoizes those queries keyed by
 //! `(constraints, table, cell, target)` fingerprints so that coalitions
 //! revisited by different permutation samples are computed once (ablation
-//! A1 of DESIGN.md measures the effect). [`ShardedOracle`] is the
-//! thread-safe variant behind the parallel sampling engine: the same
-//! memoization split over mutex-guarded shards so concurrent permutation
-//! workers share hits without serializing on one lock, with single-flight
-//! dedup of concurrent cold keys (one computation, all waiters share the
-//! answer) and a batching layer ([`ShardedOracle::query_keyed_batch`]) that
-//! forms bounded, cost-ordered batches for an optional
-//! [`crate::backend::OracleBackend`].
+//! A1 of DESIGN.md measures the effect). The memo is split over
+//! mutex-guarded shards so concurrent permutation workers share hits
+//! without serializing on one lock, is hard-bounded by second-chance
+//! eviction, and dedups concurrent cold keys by single-flight (one
+//! computation, all waiters share the answer). Every coalition query of
+//! the games goes through [`ShardedOracle::query_keyed`].
 
-use crate::backend::{CoalitionQuery, OracleBackend};
-use std::cell::RefCell;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,8 +85,8 @@ pub trait RepairAlgorithm: Send + Sync {
     /// knobs. Engines that parallelize their violation scans
     /// ([`crate::RuleRepair`], [`crate::HoloCleanStyle`],
     /// [`crate::HolisticRepair`]) override it to take the thread count;
-    /// every engine ignores the config's oracle capacity, oracle batch, and
-    /// seed, which configure the explanation layers instead. Builder-style
+    /// every engine ignores the config's oracle capacity and seed, which
+    /// configure the explanation layers instead. Builder-style
     /// (consumes and returns `self`), so it is only callable on concrete
     /// engines, not `dyn RepairAlgorithm`.
     fn with_exec(self, _cfg: &trex_shapley::ExecConfig) -> Self
@@ -103,7 +99,7 @@ pub trait RepairAlgorithm: Send + Sync {
 
 /// Boxed algorithms are algorithms: forwards `name`/`repair` to the boxed
 /// engine so `Box<dyn RepairAlgorithm>` satisfies generic `RepairAlgorithm`
-/// bounds (e.g. [`crate::MockRemoteRepair`] wraps a boxed engine).
+/// bounds (e.g. [`PanicGuard`] around a boxed engine).
 /// `with_exec` keeps its identity default — configure the engine *before*
 /// boxing it.
 impl<A: RepairAlgorithm + ?Sized> RepairAlgorithm for Box<A> {
@@ -155,16 +151,15 @@ pub fn hash_value(v: &Value) -> u64 {
     h.finish()
 }
 
-/// Cache statistics of a [`CachedOracle`] / [`ShardedOracle`].
+/// Cache statistics of a [`ShardedOracle`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Queries answered from the cache.
     pub hits: usize,
     /// Queries that ran the underlying repair.
     pub misses: usize,
-    /// Entries evicted to stay under the capacity bound (always 0 for
-    /// [`CachedOracle`], which stops inserting instead of evicting, and for
-    /// a [`ShardedOracle`] that never exceeded its capacity).
+    /// Entries evicted to stay under the capacity bound (always 0 for an
+    /// oracle that never exceeded its capacity).
     pub evictions: usize,
 }
 
@@ -181,79 +176,6 @@ impl OracleStats {
         } else {
             self.hits as f64 / self.total() as f64
         }
-    }
-}
-
-/// A memoizing wrapper around the binary repair oracle.
-///
-/// Keys are `(dcs, table, cell, target)` fingerprints. The cache is bounded:
-/// once `capacity` entries are stored, further distinct queries are computed
-/// but not inserted (coalition spaces are enormous; an unbounded cache could
-/// eat the heap during long sampling runs).
-pub struct CachedOracle<'a> {
-    alg: &'a dyn RepairAlgorithm,
-    capacity: usize,
-    cache: RefCell<HashMap<(u64, u64, CellRef, u64), bool>>,
-    stats: RefCell<OracleStats>,
-}
-
-impl<'a> CachedOracle<'a> {
-    /// Default cache capacity (entries).
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// Wrap `alg` with the default capacity.
-    pub fn new(alg: &'a dyn RepairAlgorithm) -> Self {
-        Self::with_capacity(alg, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Wrap `alg` with an explicit cache capacity.
-    pub fn with_capacity(alg: &'a dyn RepairAlgorithm, capacity: usize) -> Self {
-        CachedOracle {
-            alg,
-            capacity,
-            cache: RefCell::new(HashMap::new()),
-            stats: RefCell::new(OracleStats::default()),
-        }
-    }
-
-    /// The underlying algorithm.
-    pub fn algorithm(&self) -> &dyn RepairAlgorithm {
-        self.alg
-    }
-
-    /// Memoized `Alg|cell(dcs, table) == target` query.
-    pub fn repairs_cell_to(
-        &self,
-        dcs: &[DenialConstraint],
-        table: &Table,
-        cell: CellRef,
-        target: &Value,
-    ) -> bool {
-        let key = (hash_dcs(dcs), table.fingerprint(), cell, hash_value(target));
-        if let Some(hit) = self.cache.borrow().get(&key) {
-            self.stats.borrow_mut().hits += 1;
-            return *hit;
-        }
-        let answer = repairs_cell_to(self.alg, dcs, table, cell, target);
-        self.stats.borrow_mut().misses += 1;
-        let mut cache = self.cache.borrow_mut();
-        if cache.len() < self.capacity {
-            if let Entry::Vacant(e) = cache.entry(key) {
-                e.insert(answer);
-            }
-        }
-        answer
-    }
-
-    /// Cache statistics so far.
-    pub fn stats(&self) -> OracleStats {
-        *self.stats.borrow()
-    }
-
-    /// Drop all cached entries and reset statistics.
-    pub fn clear(&self) {
-        self.cache.borrow_mut().clear();
-        *self.stats.borrow_mut() = OracleStats::default();
     }
 }
 
@@ -331,8 +253,8 @@ impl Flight {
 }
 
 /// The shareable state of a [`ShardedOracle`]: the sharded memo maps, the
-/// single-flight registries, and the hit/miss/eviction/dispatch counters —
-/// everything except the algorithm and backend borrows.
+/// single-flight registries, and the hit/miss/eviction counters —
+/// everything except the algorithm borrow.
 ///
 /// A `ShardedOracle` built through [`ShardedOracle::new`] (or the other
 /// capacity constructors) owns a private cache, exactly as before. Long-lived
@@ -357,8 +279,6 @@ pub struct OracleCache {
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
-    batches: AtomicUsize,
-    batched_queries: AtomicUsize,
 }
 
 impl OracleCache {
@@ -408,8 +328,6 @@ impl OracleCache {
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
-            batches: AtomicUsize::new(0),
-            batched_queries: AtomicUsize::new(0),
         }
     }
 
@@ -448,14 +366,6 @@ impl OracleCache {
         }
     }
 
-    /// Batched-dispatch telemetry so far (see [`BatchStats`]).
-    pub fn batch_stats(&self) -> BatchStats {
-        BatchStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            queries: self.batched_queries.load(Ordering::Relaxed),
-        }
-    }
-
     /// Drop all cached entries and reset statistics. In-flight computations
     /// (single-flight registrations) are untouched — they resolve normally.
     ///
@@ -475,8 +385,6 @@ impl OracleCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.batched_queries.store(0, Ordering::Relaxed);
     }
 }
 
@@ -522,8 +430,9 @@ impl OracleShard {
     }
 }
 
-/// Thread-safe memoizing oracle: the [`CachedOracle`] contract behind a
-/// sharded lock so the parallel sampling workers can query it concurrently.
+/// Thread-safe memoizing oracle: the one path from a coalition game to the
+/// black box, behind a sharded lock so the parallel sampling workers can
+/// query it concurrently.
 ///
 /// The key space is split across a configurable number of mutex-guarded
 /// shards ([`ShardedOracle::DEFAULT_SHARDS`] by default) selected by the
@@ -551,90 +460,80 @@ impl OracleShard {
 /// answer — and a capacity at least the live-key count of the workload
 /// evicts nothing at all.
 ///
-/// **Single-flight & batching.** Concurrent queries of the same cold key
-/// dedup via single-flight: the first arrival computes, everyone else
-/// blocks on its flight and shares the answer — one repair run per key no
-/// matter how many workers race. [`ShardedOracle::query_keyed_batch`]
-/// additionally forms bounded batches of cold keys (size capped by
-/// [`ShardedOracle::with_batch`]), orders them most-expensive-scan-first
-/// when the caller supplies static cost estimates, and dispatches them to
-/// an optional [`OracleBackend`] ([`ShardedOracle::with_backend`]) so
-/// per-call-latency backends amortize their round trip across the batch.
+/// **Single-flight.** Concurrent queries of the same cold key dedup via
+/// single-flight: the first arrival computes, everyone else blocks on its
+/// flight and shares the answer — one repair run per key no matter how
+/// many workers race.
 pub struct ShardedOracle<'a> {
     alg: &'a dyn RepairAlgorithm,
-    /// Batch transport; `None` answers batches with `alg` locally.
-    backend: Option<&'a dyn OracleBackend>,
-    /// Max queries per backend dispatch in `query_keyed_batch`.
-    batch: usize,
     /// The memo maps and counters — private to this oracle through the
     /// capacity constructors, or shared across oracles through
     /// [`ShardedOracle::with_shared_cache`].
     cache: Arc<OracleCache>,
 }
 
-/// Batched-dispatch statistics of a [`ShardedOracle`]: how many backend
-/// dispatches the batcher issued and how many (deduplicated) queries they
-/// carried. Kept separate from [`OracleStats`], whose hit/miss/eviction
-/// totals are a pinned scheduling-independent contract — dispatch counts
-/// legitimately depend on batch size and arrival order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Dispatches issued by [`ShardedOracle::query_keyed_batch`] (one
-    /// `answer_batch` round trip each when a backend is attached).
-    pub batches: usize,
-    /// Total queries those dispatches carried. Only genuine misses reach a
-    /// dispatch — cache hits and single-flight joins never do.
-    pub queries: usize,
-}
-
-/// One registered single-flight lead of a batched call: the query's
-/// position in the caller's key slice plus the flight to resolve.
-struct Lead {
-    slot: usize,
+/// Unwind guard over one registered single-flight lead: if the guard drops
+/// before [`FlightLease::resolve`] (the compute panicked), the key is
+/// deregistered and its flight poisoned, so waiters on other threads wake
+/// and retake the key instead of deadlocking behind a dead leader.
+struct FlightLease<'o, 'a> {
+    oracle: &'o ShardedOracle<'a>,
     key: OracleKey,
     shard: usize,
     flight: Arc<Flight>,
     resolved: bool,
 }
 
-/// Unwind guard over a call's registered leads: any lead still unresolved
-/// when the guard drops (the compute or backend panicked) is deregistered
-/// and poisoned, so waiters on other threads wake and retake the key
-/// instead of deadlocking behind a dead leader.
-struct FlightLease<'o, 'a> {
-    oracle: &'o ShardedOracle<'a>,
-    leads: Vec<Lead>,
-}
-
 impl FlightLease<'_, '_> {
-    /// Install lead `j`'s answer in the cache and wake its waiters.
-    fn resolve(&mut self, j: usize, answer: bool) {
-        let lead = &mut self.leads[j];
-        lead.resolved = true;
-        self.oracle
-            .install_and_resolve(lead.shard, lead.key, &lead.flight, answer);
+    /// Install the leader's freshly computed answer (the installer's miss),
+    /// deregister its flight, and wake the waiters. This is the cache's
+    /// single insertion point — the quota/eviction logic lives only here.
+    fn resolve(mut self, answer: bool) {
+        self.resolved = true;
+        let cache = &self.oracle.cache;
+        {
+            let mut shard = cache.shards[self.shard]
+                .lock()
+                .expect("oracle shard poisoned");
+            shard.inflight.remove(&self.key);
+            let quota = cache.shard_caps[self.shard];
+            if quota > 0 {
+                if shard.map.len() >= quota {
+                    shard.evict_one();
+                    cache.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                shard.map.insert(
+                    self.key,
+                    CacheSlot {
+                        answer,
+                        referenced: false,
+                    },
+                );
+                shard.clock.push_back(self.key);
+            }
+        }
+        cache.misses.fetch_add(1, Ordering::Relaxed);
+        self.flight.resolve(answer);
     }
 }
 
 impl Drop for FlightLease<'_, '_> {
     fn drop(&mut self) {
-        for lead in &self.leads {
-            if lead.resolved {
-                continue;
-            }
-            // `if let Ok`: a poisoned shard mutex while already unwinding
-            // must not escalate into a double-panic abort.
-            if let Ok(mut shard) = self.oracle.cache.shards[lead.shard].lock() {
-                shard.inflight.remove(&lead.key);
-            }
-            lead.flight.poison();
+        if self.resolved {
+            return;
         }
+        // `if let Ok`: a poisoned shard mutex while already unwinding
+        // must not escalate into a double-panic abort.
+        if let Ok(mut shard) = self.oracle.cache.shards[self.shard].lock() {
+            shard.inflight.remove(&self.key);
+        }
+        self.flight.poison();
     }
 }
 
 impl<'a> ShardedOracle<'a> {
-    /// Default total cache capacity (entries), matching [`CachedOracle`].
-    pub const DEFAULT_CAPACITY: usize = CachedOracle::DEFAULT_CAPACITY;
+    /// Default total cache capacity (entries).
+    pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
     /// Default number of independent shards.
     pub const DEFAULT_SHARDS: usize = 16;
@@ -681,49 +580,13 @@ impl<'a> ShardedOracle<'a> {
     /// the statistics contract are identical to a private cache — the
     /// counters simply aggregate across every oracle sharing the handle.
     pub fn with_shared_cache(alg: &'a dyn RepairAlgorithm, cache: Arc<OracleCache>) -> Self {
-        ShardedOracle {
-            alg,
-            backend: None,
-            batch: usize::MAX,
-            cache,
-        }
+        ShardedOracle { alg, cache }
     }
 
     /// The cache handle this oracle queries; clone it to share the cache
     /// with another oracle (see [`ShardedOracle::with_shared_cache`]).
     pub fn cache(&self) -> &Arc<OracleCache> {
         &self.cache
-    }
-
-    /// Route batched dispatches ([`ShardedOracle::query_keyed_batch`])
-    /// through `backend` instead of the local algorithm.
-    ///
-    /// The backend must honor the [`OracleBackend`] transport contract —
-    /// answer exactly what the local algorithm would — so attaching one
-    /// never changes an answer, only where (and how many at a time) the
-    /// misses are computed. Per-query paths
-    /// ([`ShardedOracle::repairs_cell_to`], [`ShardedOracle::query_keyed`])
-    /// stay on their caller-supplied compute.
-    pub fn with_backend(mut self, backend: &'a dyn OracleBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Bound the number of queries per batched dispatch (default:
-    /// unbounded — one dispatch carries every miss of a
-    /// [`ShardedOracle::query_keyed_batch`] call).
-    ///
-    /// # Panics
-    /// If `batch` is 0 (a dispatch must be able to carry a query).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        assert!(batch >= 1, "batch size must be at least 1");
-        self.batch = batch;
-        self
-    }
-
-    /// The attached backend's name, if one is attached.
-    pub fn backend_name(&self) -> Option<&str> {
-        self.backend.map(|b| b.name())
     }
 
     /// The underlying algorithm.
@@ -836,192 +699,19 @@ impl<'a> ShardedOracle<'a> {
                     // retake the key.
                 }
                 Turn::Lead(flight) => {
-                    let mut lease = FlightLease {
+                    let lease = FlightLease {
                         oracle: self,
-                        leads: vec![Lead {
-                            slot: 0,
-                            key,
-                            shard: shard_idx,
-                            flight,
-                            resolved: false,
-                        }],
+                        key,
+                        shard: shard_idx,
+                        flight,
+                        resolved: false,
                     };
                     let answer = (compute.take().expect("the lead path runs at most once"))();
-                    lease.resolve(0, answer);
+                    lease.resolve(answer);
                     return answer;
                 }
             }
         }
-    }
-
-    /// Answer a whole batch of caller-keyed queries, index-aligned with
-    /// `keys` — the batching/coalescing layer in front of an
-    /// [`OracleBackend`].
-    ///
-    /// Per key this resolves exactly like [`ShardedOracle::query_keyed`]
-    /// (cache hit, single-flight join, or lead), but all of the call's
-    /// *leads* — the genuine misses, including the first occurrence of any
-    /// intra-batch duplicate — are dispatched together in bounded chunks
-    /// ([`ShardedOracle::with_batch`]) instead of one at a time:
-    /// to the attached backend's `answer_batch` when one is attached
-    /// ([`ShardedOracle::with_backend`]), else to the local algorithm.
-    /// `materialize(i)` builds the full [`CoalitionQuery`] for `keys[i]`
-    /// and is called only for queries that actually need computing.
-    ///
-    /// `costs` (optional, index-aligned with `keys`) are static
-    /// scan-cost estimates — the analyzer's `DcPlan` pair counts summed
-    /// over the coalition — and order dispatch most-expensive-first
-    /// (stable on ties) so the slowest scans start earliest; they never
-    /// affect *what* is computed, only the order, and answers always come
-    /// back in key order.
-    ///
-    /// Answers and [`ShardedOracle::stats`] are byte-identical to issuing
-    /// the same keys through `query_keyed` one at a time, at any batch
-    /// size and thread count: one miss per installed key, a hit for every
-    /// other query of it. Dispatch telemetry is reported separately via
-    /// [`ShardedOracle::batch_stats`].
-    ///
-    /// # Panics
-    /// If `costs` is present but not index-aligned with `keys`, or if the
-    /// backend answers a different number of queries than it was sent.
-    pub fn query_keyed_batch<'q>(
-        &self,
-        keys: &[OracleKey],
-        costs: Option<&[u64]>,
-        materialize: impl Fn(usize) -> CoalitionQuery<'q>,
-    ) -> Vec<bool> {
-        if let Some(costs) = costs {
-            assert_eq!(costs.len(), keys.len(), "need one cost per key");
-        }
-        let mut answers = vec![false; keys.len()];
-        // Single-flight joins: queries some other call (or an earlier
-        // duplicate in this one) is already computing.
-        let mut joins: Vec<(usize, Arc<Flight>)> = Vec::new();
-        let mut lease = FlightLease {
-            oracle: self,
-            leads: Vec::new(),
-        };
-        for (slot, key) in keys.iter().enumerate() {
-            let shard_idx = self.shard_of(key);
-            let mut shard = self.cache.shards[shard_idx]
-                .lock()
-                .expect("oracle shard poisoned");
-            if let Some(cached) = shard.map.get_mut(key) {
-                cached.referenced = true;
-                let answer = cached.answer;
-                drop(shard);
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                answers[slot] = answer;
-            } else if let Some(flight) = shard.inflight.get(key) {
-                joins.push((slot, Arc::clone(flight)));
-            } else {
-                let flight = Flight::new();
-                shard.inflight.insert(*key, Arc::clone(&flight));
-                lease.leads.push(Lead {
-                    slot,
-                    key: *key,
-                    shard: shard_idx,
-                    flight,
-                    resolved: false,
-                });
-            }
-        }
-        // Dispatch order: most expensive scans first when the caller gave
-        // cost estimates, arrival order otherwise (stable on ties, so the
-        // order — and with it every downstream number — is deterministic).
-        let mut order: Vec<usize> = (0..lease.leads.len()).collect();
-        if let Some(costs) = costs {
-            order.sort_by(|&a, &b| {
-                costs[lease.leads[b].slot]
-                    .cmp(&costs[lease.leads[a].slot])
-                    .then(lease.leads[a].slot.cmp(&lease.leads[b].slot))
-            });
-        }
-        for group in order.chunks(self.batch) {
-            let queries: Vec<CoalitionQuery<'q>> = group
-                .iter()
-                .map(|&j| materialize(lease.leads[j].slot))
-                .collect();
-            let got: Vec<bool> = match self.backend {
-                Some(backend) => backend.answer_batch(&queries),
-                None => queries
-                    .iter()
-                    .map(|q| repairs_cell_to(self.alg, &q.dcs, &q.table, q.cell, &q.target))
-                    .collect(),
-            };
-            assert_eq!(
-                got.len(),
-                queries.len(),
-                "backend must answer every query in the batch"
-            );
-            self.cache.batches.fetch_add(1, Ordering::Relaxed);
-            self.cache
-                .batched_queries
-                .fetch_add(queries.len(), Ordering::Relaxed);
-            for (&j, answer) in group.iter().zip(got) {
-                answers[lease.leads[j].slot] = answer;
-                lease.resolve(j, answer);
-            }
-        }
-        // Every lead of this call resolved above, so joins can only block
-        // on *other* calls' leaders — never on ourselves.
-        for (slot, flight) in joins {
-            answers[slot] = match flight.wait() {
-                Some(answer) => {
-                    self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                    answer
-                }
-                // The foreign leader unwound: retake this key per-query.
-                None => self.query_keyed(keys[slot], || self.compute_one(&materialize(slot))),
-            };
-        }
-        answers
-    }
-
-    /// Answer one materialized query outside the batch loop (the fallback
-    /// when a foreign leader failed): through the backend as a batch of
-    /// one when attached, else the local algorithm.
-    fn compute_one(&self, q: &CoalitionQuery<'_>) -> bool {
-        match self.backend {
-            Some(backend) => {
-                let got = backend.answer_batch(std::slice::from_ref(q));
-                assert_eq!(got.len(), 1, "backend must answer every query in the batch");
-                self.cache.batches.fetch_add(1, Ordering::Relaxed);
-                self.cache.batched_queries.fetch_add(1, Ordering::Relaxed);
-                got[0]
-            }
-            None => repairs_cell_to(self.alg, &q.dcs, &q.table, q.cell, &q.target),
-        }
-    }
-
-    /// Install a freshly computed answer (the installer's miss), deregister
-    /// its flight, and wake the waiters. This is the cache's single
-    /// insertion point, shared by the per-query and batched paths — the
-    /// quota/eviction logic lives only here.
-    fn install_and_resolve(&self, shard_idx: usize, key: OracleKey, flight: &Flight, answer: bool) {
-        {
-            let mut shard = self.cache.shards[shard_idx]
-                .lock()
-                .expect("oracle shard poisoned");
-            shard.inflight.remove(&key);
-            let quota = self.cache.shard_caps[shard_idx];
-            if quota > 0 {
-                if shard.map.len() >= quota {
-                    shard.evict_one();
-                    self.cache.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                shard.map.insert(
-                    key,
-                    CacheSlot {
-                        answer,
-                        referenced: false,
-                    },
-                );
-                shard.clock.push_back(key);
-            }
-        }
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        flight.resolve(answer);
     }
 
     /// Aggregated cache statistics so far.
@@ -1040,11 +730,6 @@ impl<'a> ShardedOracle<'a> {
     /// pressure of every oracle sharing the handle.
     pub fn stats(&self) -> OracleStats {
         self.cache.stats()
-    }
-
-    /// Batched-dispatch telemetry so far (see [`BatchStats`]).
-    pub fn batch_stats(&self) -> BatchStats {
-        self.cache.batch_stats()
     }
 
     /// Drop all cached entries and reset statistics. In-flight computations
@@ -1208,32 +893,12 @@ mod tests {
     }
 
     #[test]
-    fn cached_oracle_deduplicates() {
-        let alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let oracle = CachedOracle::new(&alg);
-        let t = table();
-        let cell = CellRef::new(0, AttrId(0));
-        let dcs = [dc()];
-        for _ in 0..5 {
-            assert!(oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED")));
-        }
-        assert_eq!(alg.calls(), 1);
-        let stats = oracle.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 4);
-        assert!((stats.hit_rate() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn cache_keys_distinguish_inputs() {
         let alg = CountingRepair {
             need: 1,
             calls: AtomicUsize::new(0),
         };
-        let oracle = CachedOracle::new(&alg);
+        let oracle = ShardedOracle::new(&alg);
         let t = table();
         let mut t2 = t.clone();
         t2.set(CellRef::new(0, AttrId(0)), Value::str("other"));
@@ -1242,42 +907,13 @@ mod tests {
         let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
         let _ = oracle.repairs_cell_to(&dcs, &t2, cell, &Value::str("FIXED"));
         let _ = oracle.repairs_cell_to(&[], &t, cell, &Value::str("FIXED"));
-        // Three distinct inputs → three misses, three underlying runs.
-        assert_eq!(alg.calls(), 3);
-        assert_eq!(oracle.stats().misses, 3);
-    }
-
-    #[test]
-    fn capacity_zero_disables_caching() {
-        let alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let oracle = CachedOracle::with_capacity(&alg, 0);
-        let t = table();
-        let cell = CellRef::new(0, AttrId(0));
-        let dcs = [dc()];
-        for _ in 0..3 {
-            let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
-        }
-        assert_eq!(alg.calls(), 3);
+        let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("OTHER"));
+        // A changed table, DC set, or target each changes the key: four
+        // distinct inputs → four misses, four underlying runs.
+        assert_eq!(alg.calls(), 4);
+        assert_eq!(oracle.stats().misses, 4);
         assert_eq!(oracle.stats().hits, 0);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let oracle = CachedOracle::new(&alg);
-        let t = table();
-        let cell = CellRef::new(0, AttrId(0));
-        let _ = oracle.repairs_cell_to(&[dc()], &t, cell, &Value::str("FIXED"));
-        oracle.clear();
-        assert_eq!(oracle.stats(), OracleStats::default());
-        let _ = oracle.repairs_cell_to(&[dc()], &t, cell, &Value::str("FIXED"));
-        assert_eq!(alg.calls(), 2);
+        assert_eq!(oracle.len(), 4);
     }
 
     #[test]
@@ -1322,14 +958,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_oracle_agrees_with_cached_oracle() {
-        // Same queries, same answers, same hit/miss totals: the sharded
-        // oracle is a drop-in for the serial one.
+    fn sharded_oracle_agrees_with_uncached_queries() {
+        // Same answers as the uncached binary view, one miss per distinct
+        // query and a hit for the repeat.
         let alg = CountingRepair {
             need: 2,
             calls: AtomicUsize::new(0),
         };
-        let serial = CachedOracle::new(&alg);
         let sharded = ShardedOracle::new(&alg);
         let t = table();
         let mut t2 = t.clone();
@@ -1343,11 +978,18 @@ mod tests {
             (vec![dc()], &t),
         ];
         for (dcs, table) in &queries {
-            let a = serial.repairs_cell_to(dcs, table, cell, &Value::str("FIXED"));
-            let b = sharded.repairs_cell_to(dcs, table, cell, &Value::str("FIXED"));
-            assert_eq!(a, b);
+            let want = repairs_cell_to(&alg, dcs, table, cell, &Value::str("FIXED"));
+            let got = sharded.repairs_cell_to(dcs, table, cell, &Value::str("FIXED"));
+            assert_eq!(got, want);
         }
-        assert_eq!(serial.stats(), sharded.stats());
+        assert_eq!(
+            sharded.stats(),
+            OracleStats {
+                hits: 1,
+                misses: 4,
+                evictions: 0
+            }
+        );
     }
 
     #[test]
@@ -1423,19 +1065,14 @@ mod tests {
 
     #[test]
     fn single_shard_oracle_aggregates_stats_correctly() {
-        // shards = 1 degenerates to one lock but must keep the exact
-        // CachedOracle stats contract.
+        // shards = 1 degenerates to one lock but keeps the per-key stats
+        // contract: one miss per distinct query, a hit for every repeat.
         let alg = CountingRepair {
             need: 1,
             calls: AtomicUsize::new(0),
         };
         let oracle = ShardedOracle::with_config(&alg, ShardedOracle::DEFAULT_CAPACITY, 1);
         assert_eq!(oracle.num_shards(), 1);
-        let serial_alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let serial = CachedOracle::new(&serial_alg);
         let t = table();
         let mut t2 = t.clone();
         t2.set(CellRef::new(0, AttrId(0)), Value::str("other"));
@@ -1448,13 +1085,13 @@ mod tests {
             (&t, "OTHER"),
             (&t2, "FIXED"),
         ] {
-            let a = oracle.repairs_cell_to(&dcs, tbl, cell, &Value::str(target));
-            let b = serial.repairs_cell_to(&dcs, tbl, cell, &Value::str(target));
-            assert_eq!(a, b);
+            let want = repairs_cell_to(&alg, &dcs, tbl, cell, &Value::str(target));
+            let got = oracle.repairs_cell_to(&dcs, tbl, cell, &Value::str(target));
+            assert_eq!(got, want);
         }
-        assert_eq!(oracle.stats(), serial.stats());
         assert_eq!(oracle.stats().misses, 3);
         assert_eq!(oracle.stats().hits, 2);
+        assert_eq!(oracle.stats().evictions, 0);
     }
 
     #[test]
@@ -1784,167 +1421,5 @@ mod tests {
             1,
             "only the successful install counts"
         );
-    }
-
-    fn keyed_query<'q>(
-        dcs: &'q [DenialConstraint],
-        t: &'q Table,
-        cell: CellRef,
-        target: &'q Value,
-    ) -> (OracleKey, crate::backend::CoalitionQuery<'q>) {
-        use std::borrow::Cow;
-        let key = (hash_dcs(dcs), t.fingerprint(), cell, hash_value(target));
-        let query = crate::backend::CoalitionQuery {
-            dcs: Cow::Borrowed(dcs),
-            table: Cow::Borrowed(t),
-            cell,
-            target: Cow::Borrowed(target),
-        };
-        (key, query)
-    }
-
-    #[test]
-    fn batched_queries_match_per_query_answers_and_stats() {
-        let cell = CellRef::new(0, AttrId(0));
-        let dcs = [dc()];
-        let target = Value::str("FIXED");
-        let tables: Vec<Table> = (0..5)
-            .map(|i| {
-                let mut t = table();
-                t.set(cell, Value::str(format!("v{i}")));
-                t
-            })
-            .collect();
-        // Workload with an intra-batch duplicate: tables[0] twice.
-        let picks = [0usize, 1, 0, 2, 3, 4];
-        let run_batched = |batch: usize| {
-            let alg = CountingRepair {
-                need: 1,
-                calls: AtomicUsize::new(0),
-            };
-            let oracle = ShardedOracle::new(&alg).with_batch(batch);
-            let keyed: Vec<(OracleKey, crate::backend::CoalitionQuery<'_>)> = picks
-                .iter()
-                .map(|&i| keyed_query(&dcs, &tables[i], cell, &target))
-                .collect();
-            let keys: Vec<OracleKey> = keyed.iter().map(|(k, _)| *k).collect();
-            let answers = oracle.query_keyed_batch(&keys, None, |i| {
-                let q = &keyed[i].1;
-                crate::backend::CoalitionQuery {
-                    dcs: q.dcs.clone(),
-                    table: q.table.clone(),
-                    cell: q.cell,
-                    target: q.target.clone(),
-                }
-            });
-            (answers, oracle.stats(), oracle.batch_stats(), alg.calls())
-        };
-        // Per-query reference.
-        let alg = CountingRepair {
-            need: 1,
-            calls: AtomicUsize::new(0),
-        };
-        let reference = ShardedOracle::new(&alg);
-        let expect: Vec<bool> = picks
-            .iter()
-            .map(|&i| reference.repairs_cell_to(&dcs, &tables[i], cell, &target))
-            .collect();
-        for batch in [1usize, 2, 3, usize::MAX] {
-            let (answers, stats, batch_stats, calls) = run_batched(batch);
-            assert_eq!(answers, expect, "batch size {batch}");
-            assert_eq!(stats, reference.stats(), "batch size {batch}");
-            assert_eq!(calls, 5, "one computation per distinct key");
-            assert_eq!(batch_stats.queries, 5, "only misses reach dispatch");
-            let expected_batches = if batch == usize::MAX {
-                1
-            } else {
-                5usize.div_ceil(batch)
-            };
-            assert_eq!(batch_stats.batches, expected_batches, "batch size {batch}");
-        }
-        // The intra-batch duplicate joined its own flight: one hit.
-        assert_eq!(reference.stats().misses, 5);
-        assert_eq!(reference.stats().hits, 1);
-    }
-
-    /// Backend double recording the order queries arrive in (by the dirty
-    /// value of cell (0,0)), to observe cost-ordered dispatch.
-    struct RecordingBackend {
-        inner: NoOpRepair,
-        seen: Mutex<Vec<String>>,
-    }
-
-    impl crate::backend::OracleBackend for RecordingBackend {
-        fn name(&self) -> &str {
-            "recording"
-        }
-        fn answer_batch(&self, batch: &[crate::backend::CoalitionQuery<'_>]) -> Vec<bool> {
-            let mut seen = self.seen.lock().unwrap();
-            for q in batch {
-                seen.push(q.table.get(CellRef::new(0, AttrId(0))).to_string());
-            }
-            batch
-                .iter()
-                .map(|q| repairs_cell_to(&self.inner, &q.dcs, &q.table, q.cell, &q.target))
-                .collect()
-        }
-    }
-
-    #[test]
-    fn batched_dispatch_orders_by_descending_cost() {
-        let cell = CellRef::new(0, AttrId(0));
-        let dcs = [dc()];
-        let target = Value::str("FIXED");
-        let tables: Vec<Table> = (0..4)
-            .map(|i| {
-                let mut t = table();
-                t.set(cell, Value::str(format!("v{i}")));
-                t
-            })
-            .collect();
-        let backend = RecordingBackend {
-            inner: NoOpRepair,
-            seen: Mutex::new(Vec::new()),
-        };
-        let alg = NoOpRepair;
-        let oracle = ShardedOracle::new(&alg).with_backend(&backend);
-        assert_eq!(oracle.backend_name(), Some("recording"));
-        let keyed: Vec<(OracleKey, crate::backend::CoalitionQuery<'_>)> = tables
-            .iter()
-            .map(|t| keyed_query(&dcs, t, cell, &target))
-            .collect();
-        let keys: Vec<OracleKey> = keyed.iter().map(|(k, _)| *k).collect();
-        // v2 is the most expensive scan, then v0; v1 and v3 tie at 1 and
-        // keep arrival order.
-        let costs = [7u64, 1, 90, 1];
-        let answers = oracle.query_keyed_batch(&keys, Some(&costs), |i| {
-            let q = &keyed[i].1;
-            crate::backend::CoalitionQuery {
-                dcs: q.dcs.clone(),
-                table: q.table.clone(),
-                cell: q.cell,
-                target: q.target.clone(),
-            }
-        });
-        assert_eq!(answers, vec![false; 4], "noop repairs nothing");
-        assert_eq!(
-            *backend.seen.lock().unwrap(),
-            vec!["v2", "v0", "v1", "v3"],
-            "most expensive first, stable on ties"
-        );
-        assert_eq!(oracle.batch_stats().batches, 1);
-        // Answers land back in key order regardless of dispatch order, and
-        // the cache is warm: a second pass is all hits, no new dispatch.
-        let again = oracle.query_keyed_batch(&keys, Some(&costs), |_| unreachable!("all hits"));
-        assert_eq!(again, answers);
-        assert_eq!(oracle.batch_stats().batches, 1);
-        assert_eq!(oracle.stats().hits, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be at least 1")]
-    fn zero_batch_rejected() {
-        let alg = NoOpRepair;
-        let _ = ShardedOracle::new(&alg).with_batch(0);
     }
 }

@@ -15,7 +15,7 @@
 //! | DELETE | `/constraint`  | remove a denial constraint by name               |
 //!
 //! Every endpoint accepts the CLI's execution knobs (`threads`,
-//! `oracle-cap`, `oracle-batch`, `seed`) as query parameters, validated
+//! `oracle-cap`, `seed`) as query parameters, validated
 //! through the same `trex_shapley::exec_config_from_knobs` path as the CLI
 //! flags. `threads` never changes an answer, only how fast it arrives. A
 //! cell explanation's `samples` is capped at [`MAX_SAMPLES`]; a larger

@@ -125,7 +125,7 @@ fn dispatch(state: &ServerState, req: &Request, stream: &mut Conn) -> Result<(),
 // --- parameter plumbing -------------------------------------------------
 
 /// Names [`request_exec`] consumes, shared by every endpoint allowlist.
-const EXEC_PARAMS: [&str; 4] = ["threads", "oracle-cap", "oracle-batch", "seed"];
+const EXEC_PARAMS: [&str; 3] = ["threads", "oracle-cap", "seed"];
 
 /// Reject query parameters no handler reads — a typoed `?shedule=` must
 /// error, not silently fall back to defaults (mirrors the CLI's
@@ -140,17 +140,9 @@ fn check_params(req: &Request, extra: &[&str]) -> Result<(), BadRequest> {
 }
 
 /// Parse the request's execution knobs through the shared CLI/server
-/// validation path, then apply the server-side rule the CLI only warns
-/// about: an `oracle-batch` with no backend attached is rejected — a
-/// remote client asking for batching it cannot get deserves an error,
-/// not silence.
-fn request_exec(req: &Request, session: &Session) -> Result<ExecConfig, BadRequest> {
-    let exec =
-        trex_shapley::exec_config_from_knobs(|name| req.param(name)).map_err(BadRequest::new)?;
-    if exec.oracle_batch().is_some() && session.oracle_backend().is_none() {
-        return Err(BadRequest::new(ExecConfig::ORACLE_BATCH_WITHOUT_BACKEND));
-    }
-    Ok(exec)
+/// validation path.
+fn request_exec(req: &Request) -> Result<ExecConfig, BadRequest> {
+    trex_shapley::exec_config_from_knobs(|name| req.param(name)).map_err(BadRequest::new)
 }
 
 /// Parse a `tROW.Attr` cell spec against the session table (1-based row,
@@ -202,7 +194,7 @@ fn health(req: &Request, stream: &mut Conn) -> io::Result<()> {
 
 fn violations(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     let session = state.read();
-    let (exec, ()) = match (request_exec(req, &session), check_params(req, &[])) {
+    let (exec, ()) = match (request_exec(req), check_params(req, &[])) {
         (Ok(e), Ok(())) => (e, ()),
         (Err(bad), _) | (_, Err(bad)) => return write_error(stream, bad.status, &bad.message),
     };
@@ -358,7 +350,7 @@ fn explain(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<
                 "stream",
             ],
         )?;
-        let exec = request_exec(req, &session)?;
+        let exec = request_exec(req)?;
         let spec = req
             .param("cell")
             .ok_or_else(|| BadRequest::new("missing required parameter \"cell\""))?;

@@ -339,13 +339,13 @@ fn bad_requests_get_pinned_errors() {
     assert_eq!(status, 400);
     assert!(body.contains("out of range"), "{body}");
 
-    // Satellite: oracle-batch with no backend attached is an error on the
-    // server API (the CLI merely warns), with the one shared message.
+    // Every coalition query goes through the one oracle, so there is no
+    // batch size to request.
     let (status, body) = get(&server, "/explain?cell=t5.Country&oracle-batch=16");
     assert_eq!(status, 400);
     assert!(
-        body.contains("no oracle backend is attached"),
-        "must reuse ExecConfig::ORACLE_BATCH_WITHOUT_BACKEND: {body}"
+        body.contains("unknown parameter \\\"oracle-batch\\\""),
+        "{body}"
     );
 }
 

@@ -18,18 +18,15 @@
 /// let cfg = ExecConfig::new()
 ///     .with_threads(4)
 ///     .with_oracle_cap(1 << 16)
-///     .with_oracle_batch(64)
 ///     .with_seed(42);
 /// assert_eq!(cfg.threads(), 4);
 /// assert_eq!(cfg.oracle_cap(), Some(1 << 16));
-/// assert_eq!(cfg.oracle_batch(), Some(64));
 /// assert_eq!(cfg.seed(), Some(42));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     threads: usize,
     oracle_cap: Option<usize>,
-    oracle_batch: Option<usize>,
     seed: Option<u64>,
 }
 
@@ -38,7 +35,6 @@ impl Default for ExecConfig {
         ExecConfig {
             threads: 1,
             oracle_cap: None,
-            oracle_batch: None,
             seed: None,
         }
     }
@@ -70,19 +66,6 @@ impl ExecConfig {
         self
     }
 
-    /// Bound the number of coalition queries per batched oracle dispatch
-    /// (default: unbounded — one dispatch per batch-capable solver step).
-    /// Batching never changes any answer, only how many queries share one
-    /// backend round trip; see the oracle-backend docs in `trex-repair`.
-    ///
-    /// # Panics
-    /// Panics if `batch == 0`; a dispatch must be able to carry a query.
-    pub fn with_oracle_batch(mut self, batch: usize) -> Self {
-        assert!(batch >= 1, "oracle batch must be >= 1");
-        self.oracle_batch = Some(batch);
-        self
-    }
-
     /// Set the sampling seed (default: each layer's documented default).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -99,28 +82,10 @@ impl ExecConfig {
         self.oracle_cap
     }
 
-    /// Batched-dispatch bound in queries, or `None` for unbounded.
-    pub fn oracle_batch(&self) -> Option<usize> {
-        self.oracle_batch
-    }
-
     /// Sampling seed, or `None` for the layer default.
     pub fn seed(&self) -> Option<u64> {
         self.seed
     }
-
-    /// The one warning/rejection message for an oracle batch size configured
-    /// where no oracle backend (`trex-repair`'s `OracleBackend`) is attached.
-    ///
-    /// Batching only groups *backend* dispatches; without a backend every
-    /// coalition query runs the local repair directly, so the knob is inert.
-    /// The CLI warns with this message (local runs still work), the server
-    /// API rejects the request with it (a remote client asking for batching
-    /// it cannot get deserves an error, not silence). One string, so the two
-    /// surfaces can never drift apart.
-    pub const ORACLE_BATCH_WITHOUT_BACKEND: &'static str =
-        "--oracle-batch is set but no oracle backend is attached; batching only groups \
-         backend dispatches, so the setting has no effect";
 }
 
 /// Build an [`ExecConfig`] from string-valued execution knobs — the single
@@ -128,11 +93,11 @@ impl ExecConfig {
 /// query parameters.
 ///
 /// `get(name)` looks up the raw value of knob `name` (`None` when absent);
-/// recognized names are `threads`, `oracle-cap`, `oracle-batch`, and
-/// `seed`. Validation and error wording are the contract here: `threads`
-/// absent or `0` resolves to the available parallelism via
+/// recognized names are `threads`, `oracle-cap`, and `seed`. Validation
+/// and error wording are the contract here: `threads` absent or `0`
+/// resolves to the available parallelism via
 /// [`crate::parallel::resolve_threads`] (absurd counts keep the offending
-/// value and the cap in the message), `oracle-batch` must be ≥ 1. Callers
+/// value and the cap in the message). Callers
 /// surface the returned message verbatim, so a bad `?threads=999999` on the
 /// server reads exactly like a bad `--threads 999999` on the CLI.
 pub fn exec_config_from_knobs<'v>(
@@ -152,18 +117,6 @@ pub fn exec_config_from_knobs<'v>(
             .map_err(|_| format!("--oracle-cap: cannot parse {v:?}"))?;
         cfg = cfg.with_oracle_cap(cap);
     }
-    if let Some(v) = get("oracle-batch") {
-        let batch = v
-            .parse::<usize>()
-            .map_err(|_| format!("--oracle-batch: cannot parse {v:?}"))?;
-        if batch == 0 {
-            return Err(
-                "--oracle-batch must be >= 1 (every dispatch carries at least one query)"
-                    .to_string(),
-            );
-        }
-        cfg = cfg.with_oracle_batch(batch);
-    }
     if let Some(v) = get("seed") {
         let seed = v
             .parse::<u64>()
@@ -182,7 +135,6 @@ mod tests {
         let cfg = ExecConfig::new();
         assert_eq!(cfg.threads(), 1);
         assert_eq!(cfg.oracle_cap(), None);
-        assert_eq!(cfg.oracle_batch(), None);
         assert_eq!(cfg.seed(), None);
         assert_eq!(cfg, ExecConfig::default());
     }
@@ -192,11 +144,9 @@ mod tests {
         let cfg = ExecConfig::new()
             .with_threads(8)
             .with_oracle_cap(0)
-            .with_oracle_batch(32)
             .with_seed(7);
         assert_eq!(cfg.threads(), 8);
         assert_eq!(cfg.oracle_cap(), Some(0));
-        assert_eq!(cfg.oracle_batch(), Some(32));
         assert_eq!(cfg.seed(), Some(7));
     }
 
@@ -204,11 +154,5 @@ mod tests {
     #[should_panic(expected = "threads must be >= 1")]
     fn zero_threads_panics() {
         let _ = ExecConfig::new().with_threads(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "oracle batch must be >= 1")]
-    fn zero_oracle_batch_panics() {
-        let _ = ExecConfig::new().with_oracle_batch(0);
     }
 }

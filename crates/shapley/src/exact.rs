@@ -62,34 +62,12 @@ fn factorials(n: usize) -> Vec<f64> {
     f
 }
 
-/// Coalitions per [`Game::value_batch`] call during full enumeration: large
-/// enough to amortize a batched oracle's per-dispatch round trip, small
-/// enough to keep the materialized coalition chunk cache-resident.
-const EXACT_BATCH: usize = 1 << 10;
-
-/// Evaluate `v` over every mask in `0..size` through the game's batch
-/// entry point, in mask order. Identical to calling `game.value` per mask —
-/// batch-capable games guarantee index-aligned, value-identical answers —
-/// but a batched oracle sees `EXACT_BATCH` coalitions per dispatch instead
-/// of one.
+/// Evaluate `v` over every mask in `0..size`, one [`Game::value`] call
+/// per mask, in mask order.
 fn values_by_mask<G: Game + ?Sized>(game: &G, n: usize, size: usize) -> Vec<f64> {
-    let mut values = vec![0.0f64; size];
-    let mut chunk: Vec<Coalition> = Vec::with_capacity(EXACT_BATCH.min(size));
-    let mut start = 0usize;
-    while start < size {
-        let end = size.min(start + EXACT_BATCH);
-        chunk.clear();
-        chunk.extend((start..end).map(|mask| Coalition::from_mask(n, mask as u64)));
-        let got = game.value_batch(&chunk);
-        assert_eq!(
-            got.len(),
-            chunk.len(),
-            "value_batch must answer per coalition"
-        );
-        values[start..end].copy_from_slice(&got);
-        start = end;
-    }
-    values
+    (0..size)
+        .map(|mask| game.value(&Coalition::from_mask(n, mask as u64)))
+        .collect()
 }
 
 /// Exact Shapley values of every player, by full subset enumeration.
@@ -108,7 +86,7 @@ pub fn shapley_exact<G: Game + ?Sized>(game: &G) -> Result<Vec<f64>, ExactError>
         return Ok(Vec::new());
     }
     let size = 1usize << n;
-    // v over all coalitions, indexed by bitmask (batched evaluation).
+    // v over all coalitions, indexed by bitmask.
     let values = values_by_mask(game, n, size);
     let fact = factorials(n);
     let mut phi = vec![0.0f64; n];

@@ -11,27 +11,10 @@ use rand::RngCore;
 
 /// A set of players, represented as a dynamic bitset. Player counts in the
 /// cell game reach thousands, so a fixed `u64` would not do.
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Coalition {
     n: usize,
     bits: Vec<u64>,
-}
-
-impl Clone for Coalition {
-    fn clone(&self) -> Self {
-        Coalition {
-            n: self.n,
-            bits: self.bits.clone(),
-        }
-    }
-
-    /// Manual impl so `clone_from` reuses the destination's word buffer —
-    /// the batched walk drivers materialize coalition prefixes into reused
-    /// scratch, and a derived `Clone` would reallocate per prefix.
-    fn clone_from(&mut self, source: &Self) {
-        self.n = source.n;
-        self.bits.clone_from(&source.bits);
-    }
 }
 
 impl Coalition {
@@ -152,22 +135,8 @@ pub trait Game: Sync {
 
     /// The characteristic function `v(S)`. Implementations must satisfy
     /// `v(∅) = 0` for Shapley efficiency to mean what the paper says.
+    /// Every solver evaluates coalitions one at a time through this method.
     fn value(&self, coalition: &Coalition) -> f64;
-
-    /// Evaluate many coalitions at once; returns one value per coalition,
-    /// index-aligned with `coalitions`.
-    ///
-    /// The default forwards to [`Game::value`] per coalition, so every game
-    /// is batch-capable with identical answers. Games backed by a batched
-    /// oracle (the T-REx coalition games) override this to hand the whole
-    /// batch to the oracle's coalescing layer — same values, but a
-    /// per-call-latency backend sees one dispatch instead of
-    /// `coalitions.len()`. Overrides must return exactly what per-coalition
-    /// `value` calls would, in the same order: the solvers rely on that for
-    /// their bit-identical-at-any-batch-size guarantee.
-    fn value_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
-        coalitions.iter().map(|c| self.value(c)).collect()
-    }
 
     /// Optional label for player `i` (used in rankings and reports).
     fn player_label(&self, i: usize) -> String {

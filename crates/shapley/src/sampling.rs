@@ -129,44 +129,30 @@ pub(crate) fn random_permutation_into<R: Rng + ?Sized>(
     }
 }
 
-/// Reused per-walk buffers: the growing prefix coalition and the walk's
-/// materialized prefix batch. One set of allocations per worker instead of
-/// per walk.
+/// The reused growing prefix coalition of a walk: one allocation per
+/// worker instead of per walk.
 pub(crate) struct WalkScratch {
     prefix: Coalition,
-    /// The walk's `n + 1` prefix coalitions, materialized so the whole walk
-    /// evaluates through one [`Game::value_batch`] call; the word buffers
-    /// are reused across walks via `clone_from`.
-    prefixes: Vec<Coalition>,
 }
 
 impl WalkScratch {
     pub(crate) fn new(n: usize) -> Self {
         WalkScratch {
             prefix: Coalition::empty(n),
-            prefixes: vec![Coalition::empty(n); n + 1],
         }
     }
 
     /// Evaluate the `n + 1` prefix coalitions of `perm` (∅, then one more
-    /// player at a time) as one batch: a batched oracle sees one dispatch
-    /// per walk instead of `n + 1`, and the values are identical to
-    /// incremental per-prefix `value` calls.
+    /// player at a time) with one [`Game::value`] call each, in walk order.
     pub(crate) fn prefix_values<G: Game + ?Sized>(&mut self, game: &G, perm: &[usize]) -> Vec<f64> {
         let s = &mut self.prefix;
         s.clear();
-        debug_assert_eq!(self.prefixes.len(), perm.len() + 1);
-        self.prefixes[0].clone_from(s);
-        for (i, &p) in perm.iter().enumerate() {
+        let mut values = Vec::with_capacity(perm.len() + 1);
+        values.push(game.value(s));
+        for &p in perm {
             s.insert(p);
-            self.prefixes[i + 1].clone_from(s);
+            values.push(game.value(s));
         }
-        let values = game.value_batch(&self.prefixes);
-        assert_eq!(
-            values.len(),
-            perm.len() + 1,
-            "value_batch must answer per coalition"
-        );
         values
     }
 }
