@@ -40,7 +40,8 @@ USAGE:
                   [exec flags] [engine flags]
   trex serve      --table FILE.csv --dcs FILE.txt [--addr HOST:PORT]
                   [--http-threads N] [exec flags] [engine flags]
-  trex lint       --table FILE.csv --dcs FILE.txt [--json] [exec flags]
+  trex lint       --table FILE.csv --dcs FILE.txt [--rules FILE] [--json]
+                  [exec flags]
   trex mine       --table FILE.csv [--max-predicates N] [--order]
   trex datagen    --schema laliga|soccer|adult|sensor [--rows N] [--seed N]
                   [--rate F] [--skew F] [--out DIR]
@@ -74,6 +75,10 @@ LINT:
   subsumption, and a per-constraint scan-cost plan. Exit code 1 if any
   error-severity diagnostic is found, 0 otherwise (warnings don't fail).
   --json emits one machine-readable document instead of text.
+  --rules FILE also checks a rule list (the --engine rules syntax) the
+  way repair, explain and serve load it: every rule must name a
+  constraint of --dcs and columns of --table, else lint fails with that
+  error (exit 1).
 
 ORACLE CAPACITY:
   --oracle-cap N bounds the repair-oracle memo cache of explain to N
@@ -90,7 +95,9 @@ SERVE:
   running Shapley estimates), POST /cell, POST and DELETE /constraint.
   Every endpoint takes the exec flags as query parameters (threads=4&
   seed=7&...), validated exactly like the command-line flags; exec flags
-  given to serve itself set the session defaults.
+  given to serve itself set the session defaults. A parameter a request
+  leaves unset takes serve's value (so requests share the session's
+  oracle cache), and a request's threads is capped at serve's --threads.
 
 DATAGEN:
   trex datagen generates a scenario-corpus member and writes the files the
@@ -188,14 +195,7 @@ fn load_engine(
             let path = args
                 .require("rules")
                 .map_err(|_| ArgError("--engine rules requires --rules FILE".to_string()))?;
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-            let engine =
-                RuleRepair::parse_rules(&text).map_err(|e| ArgError(format!("{path}: {e}")))?;
-            engine
-                .check_against(table.schema(), dcs)
-                .map_err(|e| ArgError(format!("{path}: {e}")))?;
-            Ok(Box::new(engine.with_exec(cfg)))
+            Ok(Box::new(load_rules(path, table, dcs)?.with_exec(cfg)))
         }
         "chase" => Ok(Box::new(FdChaseRepair::new())),
         "holistic" => Ok(Box::new(HolisticRepair::new().with_exec(cfg))),
@@ -203,6 +203,18 @@ fn load_engine(
             "unknown engine {other:?} (holoclean | rules | chase | holistic)"
         ))),
     }
+}
+
+/// Read and parse the rule list at `path`, and check that it names only
+/// columns of `table` and constraints of `dcs`.
+fn load_rules(path: &str, table: &Table, dcs: &[DenialConstraint]) -> Result<RuleRepair, ArgError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+    let rules = RuleRepair::parse_rules(&text).map_err(|e| ArgError(format!("{path}: {e}")))?;
+    rules
+        .check_against(table.schema(), dcs)
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
+    Ok(rules)
 }
 
 /// Parse a cell reference like `t5.Country` or `5.Country` (1-based row).
@@ -394,7 +406,8 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
 
 /// `trex lint`: run the static analyzer over a constraint program and
 /// report diagnostics plus the scan-cost plan. Exit code 1 iff any
-/// error-severity diagnostic was found (warnings and infos exit 0).
+/// error-severity diagnostic was found (warnings and infos exit 0), or
+/// iff the `--rules` list fails the check `load_engine` runs.
 fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
     let (table, dcs) = load_inputs(args)?;
     // Lint shares the exec-flag group with the scan commands so pipelines
@@ -402,7 +415,11 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
     // report.
     let _cfg = args.exec_config()?;
     let json = args.has("json");
+    let rules = args.get("rules").map(str::to_string);
     args.reject_unknown()?;
+    if let Some(path) = rules {
+        load_rules(&path, &table, &dcs)?;
+    }
     let analysis = trex_constraints::analyze_with_table(&dcs, &table);
     let (errors, warnings, infos) = analysis.counts();
     if json {
@@ -764,6 +781,30 @@ mod tests {
         ])
         .unwrap();
         assert!(cmd_lint(&c).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lint_checks_a_rule_list_against_the_program() {
+        let (table, dcs) = (shipped("laliga_dirty.csv"), shipped("laliga.dcs"));
+        let lint = |rules: &str| {
+            let a =
+                Args::parse(["lint", "--table", &table, "--dcs", &dcs, "--rules", rules]).unwrap();
+            cmd_lint(&a)
+        };
+        assert_eq!(
+            lint(&shipped("algorithm1.rules")).unwrap(),
+            ExitCode::SUCCESS
+        );
+        let dir = std::env::temp_dir().join(format!("trex-lint-rules-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.rules");
+        std::fs::write(&bad, "C1: Nope <- most_common\n").unwrap();
+        let bad = bad.to_str().unwrap();
+        assert_eq!(
+            lint(bad).unwrap_err().to_string(),
+            format!("{bad}: rule `C1: Nope <- most_common`: unknown column \"Nope\"")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

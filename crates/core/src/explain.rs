@@ -10,8 +10,8 @@ use crate::games::{CellGameMasked, CellGameSampled, ConstraintGame, MaskMode};
 use crate::ranking::Ranking;
 use std::fmt;
 use std::sync::Arc;
-use trex_constraints::DenialConstraint;
-use trex_repair::{OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
+use trex_constraints::{DenialConstraint, ResolveError};
+use trex_repair::{OracleCache, Reach, RepairAlgorithm, RepairResult, ShardedOracle};
 use trex_shapley::{
     parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, ExactError,
     ExecConfig, Game, ParallelConfig, Rational, SamplingConfig, StochasticGame,
@@ -47,6 +47,9 @@ pub enum ExplainError {
         /// The exact-solver cap.
         limit: usize,
     },
+    /// A constraint names a column the table does not have, so no repair
+    /// of it can run.
+    UnresolvedConstraint(ResolveError),
 }
 
 impl fmt::Display for ExplainError {
@@ -68,6 +71,7 @@ impl fmt::Display for ExplainError {
                 "exact constraint explanation over {constraints} constraints exceeds the \
                  {limit}-constraint limit; remove constraints or explain cells instead"
             ),
+            ExplainError::UnresolvedConstraint(e) => write!(f, "{e}"),
         }
     }
 }
@@ -287,7 +291,13 @@ impl<'a> Explainer<'a> {
     }
 
     /// Determine the repair target of `cell`: the clean value the full run
-    /// assigns it. Errors if the cell is out of range or not repaired.
+    /// assigns it. Errors if the cell is out of range, if a constraint
+    /// names a column `dirty` lacks, or if the cell is not repaired.
+    ///
+    /// Every explanation starts here. The repair runs only the slice of
+    /// the program the engine declares can reach `cell`'s column
+    /// ([`Reach`]), which by the declaration's promise assigns `cell` the
+    /// value the whole program would.
     pub fn repair_target(
         &self,
         dcs: &[DenialConstraint],
@@ -297,7 +307,12 @@ impl<'a> Explainer<'a> {
         if cell.row >= dirty.num_rows() || cell.attr.0 >= dirty.arity() {
             return Err(ExplainError::CellOutOfRange { cell });
         }
-        let result = self.alg.repair(dcs, dirty);
+        for dc in dcs {
+            dc.resolved(dirty.schema())
+                .map_err(ExplainError::UnresolvedConstraint)?;
+        }
+        let program = Reach::of(self.alg, dcs, dirty.schema(), cell.attr).program(dcs);
+        let result = self.alg.repair(&program, dirty);
         let target = result.clean.get(cell);
         if target == dirty.get(cell) {
             return Err(ExplainError::CellNotRepaired { cell });

@@ -23,12 +23,19 @@
 //! `trex_repair::ShardedOracle` and share cache hits across workers;
 //! [`CellGameSampled`] is stateless — replacement tables are fresh draws,
 //! so there is nothing to cache and every sample pays a full repair.
+//!
+//! [`ConstraintGame`] and [`CellGameMasked`] ask the engine once per build
+//! which slice of the program can reach the cell of interest's column
+//! (`trex_repair::Reach`). Coalitions repair with, and are keyed on, only
+//! their in-slice members, so players outside the slice keep their index
+//! and their place in every permutation but add exactly 0. An engine that
+//! declares no slice keeps everything in it.
 
 use rand::RngCore;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use trex_constraints::DenialConstraint;
-use trex_repair::{hash_value, OracleStats, RepairAlgorithm, ShardedOracle};
+use trex_repair::{hash_value, OracleStats, Reach, RepairAlgorithm, ShardedOracle};
 use trex_shapley::{Coalition, Game, StochasticGame};
 use trex_table::{CellRef, EncodedTable, Table, TableSamplers, Value};
 
@@ -67,6 +74,9 @@ pub struct ConstraintGame<'a> {
     dirty: &'a Table,
     cell: CellRef,
     target: Value,
+    /// The slice of `dcs` that can reach `cell`'s column: a coalition
+    /// keys and repairs on its in-slice members only.
+    reach: Reach,
     /// Precomputed oracle-key components: the table fingerprint and target
     /// hash are coalition-invariant, and the per-DC display hashes let
     /// [`Game::value`] fingerprint a subset without cloning it — the DC
@@ -92,11 +102,13 @@ impl<'a> ConstraintGame<'a> {
                 h.finish()
             })
             .collect();
+        let reach = Reach::of(oracle.algorithm(), dcs, dirty.schema(), cell.attr);
         ConstraintGame {
             oracle,
             dcs,
             dirty,
             cell,
+            reach,
             dirty_fp: dirty.fingerprint(),
             target_hash: hash_value(&target),
             target,
@@ -168,14 +180,20 @@ impl<'a> ConstraintGame<'a> {
         self.oracle.stats()
     }
 
-    /// Fingerprint the subset from the precomputed per-DC hashes: two
-    /// coalitions share a key exactly when they select the same DC
-    /// display sequence, the same sharing `hash_dcs` over the cloned
-    /// subset produced. DC clones are deferred into cache misses.
+    /// The coalition's in-slice members, in program order: the
+    /// sub-program its repair runs.
+    fn members<'c>(&'c self, coalition: &'c Coalition) -> impl Iterator<Item = usize> + 'c {
+        coalition.iter().filter(|&i| self.reach.keeps(i))
+    }
+
+    /// Fingerprint the in-slice subset from the precomputed per-DC hashes:
+    /// two coalitions share a key exactly when their in-slice members form
+    /// the same DC display sequence, the same sharing `hash_dcs` over the
+    /// cloned subset produced. DC clones are deferred into cache misses.
     fn coalition_key(&self, coalition: &Coalition) -> trex_repair::OracleKey {
         let mut h = DefaultHasher::new();
         let mut len = 0usize;
-        for i in coalition.iter() {
+        for i in self.members(coalition) {
             self.dc_hashes[i].hash(&mut h);
             len += 1;
         }
@@ -192,8 +210,10 @@ impl Game for ConstraintGame<'_> {
     fn value(&self, coalition: &Coalition) -> f64 {
         let key = self.coalition_key(coalition);
         let repaired = self.oracle.query_keyed(key, || {
-            let subset: Vec<DenialConstraint> =
-                coalition.iter().map(|i| self.dcs[i].clone()).collect();
+            let subset: Vec<DenialConstraint> = self
+                .members(coalition)
+                .map(|i| self.dcs[i].clone())
+                .collect();
             trex_repair::repairs_cell_to(
                 self.oracle.algorithm(),
                 &subset,
@@ -236,11 +256,16 @@ fn label_of(table: &Table, cell: CellRef) -> String {
 /// out-of-coalition cells masked per [`MaskMode`].
 pub struct CellGameMasked<'a> {
     oracle: ShardedOracle<'a>,
-    dcs: &'a [DenialConstraint],
+    /// The slice of the program that can reach `cell`'s column
+    /// ([`Reach::program`]): what every coalition repairs with.
+    program: Vec<DenialConstraint>,
     dirty: &'a Table,
     cell: CellRef,
     target: Value,
     players: Vec<CellRef>,
+    /// Indices of the players whose column the slice reads: the only
+    /// cells a coalition's key and answer depend on.
+    keyed: Vec<usize>,
     mode: MaskMode,
     /// `dirty`'s own dictionary encoding ([`Table::encoded`]): coalition
     /// fingerprints are packed per-cell code vectors hashed straight from
@@ -261,16 +286,23 @@ impl<'a> CellGameMasked<'a> {
         target: Value,
         mode: MaskMode,
     ) -> Self {
+        let reach = Reach::of(oracle.algorithm(), dcs, dirty.schema(), cell.attr);
+        let program = reach.program(dcs);
+        let players = cell_players(dirty, cell);
+        let keyed = (0..players.len())
+            .filter(|&i| reach.reads(players[i].attr))
+            .collect();
         CellGameMasked {
             oracle,
-            dcs,
+            dcs_hash: trex_repair::hash_dcs(&program),
+            program,
             dirty,
             cell,
-            players: cell_players(dirty, cell),
+            players,
+            keyed,
             mode,
             enc: dirty.encoded(),
             dirty_fp: dirty.fingerprint(),
-            dcs_hash: trex_repair::hash_dcs(dcs),
             target_hash: hash_value(&target),
             target,
         }
@@ -359,21 +391,22 @@ impl<'a> CellGameMasked<'a> {
 
     /// The oracle key of a coalition, computed without materializing the
     /// masked table: hash the dirty fingerprint, the mask mode, and one
-    /// `u64` per player cell — its dictionary code when in the coalition,
-    /// a mask fingerprint otherwise. A Null-masked cell maps to the
-    /// column's null code (so masking an already-null cell shares its key
-    /// with including it, exactly as the materialized tables coincide) or
-    /// to [`MASK_NULL_SENTINEL`] when the column has no null; a
+    /// `u64` per in-slice player cell — its dictionary code when in the
+    /// coalition, a mask fingerprint otherwise. A Null-masked cell maps to
+    /// the column's null code (so masking an already-null cell shares its
+    /// key with including it, exactly as the materialized tables coincide)
+    /// or to [`MASK_NULL_SENTINEL`] when the column has no null; a
     /// Distinct-masked cell maps to [`MASK_DISTINCT_BASE`]`| flat_index`,
     /// mirroring the pairwise-distinct labeled nulls it would become. Two
-    /// coalitions share a key exactly when their masked tables are equal —
-    /// the same sharing that hashing the materialized table produced.
+    /// coalitions share a key exactly when their masked tables agree on
+    /// every column the slice reads, which is all the sliced repair sees.
     fn coalition_key(&self, coalition: &Coalition) -> trex_repair::OracleKey {
         let arity = self.dirty.arity();
         let mut h = DefaultHasher::new();
         self.dirty_fp.hash(&mut h);
         (self.mode == MaskMode::Distinct).hash(&mut h);
-        for (idx, player) in self.players.iter().enumerate() {
+        for &idx in &self.keyed {
+            let player = &self.players[idx];
             let fp = if coalition.contains(idx) {
                 u64::from(self.enc.code(player.row, player.attr))
             } else {
@@ -403,7 +436,7 @@ impl Game for CellGameMasked<'_> {
             let table = self.coalition_table(coalition);
             trex_repair::repairs_cell_to(
                 self.oracle.algorithm(),
-                self.dcs,
+                &self.program,
                 &table,
                 self.cell,
                 &self.target,
@@ -539,13 +572,15 @@ mod tests {
         let cell = laliga::cell_of_interest(&dirty);
         let game = ConstraintGame::new(&alg, &dcs, &dirty, cell, Value::str("Spain"));
         // The subset-enumeration solver evaluates each of the 16 coalitions
-        // exactly once...
+        // once. C4 cannot reach Country, so each coalition is keyed on its
+        // members among C1–C3: 8 distinct repairs, and the 8 coalitions
+        // with C4 are hits...
         let _ = trex_shapley::shapley_exact(&game).unwrap();
         assert_eq!(
             game.oracle_stats(),
             trex_repair::OracleStats {
-                hits: 0,
-                misses: 16,
+                hits: 8,
+                misses: 8,
                 evictions: 0
             }
         );
@@ -553,8 +588,37 @@ mod tests {
         // also runs) is answered entirely from cache.
         let _ = trex_shapley::shapley_exact_rational(&game).unwrap();
         let stats = game.oracle_stats();
-        assert_eq!(stats.misses, 16);
-        assert_eq!(stats.hits, 16);
+        assert_eq!(stats.misses, 8);
+        assert_eq!(stats.hits, 24);
+    }
+
+    #[test]
+    fn players_outside_the_slice_add_exactly_zero() {
+        // Only C4 reads Year and Place, and C4 writes only Place, so none
+        // of their 12 cells can change t5[Country]: they keep their player
+        // index and come out exactly 0 under either mask.
+        let dirty = laliga::dirty_table();
+        let dcs = laliga::constraints();
+        let alg = laliga::algorithm1();
+        let cell = laliga::cell_of_interest(&dirty);
+        let outside = [dirty.schema().id("Year"), dirty.schema().id("Place")];
+        for mode in [MaskMode::Null, MaskMode::Distinct] {
+            let game = CellGameMasked::new(&alg, &dcs, &dirty, cell, Value::str("Spain"), mode);
+            assert_eq!(Game::num_players(&game), 35);
+            let config = trex_shapley::SamplingConfig {
+                samples: 60,
+                seed: 5,
+            };
+            let estimates = trex_shapley::sampling::estimate_all_walk(&game, config);
+            let zeros: Vec<u64> = game
+                .players()
+                .iter()
+                .zip(&estimates)
+                .filter(|(p, _)| outside.contains(&p.attr))
+                .map(|(_, e)| e.value.to_bits())
+                .collect();
+            assert_eq!(zeros, vec![0.0f64.to_bits(); 12], "{mode:?}");
+        }
     }
 
     #[test]

@@ -48,11 +48,13 @@
 //! value its column never held leaves the codes stale; they are rebuilt
 //! before the next rule.
 
-use crate::traits::{RepairAlgorithm, RepairResult};
+use crate::traits::{Reach, RepairAlgorithm, RepairResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 use trex_constraints::{find_violations_par_with, DenialConstraint};
-use trex_table::{CellChange, CellRef, CodeClass, Dictionary, EncodedTable, Schema, Table, Value};
+use trex_table::{
+    AttrId, CellChange, CellRef, CodeClass, Dictionary, EncodedTable, Schema, Table, Value,
+};
 
 #[cfg(test)]
 mod reference;
@@ -543,6 +545,73 @@ impl RepairAlgorithm for RuleRepair {
         }
         work.finish(dirty)
     }
+
+    /// The slice of `dcs` that can change column `target`: a backward
+    /// closure from `target` over the rules. The rule of DC `k` writes one
+    /// column `w_k`. If `w_k` is in the set, DC `k` joins the slice, and
+    /// every column DC `k` mentions joins the set, with `w_k` (its mode
+    /// counts) and the rule's `given` column. Repeat until nothing
+    /// changes. A DC without a rule, or whose rule names a column the
+    /// schema lacks, writes nothing and never joins.
+    ///
+    /// Why the slice repairs the target exactly like the whole program:
+    /// * In-slice rules read only in-slice columns, and out-of-slice rules
+    ///   never write one (they would have joined). So the in-slice columns
+    ///   evolve identically, round by round, with or without the rest of
+    ///   the program, whatever the other columns hold.
+    /// * A round in which no in-slice rule changes anything leaves those
+    ///   columns fixed for good. So neither the `changed == 0` early exit
+    ///   nor the round bound can split the two runs.
+    /// * Mode tie-breaks use the dictionary code order of one column,
+    ///   which is its sorted value order: it depends only on that
+    ///   column's values, not on when the codes were last rebuilt.
+    ///
+    /// Declares `None` if any DC does not resolve against `schema`:
+    /// [`RepairAlgorithm::repair`] panics on those, and that path stays.
+    fn reach(&self, dcs: &[DenialConstraint], schema: &Schema, target: AttrId) -> Option<Reach> {
+        if target.0 >= schema.arity() {
+            return None;
+        }
+        let mut steps = Vec::with_capacity(dcs.len());
+        for dc in dcs {
+            let mentions = dc
+                .mentioned_attrs()
+                .into_iter()
+                .map(|name| schema.resolve(name))
+                .collect::<Option<Vec<AttrId>>>()?;
+            let writes = self.rule_for(&dc.name).and_then(|rule| {
+                let given = match &rule.action {
+                    FixAction::MostCommonGiven { given, .. } => Some(schema.resolve(given)?),
+                    _ => None,
+                };
+                Some((schema.resolve(rule.action.target_attr())?, given))
+            });
+            steps.push((mentions, writes));
+        }
+        let mut reads = vec![false; schema.arity()];
+        reads[target.0] = true;
+        let mut kept = vec![false; dcs.len()];
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for (k, (mentions, writes)) in steps.iter().enumerate() {
+                let Some((w, given)) = *writes else { continue };
+                if kept[k] || !reads[w.0] {
+                    continue;
+                }
+                kept[k] = true;
+                grew = true;
+                for a in mentions.iter().copied().chain(given) {
+                    reads[a.0] = true;
+                }
+            }
+        }
+        Some(Reach::new(
+            target,
+            (0..dcs.len()).filter(|&k| kept[k]),
+            schema.iter().map(|(id, _)| id).filter(|id| reads[id.0]),
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -864,6 +933,82 @@ mod tests {
         assert!(err.message.contains("':'"), "{err}");
         let err = RuleRepair::parse_rules("C1: City <- const(nope)").unwrap_err();
         assert!(err.message.contains("const()"));
+    }
+
+    /// The Figure 1 program and its Algorithm 1 rule list
+    /// (`data/algorithm1.rules`), over the Figure 2 columns.
+    fn figure_1() -> (Vec<DenialConstraint>, RuleRepair, Schema) {
+        let dcs = parse_dcs(
+            "C1: !(t1.Team = t2.Team & t1.City != t2.City)\n\
+             C2: !(t1.City = t2.City & t1.Country != t2.Country)\n\
+             C3: !(t1.League = t2.League & t1.Country != t2.Country)\n\
+             C4: !(t1.Team != t2.Team & t1.Year = t2.Year & t1.League = t2.League \
+                   & t1.Place = t2.Place)\n",
+        )
+        .unwrap();
+        let rules = RuleRepair::parse_rules(
+            "C1: City <- most_common\n\
+             C2: Country <- most_common_given(City)\n\
+             C3: Country <- most_common\n\
+             C4: Place <- most_common_given(Team)\n",
+        )
+        .unwrap();
+        let schema = Schema::of_strings(
+            ["Team", "City", "Country", "League", "Year", "Place"].map(String::from),
+        );
+        (dcs, rules, schema)
+    }
+
+    #[test]
+    fn reach_closes_backward_over_the_rules() {
+        let (dcs, rules, schema) = figure_1();
+        let slice = |target: &str| {
+            let reach = rules.reach(&dcs, &schema, schema.id(target)).unwrap();
+            let kept: Vec<String> = reach.program(&dcs).into_iter().map(|dc| dc.name).collect();
+            let read: Vec<&str> = schema
+                .iter()
+                .filter(|(id, _)| reach.reads(*id))
+                .map(|(_, a)| a.name.as_str())
+                .collect();
+            (kept, read)
+        };
+        // Country: C2 and C3 write it, C2 reads City, and C1 writes City.
+        // C4 writes only Place, which nothing in the slice reads.
+        assert_eq!(
+            slice("Country"),
+            (
+                vec!["C1".into(), "C2".into(), "C3".into()],
+                vec!["Team", "City", "Country", "League"]
+            )
+        );
+        assert_eq!(slice("City"), (vec!["C1".into()], vec!["Team", "City"]));
+        assert_eq!(
+            slice("Place"),
+            (vec!["C4".into()], vec!["Team", "League", "Year", "Place"])
+        );
+        // No rule writes Year: the slice is empty and reads only Year.
+        assert_eq!(slice("Year"), (vec![], vec!["Year"]));
+    }
+
+    #[test]
+    fn reach_skips_dcs_whose_rules_write_nothing_and_declines_unresolvable_programs() {
+        let (mut dcs, _, schema) = figure_1();
+        let country = schema.id("Country");
+        // C2's rule conditions on a missing column, so it never writes;
+        // C3 has no rule at all.
+        let rules = RuleRepair::parse_rules(
+            "C1: City <- most_common\n\
+             C2: Country <- most_common_given(Nope)\n",
+        )
+        .unwrap();
+        let reach = rules.reach(&dcs, &schema, country).unwrap();
+        assert!(reach.program(&dcs).is_empty());
+        assert!(!reach.reads(schema.id("City")));
+        // A DC on an unknown column: the engine would panic, so it
+        // declares nothing.
+        dcs.extend(parse_dcs("C9: !(t1.Nope = t2.Nope)").unwrap());
+        assert_eq!(rules.reach(&dcs, &schema, country), None);
+        assert_eq!(rules.reach(&dcs[..4], &schema, AttrId(6)), None);
     }
 
     #[test]

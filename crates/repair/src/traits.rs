@@ -8,6 +8,10 @@
 //! * `Alg|t[A](C, T^d) ∈ {0, 1}` — did the repair set cell `t[A]` to a given
 //!   target value? ([`repairs_cell_to`], §2.1's binary view).
 //!
+//! An engine may also declare which slice of the program can reach a
+//! column ([`RepairAlgorithm::reach`], [`Reach`]); the explanation layers
+//! then ask only about that slice. The default declares nothing.
+//!
 //! Shapley computation evaluates the binary view on thousands of coalition
 //! variants of `(C, T^d)`; [`ShardedOracle`] memoizes those queries keyed by
 //! `(constraints, table, cell, target)` fingerprints so that coalitions
@@ -25,7 +29,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use trex_constraints::DenialConstraint;
-use trex_table::{CellChange, CellRef, Table, Value};
+use trex_table::{AttrId, CellChange, CellRef, Schema, Table, Value};
 
 /// The output of one repair run: the clean table and the cell-level diff.
 #[derive(Debug, Clone)]
@@ -95,13 +99,26 @@ pub trait RepairAlgorithm: Send + Sync {
     {
         self
     }
+
+    /// Declare which part of the program `dcs` can change column `target`
+    /// of tables over `schema` (see [`Reach`] for what a declaration
+    /// promises). The coalition games and `Explainer::repair_target` then
+    /// repair with, and key coalitions on, only that slice.
+    ///
+    /// The default declares nothing (`None`): a black box where every
+    /// constraint and every cell may matter. [`crate::RuleRepair`] derives
+    /// its declaration from its rule list.
+    fn reach(&self, _dcs: &[DenialConstraint], _schema: &Schema, _target: AttrId) -> Option<Reach> {
+        None
+    }
 }
 
-/// Boxed algorithms are algorithms: forwards `name`/`repair` to the boxed
-/// engine so `Box<dyn RepairAlgorithm>` satisfies generic `RepairAlgorithm`
-/// bounds (e.g. [`PanicGuard`] around a boxed engine).
-/// `with_exec` keeps its identity default — configure the engine *before*
-/// boxing it.
+/// Boxed algorithms are algorithms: forwards `name`/`repair`/`reach` to
+/// the boxed engine so `Box<dyn RepairAlgorithm>` satisfies generic
+/// `RepairAlgorithm` bounds (e.g. [`PanicGuard`] around a boxed engine)
+/// and a `&Box<dyn RepairAlgorithm>` coerced to `&dyn RepairAlgorithm`
+/// keeps the engine's slice. `with_exec` keeps its identity default —
+/// configure the engine *before* boxing it.
 impl<A: RepairAlgorithm + ?Sized> RepairAlgorithm for Box<A> {
     fn name(&self) -> &str {
         (**self).name()
@@ -109,6 +126,78 @@ impl<A: RepairAlgorithm + ?Sized> RepairAlgorithm for Box<A> {
 
     fn repair(&self, dcs: &[DenialConstraint], dirty: &Table) -> RepairResult {
         (**self).repair(dcs, dirty)
+    }
+
+    fn reach(&self, dcs: &[DenialConstraint], schema: &Schema, target: AttrId) -> Option<Reach> {
+        (**self).reach(dcs, schema, target)
+    }
+}
+
+/// The slice of a constraint program that can change one target column,
+/// as a repair engine declares it ([`RepairAlgorithm::reach`]): the
+/// in-slice constraints, as indices into the program, and the columns
+/// whose cells can affect the target column. The target column is always
+/// one of them.
+///
+/// A declaration promises: for every sub-program `S` of the program (kept
+/// in program order) and every table `T` over the schema, the repair of
+/// `T` under `S` writes the target column exactly as the repair under
+/// `S`'s in-slice members does, on `T` or on any copy of `T` whose cells
+/// differ only outside the declared columns. Constraints outside the
+/// slice therefore have Shapley value exactly 0 in the constraint game,
+/// and so do cells outside the declared columns in the masked cell game.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reach {
+    /// In-slice program indices, ascending.
+    dcs: Vec<usize>,
+    /// Columns that can affect the target, ascending.
+    columns: Vec<AttrId>,
+}
+
+impl Reach {
+    /// A slice over the in-slice constraints `dcs` (program indices) and
+    /// the columns `columns`, plus `target` itself.
+    pub fn new(
+        target: AttrId,
+        dcs: impl IntoIterator<Item = usize>,
+        columns: impl IntoIterator<Item = AttrId>,
+    ) -> Reach {
+        let mut dcs: Vec<usize> = dcs.into_iter().collect();
+        dcs.sort_unstable();
+        dcs.dedup();
+        let mut columns: Vec<AttrId> = columns.into_iter().chain([target]).collect();
+        columns.sort_unstable();
+        columns.dedup();
+        Reach { dcs, columns }
+    }
+
+    /// The slice `alg` declares for `target`, or — when it declares none —
+    /// every constraint of `dcs` and every column of `schema`. The one
+    /// place the games and the explainer get their slice from.
+    pub fn of(
+        alg: &dyn RepairAlgorithm,
+        dcs: &[DenialConstraint],
+        schema: &Schema,
+        target: AttrId,
+    ) -> Reach {
+        alg.reach(dcs, schema, target)
+            .unwrap_or_else(|| Reach::new(target, 0..dcs.len(), schema.iter().map(|(id, _)| id)))
+    }
+
+    /// Is constraint `i` of the program in the slice?
+    pub fn keeps(&self, i: usize) -> bool {
+        self.dcs.binary_search(&i).is_ok()
+    }
+
+    /// Can cells of column `attr` affect the target column?
+    pub fn reads(&self, attr: AttrId) -> bool {
+        self.columns.binary_search(&attr).is_ok()
+    }
+
+    /// The sliced program: the in-slice constraints of `dcs`, in program
+    /// order.
+    pub fn program(&self, dcs: &[DenialConstraint]) -> Vec<DenialConstraint> {
+        self.dcs.iter().map(|&i| dcs[i].clone()).collect()
     }
 }
 
@@ -857,6 +946,28 @@ mod tests {
 
     fn dc() -> DenialConstraint {
         trex_constraints::parse_dc("!(t1.A != t2.A)").unwrap()
+    }
+
+    #[test]
+    fn boxed_engines_forward_their_reach_and_black_boxes_keep_everything() {
+        let t = TableBuilder::new()
+            .str_columns(["A", "B"])
+            .str_row(["x", "y"])
+            .build();
+        let dcs = trex_constraints::parse_dcs("C: !(t1.A = t2.A & t1.B != t2.B)").unwrap();
+        let (a, b) = (t.schema().id("A"), t.schema().id("B"));
+        let rules = crate::RuleRepair::parse_rules("C: B <- most_common").unwrap();
+        let declared = rules.reach(&dcs, t.schema(), a);
+        // A has no writer: an empty slice that reads only A.
+        assert_eq!(declared, Some(Reach::new(a, [], [])));
+        let boxed: Box<dyn RepairAlgorithm> = Box::new(rules);
+        let coerced: &dyn RepairAlgorithm = &boxed;
+        assert_eq!(coerced.reach(&dcs, t.schema(), a), declared);
+        assert_eq!(Reach::of(coerced, &dcs, t.schema(), a), declared.unwrap());
+        // An engine that declares nothing keeps every DC and every column.
+        let everything = Reach::of(&NoOpRepair, &dcs, t.schema(), a);
+        assert!(everything.keeps(0) && everything.reads(a) && everything.reads(b));
+        assert_eq!(everything.program(&dcs), dcs);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! Every endpoint accepts the CLI's execution knobs (`threads`,
 //! `oracle-cap`, `seed`) as query parameters, validated
 //! through the same `trex_shapley::exec_config_from_knobs` path as the CLI
-//! flags. `threads` never changes an answer, only how fast it arrives. A
+//! flags. A knob a request leaves unset takes the served session's value
+//! (`Session::config`), and `threads` is capped at the session's count.
+//! `threads` never changes an answer, only how fast it arrives. A
 //! cell explanation's `samples` is capped at [`MAX_SAMPLES`]; a larger
 //! budget answers 400 before any work starts.
 //!
@@ -56,7 +58,8 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`ServerHandle::addr`]).
     pub addr: String,
     /// Worker threads answering requests. Each in-flight explanation may
-    /// additionally use its request's `threads` knob internally.
+    /// additionally use its request's `threads` knob internally, up to
+    /// the session's own thread count.
     pub http_threads: usize,
 }
 

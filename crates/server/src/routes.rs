@@ -6,7 +6,8 @@
 //! and input mutations take the write lock (and the session flushes the
 //! cache itself). Per-request execution knobs (`?threads=…&seed=…`) are
 //! validated by `trex_shapley::exec_config_from_knobs` — the exact
-//! validation path and error wording of the CLI flags.
+//! validation path and error wording of the CLI flags — and resolved
+//! against the session's own configuration (see [`request_exec`]).
 
 use crate::http::{
     chunk_begin, chunk_finish, chunk_line, write_error, write_json, BadRequest, Conn, Request,
@@ -140,9 +141,26 @@ fn check_params(req: &Request, extra: &[&str]) -> Result<(), BadRequest> {
 }
 
 /// Parse the request's execution knobs through the shared CLI/server
-/// validation path.
-fn request_exec(req: &Request) -> Result<ExecConfig, BadRequest> {
-    trex_shapley::exec_config_from_knobs(|name| req.param(name)).map_err(BadRequest::new)
+/// validation path, then resolve them against `session`, the session's
+/// configuration (the `trex serve` exec flags): an unset knob takes the
+/// session's value, so requests share the session's oracle cache, and a
+/// set `threads` is capped at the session's count. Answers are identical
+/// at any thread count, so the cap never shows in output.
+fn request_exec(req: &Request, session: &ExecConfig) -> Result<ExecConfig, BadRequest> {
+    let asked =
+        trex_shapley::exec_config_from_knobs(|name| req.param(name)).map_err(BadRequest::new)?;
+    let threads = match req.param("threads") {
+        Some(_) => asked.threads().min(session.threads()),
+        None => session.threads(),
+    };
+    let mut exec = ExecConfig::new().with_threads(threads);
+    if let Some(cap) = asked.oracle_cap().or(session.oracle_cap()) {
+        exec = exec.with_oracle_cap(cap);
+    }
+    if let Some(seed) = asked.seed().or(session.seed()) {
+        exec = exec.with_seed(seed);
+    }
+    Ok(exec)
 }
 
 /// Parse a `tROW.Attr` cell spec against the session table (1-based row,
@@ -194,7 +212,7 @@ fn health(req: &Request, stream: &mut Conn) -> io::Result<()> {
 
 fn violations(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     let session = state.read();
-    let (exec, ()) = match (request_exec(req), check_params(req, &[])) {
+    let (exec, ()) = match (request_exec(req, &session.config()), check_params(req, &[])) {
         (Ok(e), Ok(())) => (e, ()),
         (Err(bad), _) | (_, Err(bad)) => return write_error(stream, bad.status, &bad.message),
     };
@@ -350,7 +368,7 @@ fn explain(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<
                 "stream",
             ],
         )?;
-        let exec = request_exec(req)?;
+        let exec = request_exec(req, &session.config())?;
         let spec = req
             .param("cell")
             .ok_or_else(|| BadRequest::new("missing required parameter \"cell\""))?;
@@ -616,5 +634,49 @@ fn explain_cells(
             chunk_line(stream, &line)?;
             chunk_finish(stream)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(query: &[(&str, &str)]) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: "/explain".to_string(),
+            query: query
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn request_knobs_inherit_the_session_and_threads_are_capped_at_it() {
+        let session = ExecConfig::new().with_oracle_cap(5000).with_seed(7);
+        // Unset knobs take the session's values.
+        let exec = request_exec(&request(&[]), &session).unwrap();
+        assert_eq!(exec, session);
+        // Set knobs win, except that threads never exceed the session's;
+        // resolving a config starts no threads.
+        let exec = request_exec(
+            &request(&[("threads", "1024"), ("oracle-cap", "9"), ("seed", "3")]),
+            &session,
+        )
+        .unwrap();
+        assert_eq!(exec, ExecConfig::new().with_oracle_cap(9).with_seed(3));
+        let four = ExecConfig::new().with_threads(4);
+        assert_eq!(
+            request_exec(&request(&[("threads", "2")]), &four)
+                .unwrap()
+                .threads(),
+            2
+        );
+        assert_eq!(request_exec(&request(&[]), &four).unwrap().threads(), 4);
+        // Validation is unchanged: an absurd count is still a 400.
+        let err = request_exec(&request(&[("threads", "2000")]), &session).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("2000"), "{}", err.message);
     }
 }

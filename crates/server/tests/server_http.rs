@@ -123,6 +123,35 @@ fn batch_cell_explanation_is_valid_and_deterministic() {
 }
 
 #[test]
+fn requests_without_knobs_share_the_session_oracle_cache() {
+    // Regression: a request without `oracle-cap` asked for the default
+    // capacity, which differed from the session's, so every such request
+    // ran on a private cache and the session's stayed empty.
+    let session = Session::new(
+        Box::new(laliga::algorithm1()),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    )
+    .with_config(trex::ExecConfig::new().with_oracle_cap(5000));
+    let cache = std::sync::Arc::clone(session.oracle_cache());
+    let server = serve(session, &ServerConfig::default()).expect("bind");
+    let target = "/explain?kind=cells&cell=t5.Country&samples=50";
+    let (status, first) = get(&server, target);
+    assert_eq!(status, 200, "{first}");
+    let cold = cache.stats();
+    assert!(
+        cold.misses > 0,
+        "the first request filled the session cache"
+    );
+    let (status, second) = get(&server, target);
+    assert_eq!(status, 200, "{second}");
+    assert_eq!(first, second);
+    let warm = cache.stats();
+    assert_eq!(warm.misses, cold.misses, "the second request is all hits");
+    assert_eq!(warm.hits, cold.hits + cold.total());
+}
+
+#[test]
 fn anytime_stream_lines_are_valid_and_final_matches_batch() {
     let server = start_server();
     let knobs = "cell=t5.Country&samples=200&seed=7&threads=2";

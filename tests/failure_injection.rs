@@ -113,6 +113,35 @@ fn unknown_attribute_constraints_fail_loudly_and_precisely() {
     assert_eq!(err.constraint, "X");
 }
 
+/// Explaining over a program with a DC on an unknown column is an
+/// explanation error naming the constraint and the column, on every entry
+/// point (Algorithm 1 used to panic inside the repair).
+#[test]
+fn explanations_over_an_unresolvable_constraint_are_an_error_not_a_panic() {
+    let mut dcs = laliga::constraints();
+    dcs.extend(parse_dcs("C9: !(t1.Nope = t2.Nope & t1.City != t2.City)").unwrap());
+    let session = trex::Session::new(Box::new(laliga::algorithm1()), laliga::dirty_table(), dcs);
+    let cell = laliga::cell_of_interest(session.table());
+    let expected = trex::ExplainError::UnresolvedConstraint(trex_constraints::ResolveError {
+        constraint: "C9".into(),
+        attr: "Nope".into(),
+    });
+    let config = SamplingConfig {
+        samples: 10,
+        seed: 0,
+    };
+    let constraints = session.explain_constraints(cell).unwrap_err();
+    let cells = session
+        .explain_cells_masked(cell, MaskMode::Null, config)
+        .unwrap_err();
+    assert_eq!(constraints, expected);
+    assert_eq!(cells, expected);
+    assert_eq!(
+        expected.to_string(),
+        "constraint C9: unknown attribute \"Nope\""
+    );
+}
+
 /// Explaining a cell of a single-row table (no pairs, no violations).
 #[test]
 fn single_row_table_explains_nothing() {

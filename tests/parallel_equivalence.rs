@@ -17,6 +17,10 @@
 //!   and `Session::explain_cells_masked_anytime` print the 1-thread answer
 //!   at every thread count — including the Figure 2 ranking at 16 threads.
 //!
+//! Program slicing rides along: explanations under an engine's declared
+//! slice (`trex_repair::Reach`) are the unsliced explanations bit for bit
+//! at every thread count.
+//!
 //! The giant-bucket block split of `find_all_violations_par` rides along:
 //! it keeps the violation scan's output the 1-thread output on a table
 //! whose rows all share one equality-bucket key.
@@ -26,17 +30,24 @@
 //! every thread sweep below.
 
 use trex::{CellGameMasked, CellGameSampled, ExecConfig, Explainer, MaskMode, Session};
+use trex_constraints::DenialConstraint;
 use trex_datagen::laliga;
+use trex_repair::{RepairAlgorithm, RepairResult};
 use trex_shapley::{
     parallel, player_seed, sampling, AnytimeControl, Estimate, Game, ParallelConfig,
     SamplingConfig, StochasticGame,
 };
-use trex_table::Value;
+use trex_table::{Table, Value};
 
 /// The thread counts every sweep exercises: 1, 2, 3, 4, 8 and 16, plus the
 /// CI thread-matrix count from `TREX_TEST_THREADS` when set.
 fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 3, 4, 8, 16];
+    with_test_threads(vec![1, 2, 3, 4, 8, 16])
+}
+
+/// `counts` plus the CI thread-matrix count from `TREX_TEST_THREADS` when
+/// set.
+fn with_test_threads(mut counts: Vec<usize>) -> Vec<usize> {
     if let Ok(raw) = std::env::var("TREX_TEST_THREADS") {
         let extra: usize = raw
             .parse()
@@ -415,6 +426,60 @@ fn figure_2_cell_ranking_at_16_threads_is_the_1_thread_ranking() {
             .ranking
     };
     assert_eq!(ranking(16), ranking(1));
+}
+
+/// The unsliced reference: forwards `name` and `repair` to the wrapped
+/// engine but declares no slice, so the games and the explainer run the
+/// whole program over every cell.
+struct Unsliced<A>(A);
+
+impl<A: RepairAlgorithm> RepairAlgorithm for Unsliced<A> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn repair(&self, dcs: &[DenialConstraint], dirty: &Table) -> RepairResult {
+        self.0.repair(dcs, dirty)
+    }
+}
+
+#[test]
+fn sliced_explanations_are_bit_identical_to_the_unsliced_program() {
+    let dirty = laliga::dirty_table();
+    let dcs = laliga::constraints();
+    let cell = laliga::cell_of_interest(&dirty);
+    let sliced = laliga::algorithm1();
+    let unsliced = Unsliced(laliga::algorithm1());
+    let config = SamplingConfig {
+        samples: 100,
+        seed: 0,
+    };
+    let explain = |alg: &dyn RepairAlgorithm, threads: usize| {
+        let ex = Explainer::new(alg).with_config(ExecConfig::new().with_threads(threads));
+        let constraints = ex.explain_constraints(&dcs, &dirty, cell).unwrap();
+        let exact: Vec<(String, String)> = constraints
+            .exact
+            .iter()
+            .map(|(label, r)| (label.clone(), r.to_string()))
+            .collect();
+        let cells = [MaskMode::Null, MaskMode::Distinct].map(|mode| {
+            let e = ex
+                .explain_cells_masked(&dcs, &dirty, cell, mode, config)
+                .unwrap();
+            let bits: Vec<u64> = e.values.iter().map(|v| v.to_bits()).collect();
+            (e.ranking, bits)
+        });
+        (exact, constraints.ranking, cells)
+    };
+    for threads in with_test_threads(vec![1, 2, 4, 8]) {
+        let reference = explain(&unsliced, threads);
+        assert_eq!(
+            reference.0,
+            [("C1", "1/6"), ("C2", "1/6"), ("C3", "2/3"), ("C4", "0")]
+                .map(|(c, r)| (c.to_string(), r.to_string()))
+        );
+        assert_eq!(explain(&sliced, threads), reference, "threads = {threads}");
+    }
 }
 
 #[test]
