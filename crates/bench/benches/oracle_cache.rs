@@ -34,7 +34,8 @@ fn bench_oracle_cache(c: &mut Criterion) {
     });
     group.bench_function("uncached_double_solve", |b| {
         b.iter(|| {
-            let game = ConstraintGame::without_cache(&alg, &dcs, &dirty, cell, Value::str("Spain"));
+            let oracle = ShardedOracle::with_capacity(&alg, 0);
+            let game = ConstraintGame::with_oracle(oracle, &dcs, &dirty, cell, Value::str("Spain"));
             let f = shapley_exact(black_box(&game)).unwrap();
             let r = shapley_exact_rational(black_box(&game)).unwrap();
             (f, r)

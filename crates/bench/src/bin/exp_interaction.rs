@@ -7,10 +7,14 @@
 //! interaction with the dummy C4 is zero. Banzhaf values confirm the
 //! ranking is not an artifact of Shapley's coalition-size weighting.
 //!
+//! Both solvers run on the game behind the Shapley explanation: a
+//! `ConstraintGame` over the explanation's repair target.
+//!
 //! Run: `cargo run --release -p trex-bench --bin exp_interaction`
 
-use trex::Explainer;
+use trex::{ConstraintGame, Explainer};
 use trex_datagen::laliga;
+use trex_shapley::{banzhaf_exact, shapley_interaction_exact, Game};
 
 fn main() {
     let dirty = laliga::dirty_table();
@@ -20,17 +24,19 @@ fn main() {
     let cell = laliga::cell_of_interest(&dirty);
 
     let shapley = ex.explain_constraints(&dcs, &dirty, cell).unwrap();
-    let banzhaf = ex.constraint_banzhaf(&dcs, &dirty, cell).unwrap();
-    let (labels, m) = ex.constraint_interactions(&dcs, &dirty, cell).unwrap();
+    let game = ConstraintGame::new(&alg, &dcs, &dirty, cell, shapley.target.clone());
+    let banzhaf = banzhaf_exact(&game).unwrap();
+    let m = shapley_interaction_exact(&game).unwrap();
+    let labels: Vec<String> = (0..dcs.len()).map(|i| game.player_label(i)).collect();
 
     println!("constraint attribution for the repair of t5[Country] → Spain\n");
     println!("{:<5} {:>10} {:>10}", "DC", "Shapley", "Banzhaf");
-    for l in &labels {
+    for (l, b) in labels.iter().zip(&banzhaf) {
         println!(
             "{:<5} {:>10.4} {:>10.4}",
             l,
             shapley.ranking.get(l).unwrap().value,
-            banzhaf.get(l).unwrap().value,
+            b,
         );
     }
 

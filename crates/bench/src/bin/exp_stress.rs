@@ -244,9 +244,12 @@ fn main() {
     // constraint half — the solver that stays exact at any table size).
     let cell = repair.changes[0].cell;
     let started = Instant::now();
-    let (explanation, oracle) = session
-        .explain_constraints_with_stats(cell)
+    let explanation = session
+        .explain_constraints(cell)
         .expect("a repaired cell explains");
+    // The session's explainer memoizes into the session cache, which has
+    // seen no other oracle traffic: its counters are this explanation's.
+    let oracle = session.oracle_cache().stats();
     let top = explanation.ranking.top().expect("non-empty ranking");
     phases.push(finish_phase(
         "explain",

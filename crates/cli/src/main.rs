@@ -26,7 +26,7 @@ use trex::{
 use trex_constraints::{find_all_violations_par, parse_dcs, DenialConstraint};
 use trex_repair::{FdChaseRepair, HolisticRepair, HoloCleanStyle, RepairAlgorithm, RuleRepair};
 use trex_shapley::{ExecConfig, SamplingConfig};
-use trex_table::{read_csv_strings, CellRef, Table};
+use trex_table::{read_csv_inferred, CellRef, Table};
 
 const USAGE: &str = "\
 trex — table repair explanations via Shapley values
@@ -119,7 +119,9 @@ ADAPTIVE BUDGET (explain --cells --adaptive):
   Not combinable with --mask (adaptive implies replacement semantics).
 
 FILES:
-  tables are CSV with a header row (all columns read as strings);
+  tables are CSV with a header row; a column whose every non-empty field
+  is a plain integer (2019, -3; not 007, +5 or 1e3) reads as integers,
+  every other column as strings (floats included);
   constraints use the paper syntax, one per line:
       C1: !(t1.Team = t2.Team & t1.City != t2.City)
   rule files (for --engine rules), one per line:
@@ -141,7 +143,7 @@ fn main() -> ExitCode {
         Some("explain") => cmd_explain(&args).map(|()| ExitCode::SUCCESS),
         Some("serve") => cmd_serve(&args).map(|()| ExitCode::SUCCESS),
         Some("lint") => cmd_lint(&args),
-        Some("mine") => cmd_mine(&args).map(|()| ExitCode::SUCCESS),
+        Some("mine") => cmd_mine(&args).map(|_| ExitCode::SUCCESS),
         Some("datagen") => cmd_datagen(&args).map(|()| ExitCode::SUCCESS),
         Some("demo") => cmd_demo(&args).map(|()| ExitCode::SUCCESS),
         Some("help") | None => {
@@ -159,13 +161,20 @@ fn main() -> ExitCode {
     }
 }
 
+/// Load a CSV table the one way every subcommand does: integer columns
+/// typed as integers, every other column as strings (see
+/// [`read_csv_inferred`]).
+fn load_table(path: &str) -> Result<Table, ArgError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+    read_csv_inferred(&text).map_err(|e| ArgError(format!("{path}: {e}")))
+}
+
+/// Load `--table` and `--dcs`: the inputs of violations, repair, explain,
+/// serve and lint.
 fn load_inputs(args: &Args) -> Result<(Table, Vec<DenialConstraint>), ArgError> {
-    let table_path = args.require("table")?;
+    let table = load_table(args.require("table")?)?;
     let dcs_path = args.require("dcs")?;
-    let table_text = std::fs::read_to_string(table_path)
-        .map_err(|e| ArgError(format!("cannot read {table_path}: {e}")))?;
-    let table =
-        read_csv_strings(&table_text).map_err(|e| ArgError(format!("{table_path}: {e}")))?;
     let dcs_text = std::fs::read_to_string(dcs_path)
         .map_err(|e| ArgError(format!("cannot read {dcs_path}: {e}")))?;
     let dcs = parse_dcs(&dcs_text).map_err(|e| ArgError(format!("{dcs_path}: {e}")))?;
@@ -336,7 +345,6 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
             batch,
             max_samples,
             seed,
-            ..AdaptiveConfig::default()
         };
         let (out, converged) = explainer
             .explain_cells_adaptive(&dcs, &table, cell, config)
@@ -476,14 +484,13 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
     })
 }
 
-fn cmd_mine(args: &Args) -> Result<(), ArgError> {
+/// Print the table's minimal denial constraints, and return them.
+fn cmd_mine(args: &Args) -> Result<Vec<DenialConstraint>, ArgError> {
     let table_path = args.require("table")?.to_string();
     let max_predicates: usize = args.get_parsed("max-predicates", 3)?;
     let order = args.has("order");
     args.reject_unknown()?;
-    let text = std::fs::read_to_string(&table_path)
-        .map_err(|e| ArgError(format!("cannot read {table_path}: {e}")))?;
-    let table = read_csv_strings(&text).map_err(|e| ArgError(format!("{table_path}: {e}")))?;
+    let table = load_table(&table_path)?;
     let dcs = trex_constraints::mine_dcs(
         &table,
         &trex_constraints::MineConfig {
@@ -500,7 +507,7 @@ fn cmd_mine(args: &Args) -> Result<(), ArgError> {
     for dc in &dcs {
         println!("{dc}");
     }
-    Ok(())
+    Ok(dcs)
 }
 
 fn cmd_datagen(args: &Args) -> Result<(), ArgError> {
@@ -707,38 +714,60 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("trex-datagen-cli-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let out = dir.to_str().unwrap().to_string();
-        let a = Args::parse([
-            "datagen", "--schema", "soccer", "--rows", "240", "--rate", "0.02", "--out", &out,
-        ])
-        .unwrap();
-        cmd_datagen(&a).unwrap();
+        for schema in ["soccer", "sensor", "adult"] {
+            let a = Args::parse([
+                "datagen", "--schema", schema, "--rows", "240", "--rate", "0.02", "--seed", "3",
+                "--out", &out,
+            ])
+            .unwrap();
+            cmd_datagen(&a).unwrap();
 
-        // Every emitted file parses back through the consuming subcommands'
-        // own readers, and the exported Algorithm 1 repairs the exported
-        // dirty table back to the exported clean table.
-        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
-        let clean = read_csv_strings(&read("soccer_clean.csv")).unwrap();
-        let dirty = read_csv_strings(&read("soccer_dirty.csv")).unwrap();
-        let dcs = trex_constraints::parse_dcs(&read("soccer.dcs")).unwrap();
-        let rules = RuleRepair::parse_rules(&read("soccer.rules")).unwrap();
-        let truth = read("soccer_truth.tsv");
-        assert_eq!(clean.num_rows(), dirty.num_rows());
-        assert!(!dcs.is_empty());
-        // Exact accounting: the truth file has one line per injected cell,
-        // floor(cells × rate) of them.
-        let expected = (clean.num_cells() as f64 * 0.02).floor() as usize;
-        assert_eq!(truth.trim_end().lines().count(), expected);
-        // The dirty table violates the exported constraints, and the
-        // exported Algorithm 1 repairs cells (not every injected error
-        // violates a constraint, so full clean-table recovery is not
-        // guaranteed for an all-kinds error mix).
-        let resolved: Vec<_> = dcs
-            .iter()
-            .map(|d| d.resolved(dirty.schema()).unwrap())
-            .collect();
-        assert!(!find_all_violations_par(&resolved, &dirty, 2).is_empty());
-        let repaired = rules.repair(&dcs, &dirty);
-        assert!(!repaired.changes.is_empty());
+            // Every emitted file parses back through the consuming
+            // subcommands' own readers, and the exported Algorithm 1
+            // repairs cells of the exported dirty table.
+            let file = |suffix: &str| dir.join(format!("{schema}{suffix}"));
+            let path = |suffix: &str| file(suffix).to_str().unwrap().to_string();
+            let (table, dcs) = (path("_dirty.csv"), path(".dcs"));
+            let inputs = Args::parse(["lint", "--table", &table, "--dcs", &dcs]).unwrap();
+            let (dirty, dcs) = load_inputs(&inputs).unwrap();
+            let clean = load_table(&path("_clean.csv")).unwrap();
+            let rules =
+                RuleRepair::parse_rules(&std::fs::read_to_string(file(".rules")).unwrap()).unwrap();
+            let truth = std::fs::read_to_string(file("_truth.tsv")).unwrap();
+            assert_eq!(clean.num_rows(), dirty.num_rows());
+            assert!(!dcs.is_empty());
+            // Exact accounting: the truth file has one line per injected
+            // cell, floor(cells × rate) of them.
+            let expected = (clean.num_cells() as f64 * 0.02).floor() as usize;
+            assert_eq!(truth.trim_end().lines().count(), expected, "{schema}");
+            // Integer columns load as integers, so every constraint can
+            // hold, sensor's `Reading < 0` and adult's `EducationYears < 1`
+            // included (on text columns they are TREX-E002 and lint fails).
+            assert_eq!(cmd_lint(&inputs).unwrap(), ExitCode::SUCCESS, "{schema}");
+            // The dirty table violates the exported constraints (on sensor,
+            // the range constraint S3 too), and the exported Algorithm 1
+            // repairs cells (not every injected error violates a
+            // constraint, so full clean-table recovery is not guaranteed
+            // for an all-kinds error mix).
+            let witnesses = find_all_violations_par(&resolve_all(&dirty, &dcs).unwrap(), &dirty, 2);
+            assert!(!witnesses.is_empty(), "{schema}");
+            if schema == "sensor" {
+                assert!(witnesses.iter().any(|v| &*v.constraint == "S3"));
+            }
+            assert!(!rules.repair(&dcs, &dirty).changes.is_empty(), "{schema}");
+        }
+        // `mine --order` orders integer columns: on the clean adult table,
+        // Education determines EducationYears in both directions.
+        let table = dir.join("adult_clean.csv").to_str().unwrap().to_string();
+        let mined =
+            cmd_mine(&Args::parse(["mine", "--table", &table, "--order"]).unwrap()).unwrap();
+        let shown: Vec<String> = mined.iter().map(|dc| dc.to_string()).collect();
+        assert!(
+            shown
+                .iter()
+                .any(|dc| dc.contains("t1.EducationYears < t2.EducationYears")),
+            "{shown:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -860,9 +889,7 @@ mod tests {
         // Regression: these lists loaded and silently repaired nothing.
         let dir = std::env::temp_dir().join(format!("trex-bad-rules-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let table =
-            read_csv_strings(&std::fs::read_to_string(shipped("laliga_dirty.csv")).unwrap())
-                .unwrap();
+        let table = load_table(&shipped("laliga_dirty.csv")).unwrap();
         let dcs = parse_dcs(&std::fs::read_to_string(shipped("laliga.dcs")).unwrap()).unwrap();
         let load = |rules: &str| {
             let a = Args::parse(["repair", "--engine", "rules", "--rules", rules]).unwrap();

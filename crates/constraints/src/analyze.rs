@@ -725,8 +725,9 @@ fn typecheck_predicate(
                     .unwrap_or(false);
                 let hint = if numeric_text && const_class == TypeClass::Num {
                     Some(format!(
-                        "{col_name} is a text column (CSV columns load as strings) whose values \
-                         look numeric; quote the constant or retype the column"
+                        "{col_name} is a text column whose values look numeric (a CSV column \
+                         loads as text unless every value is a plain integer); quote the \
+                         constant or retype the column"
                     ))
                 } else {
                     Some(format!(
@@ -1224,7 +1225,7 @@ mod tests {
             .hint
             .as_deref()
             .unwrap()
-            .contains("CSV columns load as strings"));
+            .contains("loads as text unless every value is a plain integer"));
     }
 
     #[test]

@@ -3,18 +3,23 @@
 //! Given the black-box repair algorithm, the constraint set, the dirty
 //! table, and a repaired cell of interest, [`Explainer`] produces the two
 //! rankings of §1: constraints by Shapley value (computed exactly, §2.3)
-//! and cells by Shapley value (approximated by permutation sampling, §2.3,
-//! or computed exactly on small tables).
+//! and cells by Shapley value (estimated by permutation sampling, §2.3).
+//!
+//! Every other solver composes from the same parts:
+//! [`Explainer::repair_target`], a game of [`crate::games`], and a
+//! `trex_shapley` solver. Exact cell values are `shapley_exact` on a
+//! [`CellGameMasked`]; interaction indices and Banzhaf values are
+//! `shapley_interaction_exact` and `banzhaf_exact` on a [`ConstraintGame`].
 
-use crate::games::{CellGameMasked, CellGameSampled, ConstraintGame, MaskMode};
+use crate::games::{cell_label, CellGameMasked, CellGameSampled, ConstraintGame, MaskMode};
 use crate::ranking::Ranking;
 use std::fmt;
 use std::sync::Arc;
 use trex_constraints::{DenialConstraint, ResolveError};
-use trex_repair::{OracleCache, Reach, RepairAlgorithm, RepairResult, ShardedOracle};
+use trex_repair::{OracleCache, Reach, RepairAlgorithm, ShardedOracle};
 use trex_shapley::{
-    parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, ExactError,
-    ExecConfig, Game, ParallelConfig, Rational, SamplingConfig, StochasticGame,
+    parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, Estimate,
+    ExactError, ExecConfig, Game, ParallelConfig, Rational, SamplingConfig,
 };
 use trex_table::{CellRef, Table, Value};
 
@@ -31,13 +36,6 @@ pub enum ExplainError {
     CellOutOfRange {
         /// The offending reference.
         cell: CellRef,
-    },
-    /// Exact cell explanation was requested for a table with too many cells.
-    TooManyCells {
-        /// Number of player cells.
-        players: usize,
-        /// The exact-solver cap.
-        limit: usize,
     },
     /// An exact constraint explanation was requested over more
     /// constraints than the exact solvers enumerate.
@@ -62,10 +60,6 @@ impl fmt::Display for ExplainError {
                 )
             }
             ExplainError::CellOutOfRange { cell } => write!(f, "cell {cell} is out of range"),
-            ExplainError::TooManyCells { players, limit } => write!(
-                f,
-                "exact cell explanation over {players} cells exceeds the {limit}-player limit; use sampling"
-            ),
             ExplainError::TooManyConstraints { constraints, limit } => write!(
                 f,
                 "exact constraint explanation over {constraints} constraints exceeds the \
@@ -101,16 +95,18 @@ pub struct ConstraintExplanation {
     pub target: Value,
 }
 
+/// The confidence multiplier of the adaptive stopping rule: a 95%
+/// confidence interval.
+const ADAPTIVE_Z: f64 = 1.96;
+
 /// Configuration of the adaptive (precision-targeted) cell explanation:
 /// instead of a fixed per-player sample count, each cell is sampled in
-/// batches until its confidence half-width meets `tolerance` or its
+/// batches until its 95% confidence half-width meets `tolerance` or its
 /// `max_samples` budget runs out.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
-    /// Target half-width of the per-cell confidence interval.
+    /// Target half-width of the per-cell 95% confidence interval.
     pub tolerance: f64,
-    /// Confidence multiplier (`1.96` ≈ 95%).
-    pub z: f64,
     /// Samples per adaptive round, between convergence checks. Every
     /// round is exactly `batch` samples from its own laddered seed at any
     /// thread count (see `trex_shapley::round_seed`).
@@ -126,7 +122,6 @@ impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             tolerance: 0.05,
-            z: 1.96,
             batch: 100,
             max_samples: 10_000,
             seed: 0,
@@ -145,6 +140,29 @@ pub struct CellExplanation {
     pub values: Vec<f64>,
     /// The repaired (target) value of the cell of interest.
     pub target: Value,
+}
+
+/// Rank the player cells by their estimates, labelled exactly as the cell
+/// games label their players ([`cell_label`]).
+fn cell_explanation(
+    dirty: &Table,
+    players: &[CellRef],
+    target: Value,
+    estimates: &[Estimate],
+) -> CellExplanation {
+    let ranking = Ranking::with_errors(
+        players
+            .iter()
+            .zip(estimates)
+            .map(|(&p, e)| (cell_label(dirty, p), e.value, Some(e.std_error())))
+            .collect(),
+    );
+    CellExplanation {
+        ranking,
+        values: estimates.iter().map(|e| e.value).collect(),
+        players: players.to_vec(),
+        target,
+    }
 }
 
 /// The T-REx explainer.
@@ -185,18 +203,14 @@ impl<'a> Explainer<'a> {
     /// one long-lived `Session`) sharing one [`OracleCache`] pool their
     /// coalition answers: oracle keys embed the table fingerprint and the
     /// DC-set hash, so entries computed under one `(table, constraints)`
-    /// pair can never answer a query for another.
+    /// pair can never answer a query for another. The cache's
+    /// [`OracleCache::stats`] then count every explanation run through it.
     ///
     /// A shared cache carries its own capacity, so it overrides
     /// [`ExecConfig::with_oracle_cap`] for this explainer.
     pub fn with_oracle_cache(mut self, cache: Arc<OracleCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// The shared oracle cache, if one is attached.
-    pub fn oracle_cache(&self) -> Option<&Arc<OracleCache>> {
-        self.cache.as_ref()
     }
 
     /// Apply an execution configuration wholesale: thread count and oracle
@@ -209,36 +223,9 @@ impl<'a> Explainer<'a> {
         self
     }
 
-    /// The explainer's execution configuration.
-    pub fn config(&self) -> ExecConfig {
-        self.cfg
-    }
-
-    /// The configured sampling worker count.
-    pub fn threads(&self) -> usize {
-        self.cfg.threads()
-    }
-
-    /// The pinned oracle capacity, if any (`None` = the oracle default).
-    pub fn oracle_capacity(&self) -> Option<usize> {
-        self.cfg.oracle_cap()
-    }
-
-    /// Pre-flight static analysis of a constraint program against the table
-    /// it is about to explain repairs over (see
-    /// [`trex_constraints::analyze_with_table`]). Explanations of a
-    /// mistyped or dead constraint are confusingly all-zero; run this first
-    /// and surface the diagnostics.
-    pub fn analyze(&self, dcs: &[DenialConstraint], table: &Table) -> trex_constraints::Analysis {
-        trex_constraints::analyze_with_table(dcs, table)
-    }
-
     /// Build a coalition oracle: the shared cache when one is attached,
     /// else a private cache under the configured capacity bound.
-    fn build_oracle<'b>(&self) -> ShardedOracle<'b>
-    where
-        'a: 'b,
-    {
+    fn build_oracle(&self) -> ShardedOracle<'a> {
         match &self.cache {
             Some(cache) => ShardedOracle::with_shared_cache(self.alg, Arc::clone(cache)),
             None => match self.cfg.oracle_cap() {
@@ -246,48 +233,6 @@ impl<'a> Explainer<'a> {
                 None => ShardedOracle::new(self.alg),
             },
         }
-    }
-
-    /// Build the constraint game with this explainer's oracle
-    /// configuration.
-    fn constraint_game<'b>(
-        &self,
-        dcs: &'b [DenialConstraint],
-        dirty: &'b Table,
-        cell: CellRef,
-        target: Value,
-    ) -> ConstraintGame<'b>
-    where
-        'a: 'b,
-    {
-        ConstraintGame::with_oracle(self.build_oracle(), dcs, dirty, cell, target)
-    }
-
-    /// Build the masked cell game with this explainer's oracle
-    /// configuration.
-    fn masked_game<'b>(
-        &self,
-        dcs: &'b [DenialConstraint],
-        dirty: &'b Table,
-        cell: CellRef,
-        target: Value,
-        mode: MaskMode,
-    ) -> CellGameMasked<'b>
-    where
-        'a: 'b,
-    {
-        CellGameMasked::with_oracle(self.build_oracle(), dcs, dirty, cell, target, mode)
-    }
-
-    /// The wrapped algorithm.
-    pub fn algorithm(&self) -> &dyn RepairAlgorithm {
-        self.alg
-    }
-
-    /// Run the full repair (`Alg(C, T^d)`), the step behind the demo's
-    /// "Repair" button.
-    pub fn repair(&self, dcs: &[DenialConstraint], dirty: &Table) -> RepairResult {
-        self.alg.repair(dcs, dirty)
     }
 
     /// Determine the repair target of `cell`: the clean value the full run
@@ -330,87 +275,29 @@ impl<'a> Explainer<'a> {
         dirty: &Table,
         cell: CellRef,
     ) -> Result<ConstraintExplanation, ExplainError> {
-        self.explain_constraints_with_stats(dcs, dirty, cell)
-            .map(|(explanation, _)| explanation)
-    }
-
-    /// [`Explainer::explain_constraints`], also returning the repair-oracle
-    /// cache counters the explanation accumulated (hits, misses,
-    /// evictions). The stress harness records these as cache-pressure
-    /// telemetry; the explanation itself is identical at any oracle
-    /// capacity.
-    pub fn explain_constraints_with_stats(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<(ConstraintExplanation, trex_repair::OracleStats), ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.constraint_game(dcs, dirty, cell, target.clone());
+        let game =
+            ConstraintGame::with_oracle(self.build_oracle(), dcs, dirty, cell, target.clone());
         // The rational solver has the lower player cap, so it runs first:
         // an oversized program fails before any coalition is repaired.
         let rationals = shapley_exact_rational(&game).map_err(too_many_constraints)?;
         let values = shapley_exact(&game).map_err(too_many_constraints)?;
-        let ranking = Ranking::new(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Game::player_label(&game, i), *v))
-                .collect(),
-        );
-        let explanation = ConstraintExplanation {
-            ranking,
+        let label = |i| Game::player_label(&game, i);
+        Ok(ConstraintExplanation {
+            ranking: Ranking::new(
+                values
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| (label(i), v))
+                    .collect(),
+            ),
             exact: rationals
                 .into_iter()
                 .enumerate()
-                .map(|(i, r)| (Game::player_label(&game, i), r))
+                .map(|(i, r)| (label(i), r))
                 .collect(),
             target,
-        };
-        Ok((explanation, game.oracle_stats()))
-    }
-
-    /// Pairwise **Shapley interaction indices** of the constraints for the
-    /// repair of `cell` (extension; Grabisch–Roubens). Positive entries are
-    /// complements — the paper's C1/C2, which "contributed as a pair" —
-    /// negative entries substitutes (C3 against either of them). Returns
-    /// the labeled symmetric matrix in constraint order.
-    pub fn constraint_interactions(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<(Vec<String>, Vec<Vec<f64>>), ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.constraint_game(dcs, dirty, cell, target);
-        let matrix =
-            trex_shapley::shapley_interaction_exact(&game).map_err(too_many_constraints)?;
-        let labels = (0..dcs.len())
-            .map(|i| Game::player_label(&game, i))
-            .collect();
-        Ok((labels, matrix))
-    }
-
-    /// **Banzhaf** power indices of the constraints (extension): the
-    /// unweighted-average-marginal alternative to Shapley. Useful as a
-    /// cross-check that the ranking is not an artifact of Shapley's
-    /// size weighting.
-    pub fn constraint_banzhaf(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<Ranking, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.constraint_game(dcs, dirty, cell, target);
-        let values = trex_shapley::banzhaf_exact(&game).map_err(too_many_constraints)?;
-        Ok(Ranking::new(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Game::player_label(&game, i), *v))
-                .collect(),
-        ))
+        })
     }
 
     /// Explain the influence of each **cell** via the sampling algorithm of
@@ -425,32 +312,15 @@ impl<'a> Explainer<'a> {
     ) -> Result<CellExplanation, ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
-        let estimates =
-            parallel::estimate_all(&game, ParallelConfig::from_sampling(config, self.threads()));
-        let players = game.players().to_vec();
-        let ranking = Ranking::with_errors(
-            estimates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    (
-                        StochasticGame::player_label(&game, i),
-                        e.value,
-                        Some(e.std_error()),
-                    )
-                })
-                .collect(),
+        let estimates = parallel::estimate_all(
+            &game,
+            ParallelConfig::from_sampling(config, self.cfg.threads()),
         );
-        Ok(CellExplanation {
-            ranking,
-            values: estimates.iter().map(|e| e.value).collect(),
-            players,
-            target,
-        })
+        Ok(cell_explanation(dirty, game.players(), target, &estimates))
     }
 
     /// Adaptive cell explanation (extension): each cell is sampled under
-    /// replacement semantics until its `z`-confidence half-width drops
+    /// replacement semantics until its 95%-confidence half-width drops
     /// below `config.tolerance` or its `config.max_samples` budget is
     /// spent, on the parallel engine with this explainer's worker count.
     /// Cells with tight estimates (dummies most of all) stop early; the
@@ -471,40 +341,19 @@ impl<'a> Explainer<'a> {
     ) -> Result<(CellExplanation, Vec<bool>), ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
-        let players = game.players().to_vec();
         let (estimates, converged): (Vec<_>, Vec<_>) = parallel::estimate_all_adaptive(
             &game,
             config.tolerance,
-            config.z,
+            ADAPTIVE_Z,
             config.batch,
             config.max_samples,
             config.seed,
-            self.threads(),
+            self.cfg.threads(),
         )
         .into_iter()
         .unzip();
-        let ranking = Ranking::with_errors(
-            estimates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    (
-                        StochasticGame::player_label(&game, i),
-                        e.value,
-                        Some(e.std_error()),
-                    )
-                })
-                .collect(),
-        );
-        Ok((
-            CellExplanation {
-                ranking,
-                values: estimates.iter().map(|e| e.value).collect(),
-                players,
-                target,
-            },
-            converged,
-        ))
+        let explanation = cell_explanation(dirty, game.players(), target, &estimates);
+        Ok((explanation, converged))
     }
 
     /// Explain cells with the **masked** (null / labeled-null) semantics of
@@ -519,33 +368,18 @@ impl<'a> Explainer<'a> {
         mode: MaskMode,
         config: SamplingConfig,
     ) -> Result<CellExplanation, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let estimates = parallel::estimate_all_walk(
-            &game,
-            ParallelConfig::from_sampling(config, self.threads()),
-        );
-        let players = game.players().to_vec();
-        let ranking = Ranking::with_errors(
-            estimates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (Game::player_label(&game, i), e.value, Some(e.std_error())))
-                .collect(),
-        );
-        Ok(CellExplanation {
-            ranking,
-            values: estimates.iter().map(|e| e.value).collect(),
-            players,
-            target,
+        self.explain_cells_masked_anytime(dcs, dirty, cell, mode, config, 0, |_| {
+            AnytimeControl::Continue
         })
+        .map(|(explanation, _)| explanation)
     }
 
     /// Anytime variant of [`Explainer::explain_cells_masked`]: the same
     /// shared-permutation-walk estimator, but `on_checkpoint` observes the
-    /// in-progress estimates every `checkpoint_every` walks and can stop
-    /// the run early ([`AnytimeControl::Stop`]) — e.g. when a latency
-    /// budget expires or the requesting client disconnects.
+    /// in-progress estimates every `checkpoint_every` walks (`0`: once, at
+    /// the end) and can stop the run early ([`AnytimeControl::Stop`]) —
+    /// e.g. when a latency budget expires or the requesting client
+    /// disconnects.
     ///
     /// Determinism contract: a run that completes (`finished == true`)
     /// returns exactly what [`Explainer::explain_cells_masked`] returns for
@@ -567,128 +401,22 @@ impl<'a> Explainer<'a> {
         on_checkpoint: impl FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
     ) -> Result<(CellExplanation, bool), ExplainError> {
         let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
+        let game = CellGameMasked::with_oracle(
+            self.build_oracle(),
+            dcs,
+            dirty,
+            cell,
+            target.clone(),
+            mode,
+        );
         let (estimates, finished) = parallel::estimate_all_walk_anytime(
             &game,
-            ParallelConfig::from_sampling(config, self.threads()),
+            ParallelConfig::from_sampling(config, self.cfg.threads()),
             checkpoint_every,
             on_checkpoint,
         );
-        let players = game.players().to_vec();
-        let ranking = Ranking::with_errors(
-            estimates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (Game::player_label(&game, i), e.value, Some(e.std_error())))
-                .collect(),
-        );
-        Ok((
-            CellExplanation {
-                ranking,
-                values: estimates.iter().map(|e| e.value).collect(),
-                players,
-                target,
-            },
-            finished,
-        ))
-    }
-
-    /// Two-phase cell explanation (extension): a cheap permutation-walk
-    /// *screening* pass over all cells, then a *refinement* pass that
-    /// re-estimates only the `k` screened leaders with `refine_samples`
-    /// per-player samples each. The interactive demo only ever shows the
-    /// top of the ranking, so spending the budget there cuts latency
-    /// without touching what the user sees.
-    ///
-    /// Refined entries replace their screened estimates; everything else
-    /// keeps the screening value.
-    #[allow(clippy::too_many_arguments)]
-    pub fn explain_cells_topk(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-        mode: MaskMode,
-        k: usize,
-        screen: SamplingConfig,
-        refine_samples: usize,
-    ) -> Result<CellExplanation, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let players = game.players().to_vec();
-        let screened = parallel::estimate_all_walk(
-            &game,
-            ParallelConfig::from_sampling(screen, self.threads()),
-        );
-
-        // Leaders by screened value.
-        let mut order: Vec<usize> = (0..players.len()).collect();
-        order.sort_by(|a, b| screened[*b].value.total_cmp(&screened[*a].value));
-        let leaders: Vec<usize> = order.into_iter().take(k).collect();
-
-        let mut values: Vec<f64> = screened.iter().map(|e| e.value).collect();
-        let mut errors: Vec<f64> = screened.iter().map(|e| e.std_error()).collect();
-        for (slot, &p) in leaders.iter().enumerate() {
-            let refined = trex_shapley::estimate_player(
-                &game,
-                p,
-                SamplingConfig {
-                    samples: refine_samples,
-                    seed: screen.seed.wrapping_add(1000 + slot as u64),
-                },
-            );
-            values[p] = refined.value;
-            errors[p] = refined.std_error();
-        }
-        let ranking = Ranking::with_errors(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Game::player_label(&game, i), *v, Some(errors[i])))
-                .collect(),
-        );
-        Ok(CellExplanation {
-            ranking,
-            values,
-            players,
-            target,
-        })
-    }
-
-    /// Exact cell explanation (subset enumeration) under masked semantics —
-    /// only for tiny tables (≤ [`trex_shapley::MAX_EXACT_PLAYERS`] player
-    /// cells), used by tests and the convergence experiment as ground
-    /// truth.
-    pub fn explain_cells_exact(
-        &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-        mode: MaskMode,
-    ) -> Result<CellExplanation, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = self.masked_game(dcs, dirty, cell, target.clone(), mode);
-        let players = game.players().to_vec();
-        if players.len() > trex_shapley::MAX_EXACT_PLAYERS {
-            return Err(ExplainError::TooManyCells {
-                players: players.len(),
-                limit: trex_shapley::MAX_EXACT_PLAYERS,
-            });
-        }
-        let values = shapley_exact(&game).expect("player count checked");
-        let ranking = Ranking::new(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Game::player_label(&game, i), *v))
-                .collect(),
-        );
-        Ok(CellExplanation {
-            ranking,
-            values,
-            players,
-            target,
-        })
+        let explanation = cell_explanation(dirty, game.players(), target, &estimates);
+        Ok((explanation, finished))
     }
 }
 
@@ -868,7 +596,9 @@ mod tests {
 
     #[test]
     fn exact_cell_explanation_on_a_tiny_table() {
-        // 2x3 table: 5 player cells — exact enumeration feasible.
+        // 2x3 table: 5 player cells — exact enumeration feasible. Exact
+        // cell values compose from the parts: the repair target, the
+        // masked cell game, and the exact solver.
         let t = TableBuilder::new()
             .str_columns(["League", "Country", "Pad"])
             .str_row(["L", "Spain", "p"])
@@ -883,76 +613,28 @@ mod tests {
                 attr: "Country".into(),
             },
         )]);
-        let ex = Explainer::new(&alg);
         let cell = CellRef::new(1, t.schema().id("Country"));
-        let out = ex
-            .explain_cells_exact(&dcs, &t, cell, MaskMode::Null)
-            .unwrap();
-        assert_eq!(out.target, Value::str("Spain"));
-        // The three cells that matter: t1[League], t1[Country], t2[League].
-        assert!(out.ranking.get("t1[League]").unwrap().value > 0.0);
-        assert!(out.ranking.get("t1[Country]").unwrap().value > 0.0);
-        assert!(out.ranking.get("t2[League]").unwrap().value > 0.0);
-        // Pad cells are dummies.
-        assert_eq!(out.ranking.get("t1[Pad]").unwrap().value, 0.0);
-        assert_eq!(out.ranking.get("t2[Pad]").unwrap().value, 0.0);
-        // Efficiency: the grand coalition repairs the cell.
-        assert!((out.values.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exact_cell_explanation_rejects_large_tables() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let err = ex
-            .explain_cells_exact(
-                &dcs,
-                &dirty,
-                laliga::cell_of_interest(&dirty),
-                MaskMode::Null,
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ExplainError::TooManyCells { players: 35, .. }
-        ));
-    }
-
-    #[test]
-    fn topk_refinement_keeps_the_headline_and_tightens_errors() {
-        let dirty = laliga::dirty_table();
-        let dcs = laliga::constraints();
-        let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let cell = laliga::cell_of_interest(&dirty);
-        let screen = SamplingConfig {
-            samples: 150,
-            seed: 9,
+        let target = Explainer::new(&alg).repair_target(&dcs, &t, cell).unwrap();
+        assert_eq!(target, Value::str("Spain"));
+        let game = CellGameMasked::new(&alg, &dcs, &t, cell, target, MaskMode::Null);
+        let values = shapley_exact(&game).unwrap();
+        let value = |label: &str| {
+            let i = game
+                .players()
+                .iter()
+                .position(|&p| cell_label(&t, p) == label)
+                .unwrap();
+            values[i]
         };
-        let cheap = ex
-            .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, screen)
-            .unwrap();
-        let refined = ex
-            .explain_cells_topk(&dcs, &dirty, cell, MaskMode::Null, 3, screen, 1200)
-            .unwrap();
-        // The headline survives refinement.
-        assert_eq!(refined.ranking.top().unwrap().label, "t5[League]");
-        // The refined leader has a tighter standard error than screening.
-        let cheap_se = cheap.ranking.get("t5[League]").unwrap().std_error.unwrap();
-        let refined_se = refined
-            .ranking
-            .get("t5[League]")
-            .unwrap()
-            .std_error
-            .unwrap();
-        assert!(refined_se < cheap_se, "{refined_se} vs {cheap_se}");
-        // Non-leaders keep their screened values.
-        assert_eq!(
-            refined.ranking.get("t1[Place]").unwrap().value,
-            cheap.ranking.get("t1[Place]").unwrap().value
-        );
+        // The three cells that matter: t1[League], t1[Country], t2[League].
+        assert!(value("t1[League]") > 0.0);
+        assert!(value("t1[Country]") > 0.0);
+        assert!(value("t2[League]") > 0.0);
+        // Pad cells are dummies.
+        assert_eq!(value("t1[Pad]"), 0.0);
+        assert_eq!(value("t2[Pad]"), 0.0);
+        // Efficiency: the grand coalition repairs the cell.
+        assert!((values.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -960,10 +642,13 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let (labels, m) = ex
-            .constraint_interactions(&dcs, &dirty, laliga::cell_of_interest(&dirty))
+        let cell = laliga::cell_of_interest(&dirty);
+        let target = Explainer::new(&alg)
+            .repair_target(&dcs, &dirty, cell)
             .unwrap();
+        let game = ConstraintGame::new(&alg, &dcs, &dirty, cell, target);
+        let m = trex_shapley::shapley_interaction_exact(&game).unwrap();
+        let labels: Vec<String> = (0..dcs.len()).map(|i| game.player_label(i)).collect();
         assert_eq!(labels, vec!["C1", "C2", "C3", "C4"]);
         assert!(m[0][1] > 0.0, "C1×C2 complementary: {}", m[0][1]);
         assert!(m[0][2] < 0.0, "C1×C3 substitutes: {}", m[0][2]);
@@ -976,17 +661,17 @@ mod tests {
         let dirty = laliga::dirty_table();
         let dcs = laliga::constraints();
         let alg = laliga::algorithm1();
-        let ex = Explainer::new(&alg);
-        let bz = ex
-            .constraint_banzhaf(&dcs, &dirty, laliga::cell_of_interest(&dirty))
+        let cell = laliga::cell_of_interest(&dirty);
+        let target = Explainer::new(&alg)
+            .repair_target(&dcs, &dirty, cell)
             .unwrap();
+        let game = ConstraintGame::new(&alg, &dcs, &dirty, cell, target);
         // Same ordering as Shapley: C3 ≻ C1 = C2 ≻ C4, with the known
-        // exact Banzhaf values (3/4, 1/4, 1/4, 0).
-        assert_eq!(bz.top().unwrap().label, "C3");
-        assert!((bz.get("C3").unwrap().value - 0.75).abs() < 1e-12);
-        assert!((bz.get("C1").unwrap().value - 0.25).abs() < 1e-12);
-        assert!((bz.get("C2").unwrap().value - 0.25).abs() < 1e-12);
-        assert_eq!(bz.get("C4").unwrap().value, 0.0);
+        // exact Banzhaf values (3/4, 1/4, 1/4, 0) in constraint order.
+        let bz = trex_shapley::banzhaf_exact(&game).unwrap();
+        for (got, want) in bz.iter().zip([0.25, 0.25, 0.75, 0.0]) {
+            assert!((got - want).abs() < 1e-12, "{bz:?}");
+        }
     }
 
     #[test]
@@ -1051,19 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn explainer_config_accessors_and_defaults() {
-        let alg = laliga::algorithm1();
-        assert_eq!(Explainer::new(&alg).threads(), 1);
-        assert_eq!(Explainer::new(&alg).oracle_capacity(), None);
-        assert_eq!(Explainer::new(&alg).config(), ExecConfig::default());
-        let cfg = ExecConfig::new().with_threads(8).with_oracle_cap(64);
-        let ex = Explainer::new(&alg).with_config(cfg);
-        assert_eq!(ex.threads(), 8);
-        assert_eq!(ex.oracle_capacity(), Some(64));
-        assert_eq!(ex.config(), cfg);
-    }
-
-    #[test]
     fn bounded_oracle_capacity_does_not_change_any_explanation() {
         // The bounded-memory acceptance criterion end to end: a tiny
         // eviction-thrashing capacity (and a disabled cache) must reproduce
@@ -1106,16 +778,23 @@ mod tests {
             dcs.push(trex_constraints::parse_dc_named(&text, &format!("X{i}")).unwrap());
         }
         let ex = Explainer::new(&alg);
-        let too_many = |e: ExplainError| match e {
+        match ex.explain_constraints(&dcs, &dirty, cell).unwrap_err() {
             ExplainError::TooManyConstraints { constraints, limit } => {
                 assert_eq!(constraints, 25);
                 assert!(limit < 25, "limit {limit}");
             }
             other => panic!("expected TooManyConstraints, got {other:?}"),
+        }
+        // The other exact solvers on the same game refuse it the same way.
+        let target = ex.repair_target(&dcs, &dirty, cell).unwrap();
+        let game = ConstraintGame::new(&alg, &dcs, &dirty, cell, target);
+        let too_many = |e: ExactError| {
+            let ExactError::TooManyPlayers { n, limit } = e;
+            assert_eq!(n, 25);
+            assert!(limit < 25, "limit {limit}");
         };
-        too_many(ex.explain_constraints(&dcs, &dirty, cell).unwrap_err());
-        too_many(ex.constraint_interactions(&dcs, &dirty, cell).unwrap_err());
-        too_many(ex.constraint_banzhaf(&dcs, &dirty, cell).unwrap_err());
+        too_many(trex_shapley::shapley_interaction_exact(&game).unwrap_err());
+        too_many(trex_shapley::banzhaf_exact(&game).unwrap_err());
     }
 
     #[test]
@@ -1123,16 +802,11 @@ mod tests {
         let cell = CellRef::new(4, AttrId(2));
         let e1 = ExplainError::CellNotRepaired { cell };
         assert!(e1.to_string().contains("not repaired"));
-        let e2 = ExplainError::TooManyCells {
-            players: 100,
-            limit: 24,
-        };
-        assert!(e2.to_string().contains("100"));
-        let e3 = ExplainError::TooManyConstraints {
+        let e2 = ExplainError::TooManyConstraints {
             constraints: 25,
             limit: 20,
         };
-        assert!(e3.to_string().contains("25 constraints"), "{e3}");
+        assert!(e2.to_string().contains("25 constraints"), "{e2}");
     }
 
     #[test]

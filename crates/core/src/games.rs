@@ -87,7 +87,11 @@ pub struct ConstraintGame<'a> {
 }
 
 impl<'a> ConstraintGame<'a> {
-    fn build(
+    /// Build the game around a caller-configured oracle — capacity bound,
+    /// shard count, or a cache shared across requests; see
+    /// [`ShardedOracle`]'s builders. Answers are identical to
+    /// [`ConstraintGame::new`].
+    pub fn with_oracle(
         oracle: ShardedOracle<'a>,
         dcs: &'a [DenialConstraint],
         dirty: &'a Table,
@@ -116,20 +120,6 @@ impl<'a> ConstraintGame<'a> {
         }
     }
 
-    /// Build the game around a caller-configured oracle — capacity bound,
-    /// shard count, or a cache shared across requests; see
-    /// [`ShardedOracle`]'s builders. Answers are identical to
-    /// [`ConstraintGame::new`].
-    pub fn with_oracle(
-        oracle: ShardedOracle<'a>,
-        dcs: &'a [DenialConstraint],
-        dirty: &'a Table,
-        cell: CellRef,
-        target: Value,
-    ) -> Self {
-        Self::build(oracle, dcs, dirty, cell, target)
-    }
-
     /// Build the game. `target` is the clean value `t^c[A]` the repair is
     /// expected to produce (obtain it from a full repair run).
     pub fn new(
@@ -139,40 +129,7 @@ impl<'a> ConstraintGame<'a> {
         cell: CellRef,
         target: Value,
     ) -> Self {
-        Self::build(ShardedOracle::new(alg), dcs, dirty, cell, target)
-    }
-
-    /// Build the game with an explicit oracle cache capacity (entries):
-    /// the memo cache evicts (second-chance, per shard) once it holds
-    /// `capacity` coalition answers, so long explanations run in bounded
-    /// memory. Results are identical to [`ConstraintGame::new`] — eviction
-    /// only ever costs recomputation time.
-    pub fn with_oracle_capacity(
-        alg: &'a dyn RepairAlgorithm,
-        dcs: &'a [DenialConstraint],
-        dirty: &'a Table,
-        cell: CellRef,
-        target: Value,
-        capacity: usize,
-    ) -> Self {
-        Self::build(
-            ShardedOracle::with_capacity(alg, capacity),
-            dcs,
-            dirty,
-            cell,
-            target,
-        )
-    }
-
-    /// Disable oracle caching (ablation A1).
-    pub fn without_cache(
-        alg: &'a dyn RepairAlgorithm,
-        dcs: &'a [DenialConstraint],
-        dirty: &'a Table,
-        cell: CellRef,
-        target: Value,
-    ) -> Self {
-        Self::with_oracle_capacity(alg, dcs, dirty, cell, target, 0)
+        Self::with_oracle(ShardedOracle::new(alg), dcs, dirty, cell, target)
     }
 
     /// Oracle cache statistics (hits/misses) accumulated so far.
@@ -248,10 +205,6 @@ pub fn cell_label(table: &Table, cell: CellRef) -> String {
     format!("t{}[{}]", cell.row + 1, table.schema().attr(cell.attr).name)
 }
 
-fn label_of(table: &Table, cell: CellRef) -> String {
-    cell_label(table, cell)
-}
-
 /// The masked cell game: `Shap(T^d, Alg|t[A], tᵢ[B])` of §2.2, with
 /// out-of-coalition cells masked per [`MaskMode`].
 pub struct CellGameMasked<'a> {
@@ -278,7 +231,11 @@ pub struct CellGameMasked<'a> {
 }
 
 impl<'a> CellGameMasked<'a> {
-    fn build(
+    /// Build the game around a caller-configured oracle — capacity bound,
+    /// shard count, or a cache shared across requests; see
+    /// [`ShardedOracle`]'s builders. Answers are identical to
+    /// [`CellGameMasked::new`].
+    pub fn with_oracle(
         oracle: ShardedOracle<'a>,
         dcs: &'a [DenialConstraint],
         dirty: &'a Table,
@@ -317,48 +274,7 @@ impl<'a> CellGameMasked<'a> {
         target: Value,
         mode: MaskMode,
     ) -> Self {
-        Self::build(ShardedOracle::new(alg), dcs, dirty, cell, target, mode)
-    }
-
-    /// Build the game with an explicit oracle cache capacity (entries):
-    /// the memo cache evicts (second-chance, per shard) once it holds
-    /// `capacity` coalition answers — the knob that keeps week-long
-    /// sampling runs over large tables from growing the cache without
-    /// bound. Results are identical to [`CellGameMasked::new`]; eviction
-    /// only ever costs recomputation time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_oracle_capacity(
-        alg: &'a dyn RepairAlgorithm,
-        dcs: &'a [DenialConstraint],
-        dirty: &'a Table,
-        cell: CellRef,
-        target: Value,
-        mode: MaskMode,
-        capacity: usize,
-    ) -> Self {
-        Self::build(
-            ShardedOracle::with_capacity(alg, capacity),
-            dcs,
-            dirty,
-            cell,
-            target,
-            mode,
-        )
-    }
-
-    /// Build the game around a caller-configured oracle — capacity bound,
-    /// shard count, or a cache shared across requests; see
-    /// [`ShardedOracle`]'s builders. Answers are identical to
-    /// [`CellGameMasked::new`].
-    pub fn with_oracle(
-        oracle: ShardedOracle<'a>,
-        dcs: &'a [DenialConstraint],
-        dirty: &'a Table,
-        cell: CellRef,
-        target: Value,
-        mode: MaskMode,
-    ) -> Self {
-        Self::build(oracle, dcs, dirty, cell, target, mode)
+        Self::with_oracle(ShardedOracle::new(alg), dcs, dirty, cell, target, mode)
     }
 
     /// The player list (cell references), index-aligned with Shapley output.
@@ -450,7 +366,7 @@ impl Game for CellGameMasked<'_> {
     }
 
     fn player_label(&self, i: usize) -> String {
-        label_of(self.dirty, self.players[i])
+        cell_label(self.dirty, self.players[i])
     }
 }
 
@@ -529,7 +445,7 @@ impl StochasticGame for CellGameSampled<'_> {
     }
 
     fn player_label(&self, i: usize) -> String {
-        label_of(self.dirty, self.players[i])
+        cell_label(self.dirty, self.players[i])
     }
 }
 

@@ -28,10 +28,15 @@
 //!
 //! Modules:
 //! * [`games`] — the constraint game and the (masked / sampled) cell games;
-//! * [`explain`] — the [`Explainer`] front door;
+//! * [`explain`] — the [`Explainer`] front door: one entry point per
+//!   ranking, each building one game and running one `trex_shapley`
+//!   solver; other solvers (exact cell values, interaction indices,
+//!   Banzhaf values) compose from [`Explainer::repair_target`], a game and
+//!   a solver;
 //! * [`ranking`] — sorted Shapley rankings with intensity buckets;
 //! * [`report`] — text renderings of the demo's three screens (Figure 3);
-//! * [`session`] — the interactive repair→explain→edit loop of §4.
+//! * [`session`] — the interactive repair→explain→edit loop of §4, whose
+//!   [`Session::explainer`] runs an explanation under per-request knobs.
 
 #![warn(missing_docs)]
 

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use trex_constraints::{DenialConstraint, ResolveError, Violation};
 use trex_repair::{OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
-use trex_shapley::{AnytimeCheckpoint, AnytimeControl, ExecConfig, SamplingConfig};
+use trex_shapley::{ExecConfig, SamplingConfig};
 use trex_table::{CellRef, Table, Value};
 
 /// One entry of the session's history of edits and repairs.
@@ -78,16 +78,6 @@ impl Session {
         self.cfg
     }
 
-    /// The configured sampling worker count.
-    pub fn threads(&self) -> usize {
-        self.cfg.threads()
-    }
-
-    /// The pinned oracle capacity, if any (`None` = the oracle default).
-    pub fn oracle_capacity(&self) -> Option<usize> {
-        self.cfg.oracle_cap()
-    }
-
     /// The session's shared coalition-answer cache. Every explanation run
     /// under a compatible oracle capacity memoizes into (and reads from)
     /// this one cache, so a burst of requests against the same
@@ -110,22 +100,19 @@ impl Session {
         self.oracle_cache.clear();
     }
 
-    /// The session's explainer: the wrapped algorithm under the session's
-    /// execution configuration.
-    fn explainer(&self) -> Explainer<'_> {
-        self.explainer_for(&self.cfg)
-    }
-
-    /// An explainer for one request's execution configuration — the
-    /// session default or a per-request override (the server parses
-    /// `?threads=…&seed=…` into an [`ExecConfig`] per request).
+    /// An explainer over the session's algorithm for one execution
+    /// configuration: the session's own ([`Session::config`]) or a
+    /// per-request override (the server parses `?threads=…&seed=…` into an
+    /// [`ExecConfig`] per request). Pass it [`Session::constraints`] and
+    /// [`Session::table`] to explain the session's current inputs.
     ///
     /// The session's shared coalition cache is attached whenever the
-    /// request's oracle capacity agrees with the cache's; a request
-    /// demanding a different capacity gets a private, correctly-sized
-    /// oracle instead (results are identical either way — only memo
-    /// reuse differs).
-    fn explainer_for(&self, exec: &ExecConfig) -> Explainer<'_> {
+    /// configuration's oracle capacity agrees with the cache's, so
+    /// [`OracleCache::stats`] on [`Session::oracle_cache`] count the
+    /// explanation; a configuration demanding a different capacity gets a
+    /// private, correctly-sized oracle instead (results are identical
+    /// either way — only memo reuse differs).
+    pub fn explainer(&self, exec: &ExecConfig) -> Explainer<'_> {
         let ex = Explainer::new(self.alg.as_ref()).with_config(*exec);
         let requested = exec.oracle_cap().unwrap_or(ShardedOracle::DEFAULT_CAPACITY);
         if requested == self.oracle_cache.capacity() {
@@ -203,102 +190,25 @@ impl Session {
     }
 
     /// The "Explain" button, constraint half: Shapley values of the DCs for
-    /// the repair of `cell`.
+    /// the repair of `cell`, under the session's configuration.
     pub fn explain_constraints(
         &self,
         cell: CellRef,
     ) -> Result<ConstraintExplanation, ExplainError> {
-        self.explainer()
+        self.explainer(&self.cfg)
             .explain_constraints(&self.dcs, &self.table, cell)
     }
 
-    /// [`Session::explain_constraints`] under a per-request execution
-    /// configuration. Results are independent of the configuration (the
-    /// constraint game is exact); the knobs only steer resource use.
-    pub fn explain_constraints_for(
-        &self,
-        cell: CellRef,
-        exec: &ExecConfig,
-    ) -> Result<ConstraintExplanation, ExplainError> {
-        self.explainer_for(exec)
-            .explain_constraints(&self.dcs, &self.table, cell)
-    }
-
-    /// [`Session::explain_constraints`], also returning the repair-oracle
-    /// cache counters (hits, misses, evictions) the explanation
-    /// accumulated — the cache-pressure telemetry `exp_stress` records.
-    /// The explanation itself is identical at any
-    /// [`ExecConfig::with_oracle_cap`] setting.
-    pub fn explain_constraints_with_stats(
-        &self,
-        cell: CellRef,
-    ) -> Result<(ConstraintExplanation, trex_repair::OracleStats), ExplainError> {
-        self.explainer()
-            .explain_constraints_with_stats(&self.dcs, &self.table, cell)
-    }
-
-    /// The "Explain" button, cell half (sampling estimator of §2.3).
-    pub fn explain_cells(
-        &self,
-        cell: CellRef,
-        config: SamplingConfig,
-    ) -> Result<CellExplanation, ExplainError> {
-        self.explainer()
-            .explain_cells_sampled(&self.dcs, &self.table, cell, config)
-    }
-
-    /// Cell explanation under masked (definition) semantics.
+    /// The "Explain" button, cell half: cell explanation under masked
+    /// (definition) semantics, under the session's configuration.
     pub fn explain_cells_masked(
         &self,
         cell: CellRef,
         mode: MaskMode,
         config: SamplingConfig,
     ) -> Result<CellExplanation, ExplainError> {
-        self.explainer()
+        self.explainer(&self.cfg)
             .explain_cells_masked(&self.dcs, &self.table, cell, mode, config)
-    }
-
-    /// [`Session::explain_cells_masked`] under a per-request execution
-    /// configuration: the request's thread count sets the parallel
-    /// estimator's worker count (the estimate is the same at any count),
-    /// its oracle capacity decides whether the session's shared coalition
-    /// cache is used.
-    pub fn explain_cells_masked_for(
-        &self,
-        cell: CellRef,
-        mode: MaskMode,
-        config: SamplingConfig,
-        exec: &ExecConfig,
-    ) -> Result<CellExplanation, ExplainError> {
-        self.explainer_for(exec)
-            .explain_cells_masked(&self.dcs, &self.table, cell, mode, config)
-    }
-
-    /// Anytime cell explanation: [`Session::explain_cells_masked_for`],
-    /// but `on_checkpoint` observes the in-progress per-cell estimates
-    /// every `checkpoint_every` permutation walks and can stop the run
-    /// ([`AnytimeControl::Stop`]) when a latency budget expires or the
-    /// requesting client goes away. A run that completes (`finished ==
-    /// true`) returns bit-for-bit what [`Session::explain_cells_masked_for`]
-    /// returns for the same seed.
-    pub fn explain_cells_masked_anytime(
-        &self,
-        cell: CellRef,
-        mode: MaskMode,
-        config: SamplingConfig,
-        exec: &ExecConfig,
-        checkpoint_every: usize,
-        on_checkpoint: impl FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
-    ) -> Result<(CellExplanation, bool), ExplainError> {
-        self.explainer_for(exec).explain_cells_masked_anytime(
-            &self.dcs,
-            &self.table,
-            cell,
-            mode,
-            config,
-            checkpoint_every,
-            on_checkpoint,
-        )
     }
 
     /// User edit: overwrite a cell of the input table ("changing specific
@@ -520,9 +430,9 @@ mod tests {
     #[test]
     fn session_threads_affect_explanations_deterministically() {
         let s = session();
-        assert_eq!(s.threads(), 1);
+        assert_eq!(s.config().threads(), 1);
         let s = s.with_config(ExecConfig::new().with_threads(2));
-        assert_eq!(s.threads(), 2);
+        assert_eq!(s.config().threads(), 2);
         let cell = laliga::cell_of_interest(s.table());
         let cfg = SamplingConfig {
             samples: 400,
@@ -573,8 +483,8 @@ mod tests {
     fn session_oracle_capacity_preserves_results() {
         let bounded = session().with_config(ExecConfig::new().with_oracle_cap(4));
         let reference = session();
-        assert_eq!(bounded.oracle_capacity(), Some(4));
-        assert_eq!(reference.oracle_capacity(), None);
+        assert_eq!(bounded.config().oracle_cap(), Some(4));
+        assert_eq!(reference.config().oracle_cap(), None);
         let cell = laliga::cell_of_interest(bounded.table());
         let cons = bounded.explain_constraints(cell).unwrap();
         let want = reference.explain_constraints(cell).unwrap();
@@ -593,13 +503,15 @@ mod tests {
     }
 
     #[test]
-    fn explain_with_stats_reports_oracle_pressure() {
+    fn session_cache_stats_report_oracle_pressure() {
         let bounded = session().with_config(ExecConfig::new().with_oracle_cap(4));
         let cell = laliga::cell_of_interest(bounded.table());
-        let (cons, stats) = bounded.explain_constraints_with_stats(cell).unwrap();
+        let cons = bounded.explain_constraints(cell).unwrap();
+        let stats = bounded.oracle_cache().stats();
         // Identical explanation to the unbounded session...
         let reference = session();
-        let (want, unbounded) = reference.explain_constraints_with_stats(cell).unwrap();
+        let want = reference.explain_constraints(cell).unwrap();
+        let unbounded = reference.oracle_cache().stats();
         assert_eq!(cons.exact, want.exact);
         // ...but capacity 4 cannot hold the 16 coalition values, so the
         // bounded run must report evictions where the unbounded one
@@ -676,7 +588,10 @@ mod tests {
         // A request pinning a different oracle capacity gets a private
         // oracle and leaves the shared cache untouched.
         let exec = ExecConfig::new().with_oracle_cap(4);
-        let _ = s.explain_constraints_for(cell, &exec).unwrap();
+        let _ = s
+            .explainer(&exec)
+            .explain_constraints(s.constraints(), s.table(), cell)
+            .unwrap();
         assert_eq!(s.oracle_cache().stats(), second);
     }
 
@@ -739,7 +654,14 @@ mod tests {
                             samples: 120,
                             seed: exec.seed().unwrap(),
                         };
-                        s.explain_cells_masked_for(cell, MaskMode::Null, cfg, exec)
+                        s.explainer(exec)
+                            .explain_cells_masked(
+                                s.constraints(),
+                                s.table(),
+                                cell,
+                                MaskMode::Null,
+                                cfg,
+                            )
                             .unwrap()
                     })
                 })

@@ -7,8 +7,9 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-/// Longest accepted request head (request line + headers), a guard against
-/// hostile or broken clients streaming garbage forever.
+/// Longest accepted request head (request line, headers and the blank line
+/// that ends them), a guard against hostile or broken clients streaming
+/// garbage forever.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Longest accepted request body. Bodies are read (to keep the connection
@@ -108,25 +109,27 @@ impl BadRequest {
 /// request that deserves an HTTP error response; `Err(_)` is a dead socket.
 pub fn read_request(stream: &mut impl Read) -> io::Result<Result<Request, BadRequest>> {
     let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    let mut line = String::new();
+    let mut head = Vec::new();
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
+        // Each line is read through `take`, at most one byte past what is
+        // left of the cap, so a line that never ends is cut off there
+        // instead of growing without bound.
+        let start = head.len();
+        let left = (MAX_HEAD_BYTES + 1 - start) as u64;
+        if (&mut reader).take(left).read_until(b'\n', &mut head)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-request",
             ));
         }
-        if line == "\r\n" || line == "\n" {
-            break;
-        }
-        head.push_str(&line);
         if head.len() > MAX_HEAD_BYTES {
             return Ok(Err(BadRequest::status(431, "request head too large")));
         }
+        if matches!(&head[start..], b"\r\n" | b"\n") {
+            break;
+        }
     }
+    let head = String::from_utf8_lossy(&head);
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();

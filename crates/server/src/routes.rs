@@ -19,7 +19,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::RwLock;
 use std::time::{Duration, Instant};
 use trex::{cell_label, cell_players, CellExplanation, ExplainError, MaskMode, Session};
-use trex_shapley::{AnytimeControl, ExecConfig, SamplingConfig};
+use trex_shapley::{AnytimeCheckpoint, AnytimeControl, ExecConfig, SamplingConfig};
 use trex_table::{CellRef, Table, Value};
 
 /// Default per-player walk budget of a cell explanation when the request
@@ -197,7 +197,7 @@ fn parse_usize(req: &Request, name: &str, default: usize) -> Result<usize, BadRe
 
 fn explain_error(e: ExplainError) -> BadRequest {
     // Every ExplainError is a property of the request (bad cell, cell not
-    // repaired, table too large for exact) — a client error, not a 500.
+    // repaired, too many constraints for exact) — a client error, not a 500.
     BadRequest::new(e.to_string())
 }
 
@@ -406,7 +406,11 @@ fn explain_constraints(
             );
         }
     }
-    let explanation = match session.explain_constraints_for(cell, exec) {
+    let explanation = match session.explainer(exec).explain_constraints(
+        session.constraints(),
+        session.table(),
+        cell,
+    ) {
         Ok(e) => e,
         Err(e) => {
             let bad = explain_error(e);
@@ -518,7 +522,13 @@ fn explain_cells(
     };
     let streaming = req.param("budget_ms").is_some() || req.param("stream").is_some();
     if !streaming {
-        return match session.explain_cells_masked_for(cell, mode, config, exec) {
+        return match session.explainer(exec).explain_cells_masked(
+            session.constraints(),
+            session.table(),
+            cell,
+            mode,
+            config,
+        ) {
             Ok(e) => write_json(
                 stream,
                 200,
@@ -564,7 +574,7 @@ fn explain_cells(
     let mut client_gone = false;
     let mut last_completed = 0usize;
     let mut total = 0usize;
-    let outcome = session.explain_cells_masked_anytime(cell, mode, config, exec, every, |cp| {
+    let on_checkpoint = |cp: &AnytimeCheckpoint<'_>| {
         last_completed = cp.completed;
         total = cp.total;
         if !begun {
@@ -604,7 +614,16 @@ fn explain_cells(
             return AnytimeControl::Stop;
         }
         AnytimeControl::Continue
-    });
+    };
+    let outcome = session.explainer(exec).explain_cells_masked_anytime(
+        session.constraints(),
+        session.table(),
+        cell,
+        mode,
+        config,
+        every,
+        on_checkpoint,
+    );
     match outcome {
         Err(e) => {
             // Explanation errors surface before the first checkpoint (the

@@ -534,3 +534,256 @@ fn oversized_sample_budgets_get_a_400_before_any_work() {
     let (status, body) = request_with_timeout(&server, "GET", "/health");
     assert_eq!(status, 200, "{body}");
 }
+
+/// The server's request-head cap (`MAX_HEAD_BYTES` in `http.rs`).
+const HEAD_CAP: usize = 64 * 1024;
+
+#[test]
+fn a_head_line_that_never_ends_is_cut_off_at_the_cap() {
+    // Regression: the cap was checked only once a whole line had arrived,
+    // so a client streaming one endless line grew the server's memory
+    // without bound and never got an answer.
+    let server = start_server();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set read timeout");
+    // One byte past the cap and no more, with the socket left open: bytes
+    // the server leaves unread would turn its close into a reset that can
+    // swallow the 431.
+    let mut line = b"GET /".to_vec();
+    line.resize(HEAD_CAP + 1, b'a');
+    stream.write_all(&line).expect("send the endless line");
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("an answer within 5 s, not a wait for the newline");
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 431 "), "{raw}");
+    let (status, body) = get(&server, "/health");
+    assert_eq!(status, 200, "{body}");
+}
+
+/// xorshift64: the fuzz test's one fixed-seed random stream.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+
+    /// One of the space-separated `words`; two spaces hold an empty word.
+    fn pick<'a>(&mut self, words: &'a str) -> &'a str {
+        let words: Vec<&str> = words.split(' ').collect();
+        words[self.below(words.len())]
+    }
+}
+
+/// Optional `/explain` knobs of a cell explanation, then of any request:
+/// (percent of requests that set it, name, values).
+const CELL_KNOBS: [(usize, &str, &str); 4] = [
+    (30, "mode", "null distinct replace"),
+    (25, "budget_ms", "0 1 3 17 50"),
+    (15, "checkpoint", "0 1 7 50 x"),
+    (15, "stream", "1"),
+];
+const EXEC_KNOBS: [(usize, &str, &str); 3] = [
+    (30, "threads", "0 1 2 2000 many"),
+    (30, "seed", "0 7 7 -1 seed"),
+    (15, "oracle-cap", "0 3 64 big"),
+];
+
+/// A random predicate soup for `dc`: denial constraints over real and
+/// unknown columns and constants of every type, some of them unbalanced.
+fn fuzz_dc(rng: &mut Xorshift) -> String {
+    let attrs = "Team City Country League Year Place Nope";
+    let predicates: Vec<String> = (0..1 + rng.below(3))
+        .map(|_| {
+            let left = format!("t{}.{}", 1 + rng.below(2), rng.pick(attrs));
+            let right = match rng.below(3) {
+                0 => rng.pick("1 'Spain' 2.5 true x").to_string(),
+                _ => format!("t{}.{}", 1 + rng.below(2), rng.pick(attrs)),
+            };
+            format!("{left} {} {right}", rng.pick("= != < <= > >= ~"))
+        })
+        .collect();
+    let dc = format!("!({})", predicates.join(" & "));
+    let dc = match rng.below(6) {
+        0 => &dc[..dc.len() - 1],
+        1 => &dc[1..],
+        _ => &dc,
+    };
+    // Percent-encode everything but ASCII letters and digits.
+    dc.bytes()
+        .map(|b| {
+            if b.is_ascii_alphanumeric() {
+                (b as char).to_string()
+            } else {
+                format!("%{b:02X}")
+            }
+        })
+        .collect()
+}
+
+/// One random request: the raw bytes to send. Most requests aim at a real
+/// endpoint with plausible parameters, so the explanation routes run; the
+/// rest garble the method, path, parameters, version or body length.
+fn fuzz_request(rng: &mut Xorshift) -> Vec<u8> {
+    let (method, path) = match rng.below(10) {
+        0 | 1 => (
+            rng.pick("GET POST DELETE get post PUT BREW"),
+            rng.pick("/health /explain /constraint /nope /%FF /expl%zzain "),
+        ),
+        2 => ("GET", rng.pick("/health /violations")),
+        3 => ("POST", rng.pick("/repair /cell /constraint")),
+        4 => ("DELETE", "/constraint"),
+        _ => ("GET", "/explain"),
+    };
+    let cell = match rng.below(4) {
+        0 => rng.pick("t99.Country t0.Team t5.Nope Country tx.City %FF "),
+        _ => rng.pick("t5.Country t5.Country t5.City 5.Country t1.Team"),
+    };
+    let mut params = Vec::new();
+    match path {
+        "/explain" => {
+            if rng.below(10) > 0 {
+                params.push(format!("cell={cell}"));
+            }
+            let kind = match rng.below(20) {
+                0 => "both",
+                _ => rng.pick("constraints constraints cells "),
+            };
+            if !kind.is_empty() {
+                params.push(format!("kind={kind}"));
+            }
+            // Cell knobs, on a constraint explanation one time in ten.
+            let mut knobs = EXEC_KNOBS.to_vec();
+            if kind != "constraints" || rng.below(10) == 0 {
+                params.push(match rng.below(10) {
+                    0 => "samples=many".to_string(),
+                    1 => format!("samples={}", 200_001 + rng.below(1000)),
+                    _ => format!("samples={}", rng.below(201)),
+                });
+                knobs.extend(CELL_KNOBS);
+            }
+            for (percent, name, values) in knobs {
+                if rng.below(100) < percent {
+                    params.push(format!("{name}={}", rng.pick(values)));
+                }
+            }
+        }
+        "/cell" => {
+            params.push(format!("cell={cell}"));
+            params.push(format!("value={}", rng.pick("Madrid 2019 7  %FF x%2Cy")));
+        }
+        // Every constraint is named F1 or F2, so the program never grows
+        // past the fixture's four constraints plus two.
+        "/constraint" if method.eq_ignore_ascii_case("POST") => {
+            params.push(format!("dc={}", fuzz_dc(rng)));
+            params.push(format!("name={}", rng.pick("F1 F2")));
+        }
+        "/constraint" => params.push(format!("name={}", rng.pick("F1 F2 C3 %FF"))),
+        _ => {}
+    }
+    if rng.below(10) == 0 {
+        let junk = rng.pick("shedule=player %FF=1 = && oracle-batch=16 kind");
+        params.push(junk.to_string());
+    }
+    let query = if params.is_empty() { "" } else { "?" };
+    let version = match rng.below(20) {
+        0 => rng.pick("HTTP/1.0 HTTP/2 HTTP"),
+        _ => "HTTP/1.1",
+    };
+    // A declared content-length, and the body bytes sent with it. The
+    // server answers a garbled request line before it reads any body, and
+    // body bytes it never reads could turn its close into a reset that
+    // swallows the answer, so a garbled line is sent without its body.
+    let target = format!("{path}{query}{}", params.join("&"));
+    let well_formed = !target.is_empty() && version.starts_with("HTTP/1.");
+    let (length, body) = match rng.below(20) {
+        0 => ("abc", 0),
+        1 => ("-5", 0),
+        2 => ("99999999999999999999", 0),
+        3 => ("1048577", 0),
+        4 => ("7", 7),
+        5 => ("32", 32),
+        _ => ("", 0),
+    };
+    let length = match length {
+        "" => String::new(),
+        n => format!("content-length: {n}\r\n"),
+    };
+    let mut raw =
+        format!("{method} {target} {version}\r\nhost: localhost\r\n{length}\r\n").into_bytes();
+    if well_formed {
+        raw.resize(raw.len() + body, b'b');
+    }
+    raw
+}
+
+/// Send `raw` and read the whole response: its status if it is complete.
+fn send_raw(handle: &ServerHandle, raw: &[u8]) -> Result<u16, String> {
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    let mut response = String::new();
+    stream
+        .write_all(raw)
+        .and_then(|()| stream.read_to_string(&mut response))
+        .map_err(|e| e.to_string())?;
+    let (head, body) = response.split_once("\r\n\r\n").ok_or("no complete head")?;
+    let status = head
+        .strip_prefix("HTTP/1.1 ")
+        .and_then(|rest| rest.get(..3)?.parse().ok())
+        .ok_or("no status line")?;
+    let complete = if head.contains("transfer-encoding: chunked") {
+        body.ends_with("0\r\n\r\n")
+    } else {
+        head.contains(&format!("content-length: {}\r\n", body.len()))
+    };
+    if complete {
+        Ok(status)
+    } else {
+        Err(format!("truncated {status} response: {response:?}"))
+    }
+}
+
+#[test]
+fn seeded_socket_fuzz_gets_a_complete_client_error_or_success_every_time() {
+    let config = ServerConfig {
+        http_threads: 2,
+        ..ServerConfig::default()
+    };
+    let session = Session::new(
+        Box::new(laliga::algorithm1()),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    );
+    let server = serve(session, &config).expect("bind server");
+    let mut rng = Xorshift(0x7472_6578_2d66_757a);
+    for i in 0..300 {
+        let raw = fuzz_request(&mut rng);
+        let shown = String::from_utf8_lossy(&raw[..raw.len().min(400)]).into_owned();
+        match send_raw(&server, &raw) {
+            Ok(status) => assert!(
+                [200, 400, 404, 405, 413, 431].contains(&status),
+                "request {i} got {status}: {shown}"
+            ),
+            Err(e) => panic!("request {i}: {e}\n{shown}"),
+        }
+    }
+    // Every worker is still serving.
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..config.http_threads)
+            .map(|_| scope.spawn(|| request_with_timeout(&server, "GET", "/health")))
+            .collect();
+        for h in handles {
+            let (status, body) = h.join().expect("health client");
+            assert_eq!(status, 200, "{body}");
+        }
+    });
+}

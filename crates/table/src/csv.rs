@@ -145,9 +145,13 @@ fn parse_records(input: &str) -> Result<Vec<Vec<Field>>, CsvError> {
 ///
 /// The first record is the header. Column types are given by `dtypes`
 /// (matched positionally); pass all-`Str` via [`read_csv_strings`] when types
-/// are unknown.
+/// are unknown, or let [`read_csv_inferred`] type the integer columns.
 pub fn read_csv(input: &str, dtypes: &[DType]) -> Result<Table, CsvError> {
-    let records = parse_records(input)?;
+    table_from_records(parse_records(input)?, dtypes)
+}
+
+/// Build a table from parsed records (header first) under `dtypes`.
+fn table_from_records(records: Vec<Vec<Field>>, dtypes: &[DType]) -> Result<Table, CsvError> {
     let mut iter = records.into_iter();
     let header = iter.next().ok_or(CsvError::Empty)?;
     if header.len() != dtypes.len() {
@@ -194,6 +198,35 @@ pub fn read_csv_strings(input: &str) -> Result<Table, CsvError> {
         .map(|r| r.len())
         .ok_or(CsvError::Empty)?;
     read_csv(input, &vec![DType::Str; arity])
+}
+
+/// Parse CSV, typing integer columns as [`DType::Int`]: a column loads as
+/// `Int` when it has a non-empty field and every non-empty field is an
+/// unquoted `i64` in canonical decimal form, exactly what [`write_csv`]
+/// writes for an `Int`, so such a table round-trips byte for byte. Every
+/// other column loads as `Str` — floats, and integers written as `007`,
+/// `+5` or `1e3`, included. Empty unquoted fields are nulls either way.
+pub fn read_csv_inferred(input: &str) -> Result<Table, CsvError> {
+    let records = parse_records(input)?;
+    let arity = records.first().ok_or(CsvError::Empty)?.len();
+    let dtypes: Vec<DType> = (0..arity)
+        .map(|j| {
+            let mut fields = records[1..]
+                .iter()
+                .filter_map(|record| record.get(j))
+                .filter(|f| f.quoted || !f.text.is_empty())
+                .peekable();
+            let canonical_int = |f: &Field| {
+                !f.quoted && f.text.parse::<i64>().is_ok_and(|n| n.to_string() == f.text)
+            };
+            if fields.peek().is_some() && fields.all(canonical_int) {
+                DType::Int
+            } else {
+                DType::Str
+            }
+        })
+        .collect();
+    table_from_records(records, &dtypes)
 }
 
 fn escape_field(s: &str, force_quote: bool) -> String {
@@ -345,6 +378,40 @@ mod tests {
         let text = write_csv(&t);
         let t2 = read_csv(&text, &[DType::Str, DType::Int, DType::Float]).unwrap();
         assert_eq!(t, t2);
+    }
+
+    #[test]
+    fn inferred_integer_columns_need_canonical_decimals() {
+        let t = read_csv_inferred(
+            "Id,Zip,Sign,Sci,Mixed,Quoted,Float,Blank\n\
+             -9000300,007,+5,1e3,1,\"2\",2.5,\n\
+             ,10,6,4,x,3,1.0,\n\
+             42,11,7,5,2,4,3,\n",
+        )
+        .unwrap();
+        let ints: Vec<bool> = (0..t.arity())
+            .map(|j| t.schema().attr(AttrId(j)).dtype == DType::Int)
+            .collect();
+        assert_eq!(
+            ints,
+            [true, false, false, false, false, false, false, false]
+        );
+        // Empty fields are nulls, in integer columns as anywhere else.
+        assert_eq!(t.value(0, AttrId(0)), &Value::int(-9_000_300));
+        assert_eq!(t.value(1, AttrId(0)), &Value::Null);
+        assert_eq!(t.value(0, AttrId(1)), &Value::str("007"));
+        assert_eq!(t.value(1, AttrId(4)), &Value::str("x"));
+        assert_eq!(t.value(0, AttrId(7)), &Value::Null);
+    }
+
+    #[test]
+    fn inferred_tables_round_trip_byte_for_byte() {
+        let text = "Team,Year,Place,Note\nA,2019,1,\"\"\nB,-3,,\"a,b\"\n";
+        let t = read_csv_inferred(text).unwrap();
+        assert_eq!(t.schema().attr(AttrId(1)).dtype, DType::Int);
+        assert_eq!(t.schema().attr(AttrId(2)).dtype, DType::Int);
+        assert_eq!(write_csv(&t), text);
+        assert_eq!(read_csv_inferred("").unwrap_err(), CsvError::Empty);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod table;
 pub mod value;
 
 pub use builder::TableBuilder;
-pub use csv::{read_csv, read_csv_strings, write_csv, CsvError};
+pub use csv::{read_csv, read_csv_inferred, read_csv_strings, write_csv, CsvError};
 pub use dict::{CodeClass, Dictionary, EncodedTable};
 pub use diff::{apply, diff, CellChange};
 pub use schema::{AttrId, Attribute, Schema};

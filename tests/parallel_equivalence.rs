@@ -13,9 +13,10 @@
 //!   estimator (`sampling::estimate_player_adaptive_rounds` under the
 //!   `player_seed` ladder), pinned on a skewed fixture where one hot player
 //!   owns an order of magnitude more budget than the rest;
-//! * end to end, `Explainer::explain_cells_{masked,sampled,adaptive,topk}`
-//!   and `Session::explain_cells_masked_anytime` print the 1-thread answer
-//!   at every thread count — including the Figure 2 ranking at 16 threads.
+//! * end to end, `Explainer::explain_cells_{masked,sampled,adaptive}` and
+//!   `explain_cells_masked_anytime` through `Session::explainer` print the
+//!   1-thread answer at every thread count — including the Figure 2
+//!   ranking at 16 threads.
 //!
 //! Program slicing rides along: explanations under an engine's declared
 //! slice (`trex_repair::Reach`) are the unsliced explanations bit for bit
@@ -351,14 +352,10 @@ fn explainer_cell_explanations_are_serial_identical_at_any_thread_count() {
         let (adapted, converged) = ex
             .explain_cells_adaptive(&dcs, &dirty, cell, adaptive)
             .unwrap();
-        let topk = ex
-            .explain_cells_topk(&dcs, &dirty, cell, MaskMode::Null, 3, walks, 100)
-            .unwrap();
         [
             (masked.ranking, masked.values),
             (sampled.ranking, sampled.values),
             (adapted.ranking, adapted.values),
-            (topk.ranking, topk.values),
         ]
         .map(|(ranking, values)| (ranking, values, converged.clone()))
     };
@@ -383,11 +380,13 @@ fn session_anytime_explanation_is_serial_identical_at_any_thread_count() {
     let run = |threads: usize| {
         let mut snapshots = Vec::new();
         let (explanation, finished) = session
+            .explainer(&ExecConfig::new().with_threads(threads))
             .explain_cells_masked_anytime(
+                session.constraints(),
+                session.table(),
                 cell,
                 MaskMode::Null,
                 config,
-                &ExecConfig::new().with_threads(threads),
                 30,
                 |cp| {
                     snapshots.push(cp.estimates.to_vec());
