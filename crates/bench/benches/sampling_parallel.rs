@@ -51,8 +51,8 @@ fn bench_parallel_sampling(c: &mut Criterion) {
     }
 
     // Replacement-semantics estimation (Example 2.5) of all players: the
-    // uncached game, where every sample pays a full repair — the workload
-    // the parallel engine exists for.
+    // uncached game, where every in-slice sample pays two sliced repairs —
+    // the workload the parallel engine exists for.
     let sampled = CellGameSampled::new(&alg, &dcs, &dirty, cell, Value::str("Spain"));
     for threads in [1usize, 4] {
         group.bench_with_input(

@@ -22,14 +22,31 @@
 //! game. [`ConstraintGame`] and [`CellGameMasked`] memoize through
 //! `trex_repair::ShardedOracle` and share cache hits across workers;
 //! [`CellGameSampled`] is stateless — replacement tables are fresh draws,
-//! so there is nothing to cache and every sample pays a full repair.
+//! so there is nothing to cache and every in-slice sample pair pays two
+//! sliced repairs.
 //!
-//! [`ConstraintGame`] and [`CellGameMasked`] ask the engine once per build
-//! which slice of the program can reach the cell of interest's column
-//! (`trex_repair::Reach`). Coalitions repair with, and are keyed on, only
-//! their in-slice members, so players outside the slice keep their index
+//! Every game asks the engine once per build which slice of the program
+//! can reach the cell of interest's column (`trex_repair::Reach`).
+//! Coalitions repair with only their in-slice members, and the two cached
+//! games key on them only, so players outside the slice keep their index
 //! and their place in every permutation but add exactly 0. An engine that
 //! declares no slice keeps everything in it.
+//!
+//! **Walking the masked cell game.** Consecutive prefixes of a permutation
+//! walk differ by one cell, so [`CellGameMasked`] evaluates walks through
+//! its own [`Game::walk_values`] on one working table per walk:
+//! * The all-masked table is built once per game. It masks only the cells
+//!   whose column the slice reads; the other columns keep their dirty
+//!   values, which the slice's promise makes answer-identical.
+//! * Its encoding is built once per game too, with dictionaries spanning
+//!   the dirty values as well as the mask values. A walk clones the table,
+//!   and each step writes one dirty cell back as a code patch
+//!   ([`Table::set_keep_codes`]), so a cache miss hands the engine a table
+//!   whose codes are ready and pays only for its repair.
+//! * The coalition key is a Zobrist hash: an XOR of one 64-bit hash per
+//!   keyed cell, so a step updates it with one XOR. [`Game::value`] builds
+//!   the same key over the coalition's members, so walks and single
+//!   coalitions share cache entries.
 
 use rand::RngCore;
 use std::collections::hash_map::DefaultHasher;
@@ -37,7 +54,7 @@ use std::hash::{Hash, Hasher};
 use trex_constraints::DenialConstraint;
 use trex_repair::{hash_value, OracleStats, Reach, RepairAlgorithm, ShardedOracle};
 use trex_shapley::{Coalition, Game, StochasticGame};
-use trex_table::{CellRef, EncodedTable, Table, TableSamplers, Value};
+use trex_table::{AttrId, CellRef, EncodedTable, Table, TableSamplers, Value};
 
 /// Sentinel fingerprint for a Null-masked cell whose column dictionary has
 /// no null code (codes are `u32`, so this cannot collide with one).
@@ -207,6 +224,21 @@ pub fn cell_label(table: &Table, cell: CellRef) -> String {
 
 /// The masked cell game: `Shap(T^d, Alg|t[A], tᵢ[B])` of §2.2, with
 /// out-of-coalition cells masked per [`MaskMode`].
+///
+/// Only the *keyed* players, those whose column the slice reads, can
+/// change an answer. The game builds two things for them once:
+/// * the all-masked working table, in which every keyed player is masked
+///   and every other cell keeps its dirty value, with an encoding whose
+///   dictionaries span the dirty values too (see the module docs);
+/// * one Zobrist hash per keyed player and per state (included or
+///   masked), from the player's cell fingerprint in the dirty table's own
+///   encoding. A coalition's key is the XOR of its keyed players' states.
+///
+/// A walk ([`Game::walk_values`]) clones the working table once and writes
+/// one dirty cell back per keyed step; an unkeyed step writes nothing and
+/// keeps the key. [`Game::value`] builds a coalition's table the same way
+/// on a miss. [`CellGameMasked::coalition_table`] stays the reference:
+/// the fully masked table the key stands for.
 pub struct CellGameMasked<'a> {
     oracle: ShardedOracle<'a>,
     /// The slice of the program that can reach `cell`'s column
@@ -216,18 +248,32 @@ pub struct CellGameMasked<'a> {
     cell: CellRef,
     target: Value,
     players: Vec<CellRef>,
-    /// Indices of the players whose column the slice reads: the only
-    /// cells a coalition's key and answer depend on.
-    keyed: Vec<usize>,
     mode: MaskMode,
-    /// `dirty`'s own dictionary encoding ([`Table::encoded`]): coalition
-    /// fingerprints are packed per-cell code vectors hashed straight from
-    /// here — a cache hit never clones or masks a table (see
-    /// [`CellGameMasked::coalition_key`]).
-    enc: &'a EncodedTable,
-    dirty_fp: u64,
+    /// Per player: the XOR of its included and masked Zobrist hashes when
+    /// the slice reads its column, `None` otherwise (its cell never
+    /// reaches a key or a write).
+    flips: Vec<Option<u64>>,
+    /// The key of the empty coalition: every keyed player masked.
+    empty_key: u64,
+    /// The all-masked working table every coalition's table starts from.
+    masked: Table,
+    /// `masked`'s encoding spans the dirty values, so writes patch codes
+    /// ([`Table::set_keep_codes`]). `false` when a column of the dirty
+    /// table has no exact equality partition
+    /// ([`trex_table::Dictionary::num_fallback`]): a spanning dictionary
+    /// could then keep that flag where a fresh encode of a coalition's
+    /// table drops it and reorder a scan's witnesses, so writes drop the
+    /// codes and every miss encodes afresh.
+    spanning: bool,
     dcs_hash: u64,
     target_hash: u64,
+}
+
+/// The Zobrist hash of `player` holding the cell fingerprint `fp`.
+fn zobrist(player: usize, fp: u64) -> u64 {
+    let mut h = DefaultHasher::new();
+    (player, fp).hash(&mut h);
+    h.finish()
 }
 
 impl<'a> CellGameMasked<'a> {
@@ -246,9 +292,30 @@ impl<'a> CellGameMasked<'a> {
         let reach = Reach::of(oracle.algorithm(), dcs, dirty.schema(), cell.attr);
         let program = reach.program(dcs);
         let players = cell_players(dirty, cell);
-        let keyed = (0..players.len())
-            .filter(|&i| reach.reads(players[i].attr))
+        let enc = dirty.encoded();
+        let mut base = DefaultHasher::new();
+        dirty.fingerprint().hash(&mut base);
+        (mode == MaskMode::Distinct).hash(&mut base);
+        let mut empty_key = base.finish();
+        let mut masked = dirty.clone();
+        let flips = players
+            .iter()
+            .enumerate()
+            .map(|(idx, player)| {
+                if !reach.reads(player.attr) {
+                    return None;
+                }
+                let included = zobrist(idx, u64::from(enc.code(player.row, player.attr)));
+                let excluded = zobrist(idx, mask_fingerprint(enc, *player, dirty.arity(), mode));
+                empty_key ^= excluded;
+                masked.set(*player, mask_value(*player, dirty.arity(), mode));
+                Some(included ^ excluded)
+            })
             .collect();
+        let spanning = (0..dirty.arity()).all(|a| !enc.dict(AttrId(a)).num_fallback());
+        if spanning {
+            masked.encode_spanning(dirty);
+        }
         CellGameMasked {
             oracle,
             dcs_hash: trex_repair::hash_dcs(&program),
@@ -256,10 +323,11 @@ impl<'a> CellGameMasked<'a> {
             dirty,
             cell,
             players,
-            keyed,
             mode,
-            enc: dirty.encoded(),
-            dirty_fp: dirty.fingerprint(),
+            flips,
+            empty_key,
+            masked,
+            spanning,
             target_hash: hash_value(&target),
             target,
         }
@@ -287,57 +355,86 @@ impl<'a> CellGameMasked<'a> {
         self.oracle.stats()
     }
 
-    /// Build the coalition table: players in `coalition` keep their dirty
-    /// values, the rest are masked; the cell of interest always keeps its
-    /// dirty value.
+    /// The reference coalition table: players in `coalition` keep their
+    /// dirty values, every other player is masked, whatever its column;
+    /// the cell of interest always keeps its dirty value. Its encoding is
+    /// a fresh one, built on first use.
+    ///
+    /// The game's own repairs run on working tables that differ from this
+    /// one only in the columns the slice does not read, which the slice's
+    /// promise makes answer-identical (see [`CellGameMasked`]).
     pub fn coalition_table(&self, coalition: &Coalition) -> Table {
         let arity = self.dirty.arity();
         let mut out = self.dirty.clone();
         for (idx, player) in self.players.iter().enumerate() {
             if !coalition.contains(idx) {
-                let masked = match self.mode {
-                    MaskMode::Null => Value::Null,
-                    MaskMode::Distinct => Value::LabeledNull(player.flat_index(arity) as u64),
-                };
-                out.set(*player, masked);
+                out.set(*player, mask_value(*player, arity, self.mode));
             }
         }
         out
     }
 
-    /// The oracle key of a coalition, computed without materializing the
-    /// masked table: hash the dirty fingerprint, the mask mode, and one
-    /// `u64` per in-slice player cell — its dictionary code when in the
-    /// coalition, a mask fingerprint otherwise. A Null-masked cell maps to
-    /// the column's null code (so masking an already-null cell shares its
-    /// key with including it, exactly as the materialized tables coincide)
-    /// or to [`MASK_NULL_SENTINEL`] when the column has no null; a
-    /// Distinct-masked cell maps to [`MASK_DISTINCT_BASE`]`| flat_index`,
-    /// mirroring the pairwise-distinct labeled nulls it would become. Two
-    /// coalitions share a key exactly when their masked tables agree on
-    /// every column the slice reads, which is all the sliced repair sees.
-    fn coalition_key(&self, coalition: &Coalition) -> trex_repair::OracleKey {
-        let arity = self.dirty.arity();
-        let mut h = DefaultHasher::new();
-        self.dirty_fp.hash(&mut h);
-        (self.mode == MaskMode::Distinct).hash(&mut h);
-        for &idx in &self.keyed {
-            let player = &self.players[idx];
-            let fp = if coalition.contains(idx) {
-                u64::from(self.enc.code(player.row, player.attr))
-            } else {
-                match self.mode {
-                    MaskMode::Null => self
-                        .enc
-                        .dict(player.attr)
-                        .null_code()
-                        .map_or(MASK_NULL_SENTINEL, u64::from),
-                    MaskMode::Distinct => MASK_DISTINCT_BASE | player.flat_index(arity) as u64,
-                }
-            };
-            fp.hash(&mut h);
+    /// Write player `idx`'s dirty value back into a working table.
+    fn unmask(&self, table: &mut Table, idx: usize) {
+        let player = self.players[idx];
+        let value = self.dirty.get(player).clone();
+        if self.spanning {
+            table.set_keep_codes(player, value);
+        } else {
+            table.set(player, value);
         }
-        (self.dcs_hash, h.finish(), self.cell, self.target_hash)
+    }
+
+    /// The oracle's answer for the coalition keyed `key`, as a game value;
+    /// `repair` runs only on a miss.
+    fn query(&self, key: u64, repair: impl FnOnce() -> bool) -> f64 {
+        let key = (self.dcs_hash, key, self.cell, self.target_hash);
+        if self.oracle.query_keyed(key, repair) {
+            1.0
+        } else {
+            0.0
+        }
+    }
+
+    /// Does the sliced program repair the cell of interest to the target
+    /// on `table`?
+    fn repairs(&self, table: &Table) -> bool {
+        trex_repair::repairs_cell_to(
+            self.oracle.algorithm(),
+            &self.program,
+            table,
+            self.cell,
+            &self.target,
+        )
+    }
+}
+
+/// The value a masked cell takes under `mode`.
+fn mask_value(cell: CellRef, arity: usize, mode: MaskMode) -> Value {
+    match mode {
+        MaskMode::Null => Value::Null,
+        MaskMode::Distinct => Value::LabeledNull(cell.flat_index(arity) as u64),
+    }
+}
+
+/// The fingerprint of a masked cell, in the space of the dictionary codes
+/// of `enc` (the dirty table's own encoding) that fingerprint included
+/// cells. A Null-masked cell maps to the
+/// column's null code, so masking an already-null cell keeps its
+/// fingerprint (and its Zobrist hash) exactly as the masked tables
+/// coincide, or to [`MASK_NULL_SENTINEL`] when the column has no null. A
+/// Distinct-masked cell maps to [`MASK_DISTINCT_BASE`]` | flat_index`,
+/// mirroring the pairwise-distinct labeled nulls it becomes. Two
+/// coalitions therefore share a key exactly when their masked tables
+/// agree on every column the slice reads, which is all the sliced repair
+/// sees.
+fn mask_fingerprint(enc: &EncodedTable, cell: CellRef, arity: usize, mode: MaskMode) -> u64 {
+    match mode {
+        MaskMode::Null => enc
+            .dict(cell.attr)
+            .null_code()
+            .map_or(MASK_NULL_SENTINEL, u64::from),
+        MaskMode::Distinct => MASK_DISTINCT_BASE | cell.flat_index(arity) as u64,
     }
 }
 
@@ -347,21 +444,37 @@ impl Game for CellGameMasked<'_> {
     }
 
     fn value(&self, coalition: &Coalition) -> f64 {
-        let key = self.coalition_key(coalition);
-        let repaired = self.oracle.query_keyed(key, || {
-            let table = self.coalition_table(coalition);
-            trex_repair::repairs_cell_to(
-                self.oracle.algorithm(),
-                &self.program,
-                &table,
-                self.cell,
-                &self.target,
-            )
-        });
-        if repaired {
-            1.0
-        } else {
-            0.0
+        let key = coalition
+            .iter()
+            .filter_map(|idx| self.flips[idx])
+            .fold(self.empty_key, |key, flip| key ^ flip);
+        self.query(key, || {
+            let mut table = self.masked.clone();
+            for idx in coalition.iter().filter(|&idx| self.flips[idx].is_some()) {
+                self.unmask(&mut table, idx);
+            }
+            self.repairs(&table)
+        })
+    }
+
+    /// One working table for the whole walk: start from the all-masked
+    /// table and the empty coalition's key, then per step write the
+    /// player's dirty cell back and flip its key bits, or do nothing for
+    /// an unkeyed player. Same values, oracle keys and query order as the
+    /// per-prefix default.
+    fn walk_values(&self, perm: &[usize], prefix: &mut Coalition, values: &mut Vec<f64>) {
+        prefix.clear();
+        values.clear();
+        let mut table = self.masked.clone();
+        let mut key = self.empty_key;
+        values.push(self.query(key, || self.repairs(&table)));
+        for &p in perm {
+            prefix.insert(p);
+            if let Some(flip) = self.flips[p] {
+                key ^= flip;
+                self.unmask(&mut table, p);
+            }
+            values.push(self.query(key, || self.repairs(&table)));
         }
     }
 
@@ -372,9 +485,16 @@ impl Game for CellGameMasked<'_> {
 
 /// The sampled cell game of Example 2.5: out-of-coalition cells take random
 /// draws from their column's empirical distribution.
+///
+/// Sliced like the masked game: a pair repairs with the sliced program and
+/// writes draws only into the columns the slice reads. Every pair still
+/// consumes exactly the draws of the unsliced game, in the same order, so
+/// the random stream and the estimates do not depend on the slice.
 pub struct CellGameSampled<'a> {
     alg: &'a dyn RepairAlgorithm,
-    dcs: &'a [DenialConstraint],
+    /// The slice of the program that can reach `cell`'s column.
+    program: Vec<DenialConstraint>,
+    reach: Reach,
     dirty: &'a Table,
     cell: CellRef,
     target: Value,
@@ -391,9 +511,11 @@ impl<'a> CellGameSampled<'a> {
         cell: CellRef,
         target: Value,
     ) -> Self {
+        let reach = Reach::of(alg, dcs, dirty.schema(), cell.attr);
         CellGameSampled {
             alg,
-            dcs,
+            program: reach.program(dcs),
+            reach,
             dirty,
             cell,
             target,
@@ -408,7 +530,7 @@ impl<'a> CellGameSampled<'a> {
     }
 
     fn eval(&self, table: &Table) -> f64 {
-        if trex_repair::repairs_cell_to(self.alg, self.dcs, table, self.cell, &self.target) {
+        if trex_repair::repairs_cell_to(self.alg, &self.program, table, self.cell, &self.target) {
             1.0
         } else {
             0.0
@@ -425,20 +547,33 @@ impl StochasticGame for CellGameSampled<'_> {
     /// coalition cells keep their original values and all other cells get
     /// random draws; evaluate it once with the player's original value and
     /// once with the player's value also replaced by a draw.
+    ///
+    /// A player whose column the slice does not read takes its draws and
+    /// returns `(0.0, 0.0)` without building a table or repairing: the
+    /// slice's promise makes its two instances the same repair, so its
+    /// marginal is exactly 0.
     fn eval_pair(&self, coalition: &Coalition, player: usize, rng: &mut dyn RngCore) -> (f64, f64) {
         debug_assert!(!coalition.contains(player));
-        let mut table = self.dirty.clone();
+        let player_cell = self.players[player];
+        let mut table = self
+            .reach
+            .reads(player_cell.attr)
+            .then(|| self.dirty.clone());
         for (idx, cellref) in self.players.iter().enumerate() {
             if idx != player && !coalition.contains(idx) {
                 let draw = self.samplers.sample(cellref.attr, rng);
-                table.set(*cellref, draw);
+                if let Some(table) = table.as_mut().filter(|_| self.reach.reads(cellref.attr)) {
+                    table.set(*cellref, draw);
+                }
             }
         }
-        // Instance 1: player keeps its original value (already in place).
-        let with = self.eval(&table);
-        // Instance 2: player's value replaced by a random draw too.
-        let player_cell = self.players[player];
+        // The player's own draw comes last, after the instance that keeps
+        // its original value (repairs draw nothing).
         let draw = self.samplers.sample(player_cell.attr, rng);
+        let Some(mut table) = table else {
+            return (0.0, 0.0);
+        };
+        let with = self.eval(&table);
         table.set(player_cell, draw);
         let without = self.eval(&table);
         (with, without)

@@ -6,6 +6,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Longest accepted request head (request line, headers and the blank line
 /// that ends them), a guard against hostile or broken clients streaming
@@ -16,20 +17,32 @@ const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// in a sane state) but ignored — every input travels in the query string.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 
+/// Longest a client may take to send its whole request, head and body
+/// together, counted from when a worker takes the connection. Every read
+/// waits only for what is left of it, so a client that trickles bytes holds
+/// a worker no longer than one that sends nothing. A request that is not in
+/// by then is answered 408.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
 /// A client connection that remembers whether any response bytes have
 /// been written to it: after a handler panic the server may still answer
-/// 500, but only on a wire no response has started on.
+/// 500, but only on a wire no response has started on. Its reads share
+/// one deadline ([`REQUEST_DEADLINE`]).
 pub(crate) struct Conn {
     stream: TcpStream,
     wrote: bool,
+    /// When reading must be done: a read after it fails with
+    /// [`io::ErrorKind::TimedOut`].
+    deadline: Instant,
 }
 
 impl Conn {
-    /// Wrap an accepted connection.
+    /// Wrap an accepted connection; its request deadline starts now.
     pub(crate) fn new(stream: TcpStream) -> Self {
         Conn {
             stream,
             wrote: false,
+            deadline: Instant::now() + REQUEST_DEADLINE,
         }
     }
 
@@ -42,6 +55,11 @@ impl Conn {
 
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
         self.stream.read(buf)
     }
 }
@@ -106,8 +124,20 @@ impl BadRequest {
 }
 
 /// Read and parse one request from `stream`. `Ok(Err(_))` is a malformed
-/// request that deserves an HTTP error response; `Err(_)` is a dead socket.
+/// request that deserves an HTTP error response, including a 408 when a
+/// read times out (the stream's deadline passed, see [`REQUEST_DEADLINE`]);
+/// `Err(_)` is a dead socket.
 pub fn read_request(stream: &mut impl Read) -> io::Result<Result<Request, BadRequest>> {
+    use io::ErrorKind::{TimedOut, WouldBlock};
+    match parse_request(stream) {
+        Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {
+            Ok(Err(BadRequest::status(408, "request not received in time")))
+        }
+        read => read,
+    }
+}
+
+fn parse_request(stream: &mut impl Read) -> io::Result<Result<Request, BadRequest>> {
     let mut reader = BufReader::new(stream);
     let mut head = Vec::new();
     loop {
@@ -227,6 +257,7 @@ fn status_text(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",

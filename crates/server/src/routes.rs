@@ -61,10 +61,10 @@ impl ServerState {
 /// goes back to the queue. Session locks recover from the poisoning (see
 /// [`ServerState::read`]).
 pub(crate) fn handle_connection(state: &ServerState, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    // A client that stops reading mid-stream must not pin a worker (and
-    // the session read lock) forever: a stalled write errors out and the
-    // anytime driver stops.
+    // Reads share one deadline for the whole request (see `Conn`). Writes
+    // get a timeout of their own: a client that stops reading mid-stream
+    // must not pin a worker (and the session read lock) forever, so a
+    // stalled write errors out and the anytime driver stops.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut stream = Conn::new(stream);
     let req = match crate::http::read_request(&mut stream) {

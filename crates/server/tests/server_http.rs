@@ -2,11 +2,12 @@
 //! the La Liga fixture, exercised by a hand-rolled HTTP client (the same
 //! no-dependency discipline as the server itself).
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use trex::Session;
 use trex_datagen::laliga;
+use trex_server::http::REQUEST_DEADLINE;
 use trex_server::{json, serve, ServerConfig, ServerHandle, MAX_SAMPLES};
 
 fn start_server() -> ServerHandle {
@@ -562,6 +563,93 @@ fn a_head_line_that_never_ends_is_cut_off_at_the_cap() {
     assert!(raw.starts_with("HTTP/1.1 431 "), "{raw}");
     let (status, body) = get(&server, "/health");
     assert_eq!(status, 200, "{body}");
+}
+
+/// How late past [`REQUEST_DEADLINE`] a deadline answer may still come.
+const DEADLINE_SLACK: Duration = Duration::from_secs(3);
+
+#[test]
+fn stalled_clients_hold_a_worker_only_until_the_request_deadline() {
+    // Regression: every read restarted a 30 s timeout, so `http_threads`
+    // clients that stopped partway through a request line held every
+    // worker for 30 s, and `/health` waited behind them.
+    let config = ServerConfig {
+        http_threads: 2,
+        ..ServerConfig::default()
+    };
+    let session = Session::new(
+        Box::new(laliga::algorithm1()),
+        laliga::dirty_table(),
+        laliga::constraints(),
+    );
+    let server = serve(session, &config).expect("bind server");
+    let start = Instant::now();
+    let stalled: Vec<TcpStream> = (0..config.http_threads)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream
+                .write_all(b"GET /health HTTP/1.1\r\n")
+                .expect("send a partial request");
+            stream
+                .set_read_timeout(Some(REQUEST_DEADLINE + DEADLINE_SLACK))
+                .expect("set read timeout");
+            stream
+        })
+        .collect();
+    // Let the workers take both stalled sockets before the probe queues.
+    std::thread::sleep(Duration::from_millis(200));
+    let (status, body) = request_with_timeout(&server, "GET", "/health");
+    assert_eq!(status, 200, "{body}");
+    let waited = start.elapsed();
+    assert!(
+        waited < REQUEST_DEADLINE + DEADLINE_SLACK,
+        "/health waited {waited:?} behind stalled clients"
+    );
+    for mut stream in stalled {
+        let mut raw = Vec::new();
+        stream
+            .read_to_end(&mut raw)
+            .expect("an answer at the deadline");
+        let raw = String::from_utf8_lossy(&raw);
+        assert!(raw.starts_with("HTTP/1.1 408 "), "{raw}");
+    }
+}
+
+#[test]
+fn a_client_trickling_bytes_gets_a_408_at_the_request_deadline() {
+    // Regression: every byte restarted the read timeout, so a client that
+    // sent one byte at a time held its worker for ever.
+    let server = start_server();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("set read timeout");
+    let head = b"GET /health?padding=";
+    let start = Instant::now();
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 512];
+    for sent in 0.. {
+        assert!(
+            start.elapsed() < REQUEST_DEADLINE + DEADLINE_SLACK,
+            "no answer to a trickling client by {:?}",
+            start.elapsed()
+        );
+        // Once the server has answered, it may refuse further bytes.
+        let _ = stream.write_all(&[head.get(sent).copied().unwrap_or(b'a')]);
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break, // a reset after the answer
+        }
+    }
+    let waited = start.elapsed();
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 408 "), "{raw}");
+    assert!(
+        waited + Duration::from_millis(500) >= REQUEST_DEADLINE,
+        "answered after {waited:?}, before the deadline"
+    );
 }
 
 /// xorshift64: the fuzz test's one fixed-seed random stream.

@@ -135,8 +135,32 @@ pub trait Game: Sync {
 
     /// The characteristic function `v(S)`. Implementations must satisfy
     /// `v(∅) = 0` for Shapley efficiency to mean what the paper says.
-    /// Every solver evaluates coalitions one at a time through this method.
+    /// The exact solvers and the stochastic estimators evaluate coalitions
+    /// one at a time through this method; permutation walks go through
+    /// [`Game::walk_values`], whose default calls it once per prefix.
     fn value(&self, coalition: &Coalition) -> f64;
+
+    /// Evaluate the `n + 1` prefix coalitions of the permutation `perm` (∅,
+    /// then one more player at a time) in walk order, into `values`
+    /// (cleared first). `prefix` is caller-owned scratch: on return it
+    /// holds every player of `perm`.
+    ///
+    /// Every walk driver of [`crate::sampling`] and [`crate::parallel`]
+    /// evaluates its walks through this hook. The default is one
+    /// [`Game::value`] call per prefix. A game may override it to carry
+    /// state from one prefix to the next, since consecutive prefixes
+    /// differ by one player; the override must return exactly the values
+    /// the default would, and keep its walk state local to the call so the
+    /// game stays `Sync` and every worker walks on its own copy.
+    fn walk_values(&self, perm: &[usize], prefix: &mut Coalition, values: &mut Vec<f64>) {
+        prefix.clear();
+        values.clear();
+        values.push(self.value(prefix));
+        for &p in perm {
+            prefix.insert(p);
+            values.push(self.value(prefix));
+        }
+    }
 
     /// Optional label for player `i` (used in rankings and reports).
     fn player_label(&self, i: usize) -> String {

@@ -280,7 +280,7 @@ fn run_walks<G: Game + ?Sized>(
                     let block: WalkBlock = perms
                         .into_iter()
                         .map(|perm| {
-                            let values = scratch.prefix_values(game, &perm);
+                            let values = scratch.prefix_values(game, &perm).to_vec();
                             (perm, values)
                         })
                         .collect();

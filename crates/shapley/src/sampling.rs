@@ -129,31 +129,27 @@ pub(crate) fn random_permutation_into<R: Rng + ?Sized>(
     }
 }
 
-/// The reused growing prefix coalition of a walk: one allocation per
-/// worker instead of per walk.
+/// The reused prefix coalition and prefix values of a walk: one
+/// allocation each per worker instead of per walk.
 pub(crate) struct WalkScratch {
     prefix: Coalition,
+    values: Vec<f64>,
 }
 
 impl WalkScratch {
     pub(crate) fn new(n: usize) -> Self {
         WalkScratch {
             prefix: Coalition::empty(n),
+            values: Vec::with_capacity(n + 1),
         }
     }
 
     /// Evaluate the `n + 1` prefix coalitions of `perm` (∅, then one more
-    /// player at a time) with one [`Game::value`] call each, in walk order.
-    pub(crate) fn prefix_values<G: Game + ?Sized>(&mut self, game: &G, perm: &[usize]) -> Vec<f64> {
-        let s = &mut self.prefix;
-        s.clear();
-        let mut values = Vec::with_capacity(perm.len() + 1);
-        values.push(game.value(s));
-        for &p in perm {
-            s.insert(p);
-            values.push(game.value(s));
-        }
-        values
+    /// player at a time) in walk order, through [`Game::walk_values`].
+    pub(crate) fn prefix_values<G: Game + ?Sized>(&mut self, game: &G, perm: &[usize]) -> &[f64] {
+        game.walk_values(perm, &mut self.prefix, &mut self.values);
+        debug_assert_eq!(self.values.len(), perm.len() + 1);
+        &self.values
     }
 }
 
@@ -195,7 +191,7 @@ pub(crate) fn walk_once<G: Game + ?Sized>(
 ) {
     random_permutation_into(perm, game.num_players(), rng);
     let values = scratch.prefix_values(game, perm);
-    fold_walk(stats, perm, &values);
+    fold_walk(stats, perm, values);
 }
 
 /// Estimate the Shapley value of a single `player` with `config.samples`

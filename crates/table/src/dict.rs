@@ -343,6 +343,13 @@ impl EncodedTable {
     /// Encode every column of `table`: intern the distinct values into a
     /// sorted dictionary and store the rows as dense codes.
     pub fn encode(table: &Table) -> EncodedTable {
+        EncodedTable::encode_with(table, None)
+    }
+
+    /// [`EncodedTable::encode`] of `table`, with every column dictionary
+    /// also holding the values of the same column of `extra`, if any (see
+    /// [`Table::encode_spanning`]).
+    pub(crate) fn encode_with(table: &Table, extra: Option<&Table>) -> EncodedTable {
         let arity = table.arity();
         let rows = table.num_rows();
         let mut dicts = Vec::with_capacity(arity);
@@ -351,30 +358,36 @@ impl EncodedTable {
         // coalition table is encoded once on a cache miss), and there a
         // linear probe of the distinct list beats paying a hash per row.
         const LINEAR_ROWS: usize = 64;
+        let linear = rows + extra.map_or(0, Table::num_rows) <= LINEAR_ROWS;
         for a in 0..arity {
             let attr = AttrId(a);
             let start = cols.len();
             let mut distinct: Vec<Value> = Vec::new();
-            if rows <= LINEAR_ROWS {
-                for v in table.column(attr) {
-                    let id = match distinct.iter().position(|d| d == v) {
-                        Some(i) => i as u32,
-                        None => {
-                            distinct.push(v.clone());
-                            (distinct.len() - 1) as u32
-                        }
-                    };
-                    cols.push(id);
+            let extra_values = extra.into_iter().flat_map(|t| t.column(attr));
+            if linear {
+                let mut intern = |v: &Value| match distinct.iter().position(|d| d == v) {
+                    Some(i) => i as u32,
+                    None => {
+                        distinct.push(v.clone());
+                        (distinct.len() - 1) as u32
+                    }
+                };
+                cols.extend(table.column(attr).map(&mut intern));
+                for v in extra_values {
+                    intern(v);
                 }
             } else {
                 let mut interner: HashMap<&Value, u32> = HashMap::new();
-                for v in table.column(attr) {
+                let mut intern = |v| {
                     let next = distinct.len() as u32;
-                    let id = *interner.entry(v).or_insert_with(|| {
+                    *interner.entry(v).or_insert_with(|| {
                         distinct.push(v.clone());
                         next
-                    });
-                    cols.push(id);
+                    })
+                };
+                cols.extend(table.column(attr).map(&mut intern));
+                for v in extra_values {
+                    intern(v);
                 }
             }
             let (dict, remap) = Dictionary::from_distinct(distinct);
@@ -429,7 +442,8 @@ impl EncodedTable {
     /// entry may outlive its last cell: the result decodes cell-for-cell
     /// like a fresh encode of the edited table and every scan reads it
     /// identically, but its dictionaries can hold extra entries — which is
-    /// why [`Table`] never patches its own cached encoding this way.
+    /// why only [`Table::set_keep_codes`], never [`Table::set`], patches a
+    /// table's own cached encoding this way.
     pub fn try_set(&mut self, row: usize, attr: AttrId, v: &Value) -> bool {
         assert!(row < self.rows, "row {row} out of range");
         let Some(code) = self.dicts[attr.0].code_of(v) else {
@@ -437,6 +451,12 @@ impl EncodedTable {
         };
         self.cols[attr.0 * self.rows + row] = code;
         true
+    }
+
+    /// Point one cell at `code` of its column's dictionary.
+    pub(crate) fn set_code(&mut self, row: usize, attr: AttrId, code: u32) {
+        assert!(row < self.rows, "row {row} out of range");
+        self.cols[attr.0 * self.rows + row] = code;
     }
 
     /// Distinct-value count per column, in schema order — the dictionary

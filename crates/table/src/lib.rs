@@ -242,6 +242,54 @@ mod proptests {
         }
 
         #[test]
+        fn table_fingerprint_and_kept_codes_track_every_mutation(
+            t in arb_mixed_table(),
+            ops in proptest::collection::vec((0u8..4, any::<u64>(), arb_mixed_cell()), 0..12),
+        ) {
+            // After every mutation the cached fingerprint is the one hashed
+            // from scratch, and a kept (patched or spanning) encoding still
+            // decodes cell for cell like the table.
+            let check = |t: &Table| -> Result<(), TestCaseError> {
+                let rows = (0..t.num_rows()).map(|r| t.row(r).to_vec()).collect();
+                let fresh = Table::from_rows(t.schema().clone(), rows);
+                prop_assert_eq!(t.fingerprint(), fresh.fingerprint());
+                let enc = t.encoded();
+                for (c, v) in t.cells_with_values() {
+                    prop_assert_eq!(enc.decode(c.row, c.attr), v);
+                }
+                Ok(())
+            };
+            let mut t = t;
+            check(&t)?;
+            for (op, pick, v) in ops {
+                let copy = t.clone();
+                if op == 0 || t.num_rows() == 0 {
+                    let row = (0..t.arity()).map(|_| v.clone()).collect();
+                    t.push_row(row);
+                } else {
+                    let cell = CellRef::from_flat(pick as usize % t.num_cells(), t.arity());
+                    match op {
+                        1 => {
+                            t.set(cell, v);
+                        }
+                        2 => {
+                            t.set_keep_codes(cell, v);
+                        }
+                        _ => {
+                            let mut other = t.clone();
+                            other.set(cell, v.clone());
+                            t.encode_spanning(&other);
+                            check(&t)?;
+                            t.set_keep_codes(cell, v);
+                        }
+                    }
+                }
+                check(&t)?;
+                check(&copy)?;
+            }
+        }
+
+        #[test]
         fn dict_labeled_nulls_stay_distinct(labels in proptest::collection::vec(any::<u64>(), 1..6)) {
             let rows: Vec<Vec<Value>> = labels
                 .iter()

@@ -12,10 +12,31 @@
 //! corresponds to enumerating cells in row-major order, which is exactly the
 //! order of [`Table::cells`].
 //!
-//! A table owns its dictionary encoding ([`Table::encoded`]): built on
-//! first use, shared by clones, and dropped by every mutation, so each
-//! distinct table contents is encoded at most once however many scans,
-//! games and repairs read it.
+//! A table owns its dictionary encoding ([`Table::encoded`]) and its
+//! fingerprint ([`Table::fingerprint`]): each is built on first use,
+//! shared by clones, and dropped by every mutation, so each distinct table
+//! contents is encoded and hashed at most once however many scans, games,
+//! repairs and oracle keys read it.
+//!
+//! **Fresh and spanning encodings.** [`Table::set`] and [`Table::push_row`]
+//! drop the encoding, so a table only they have mutated always holds
+//! exactly [`EncodedTable::encode`] of its contents. Two items trade that
+//! for a cheaper write: [`Table::encode_spanning`] caches an encoding whose
+//! dictionaries also hold another table's values, and
+//! [`Table::set_keep_codes`] patches the cached codes in place instead of
+//! dropping them. Such an encoding decodes cell for cell like the table,
+//! but its dictionaries may hold entries no cell uses, so its code numbers
+//! are its own. Every scan finds the same witnesses on it as on a fresh
+//! encode, in the same order, with one exception: an unused numeric entry
+//! can keep a column flagged [`crate::Dictionary::num_fallback`] (floats
+//! mixed with integers beyond `f64` precision) where a fresh encode would
+//! not be, and a scan joining on that column then runs its nested loop and
+//! lists the same witnesses in another order. The masked cell game's
+//! working tables are the only tables that carry such an encoding (the
+//! game falls back to [`Table::set`] when the flag could differ), and
+//! coalition keys never hash them: the games key on the dirty table's own
+//! fresh encoding, because two encodings of one table must never meet in
+//! a key.
 
 use crate::dict::EncodedTable;
 use crate::schema::{AttrId, Schema};
@@ -73,11 +94,13 @@ pub struct Table {
     rows: Vec<Vec<Value>>,
     /// `EncodedTable::encode` of the current contents, built on first use
     /// by [`Table::encoded`]. Clones share it; [`Table::set`] and
-    /// [`Table::push_row`] drop it rather than patch it, so it is always
-    /// exactly a fresh encode (the coalition cache keys of the cell game
-    /// hash these codes, and two encodings of one table must never meet
-    /// there).
+    /// [`Table::push_row`] drop it rather than patch it, so it stays a
+    /// fresh encode unless [`Table::encode_spanning`] or
+    /// [`Table::set_keep_codes`] made it (see the module docs).
     encoded: OnceLock<Arc<EncodedTable>>,
+    /// [`Table::fingerprint`] of the current contents, built on first use;
+    /// clones copy it and every mutation drops it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl PartialEq for Table {
@@ -103,6 +126,7 @@ impl Table {
             schema,
             rows,
             encoded: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -164,6 +188,7 @@ impl Table {
             self.schema.arity()
         );
         self.encoded.take();
+        self.fingerprint.take();
         self.rows.push(row);
     }
 
@@ -183,16 +208,62 @@ impl Table {
     }
 
     /// Overwrite a cell value, returning the previous value. Drops the
-    /// cached encoding; the next [`Table::encoded`] rebuilds it.
+    /// cached encoding and fingerprint; the next [`Table::encoded`] and
+    /// [`Table::fingerprint`] rebuild them.
     pub fn set(&mut self, cell: CellRef, v: Value) -> Value {
         self.encoded.take();
+        self.fingerprint.take();
         std::mem::replace(&mut self.rows[cell.row][cell.attr.0], v)
+    }
+
+    /// Overwrite a cell value like [`Table::set`], but keep the cached
+    /// encoding when the column's dictionary already holds `v`: the cell's
+    /// code is patched in place (copying the codes first if a clone still
+    /// shares them). A value new to its column drops the encoding, as
+    /// [`Table::set`] does. The fingerprint is always dropped.
+    ///
+    /// Weaker contract than [`Table::set`]: the kept encoding decodes cell
+    /// for cell like the table, but its dictionaries may hold entries no
+    /// cell uses any more (see [`EncodedTable::try_set`]), so it is no
+    /// longer [`EncodedTable::encode`]`(self)`; the module docs say what a
+    /// scan sees then.
+    pub fn set_keep_codes(&mut self, cell: CellRef, v: Value) -> Value {
+        self.fingerprint.take();
+        if let Some(enc) = self.encoded.get_mut() {
+            match enc.dict(cell.attr).code_of(&v) {
+                Some(code) => Arc::make_mut(enc).set_code(cell.row, cell.attr, code),
+                None => drop(self.encoded.take()),
+            }
+        }
+        std::mem::replace(&mut self.rows[cell.row][cell.attr.0], v)
+    }
+
+    /// Cache an encoding of the current contents whose column dictionaries
+    /// also hold every value of the same column of `other`, so that
+    /// [`Table::set_keep_codes`] can later write any of `other`'s values
+    /// without a re-encode. Replaces any cached encoding.
+    ///
+    /// Weaker contract than [`Table::encoded`]'s fresh encode: the result
+    /// decodes cell for cell like the table, but its dictionaries may hold
+    /// entries no cell uses; the module docs say what a scan sees then.
+    ///
+    /// # Panics
+    /// Panics if `other`'s arity differs from this table's.
+    pub fn encode_spanning(&mut self, other: &Table) {
+        assert_eq!(
+            other.arity(),
+            self.arity(),
+            "a spanning encoding needs tables of one arity"
+        );
+        let enc = EncodedTable::encode_with(self, Some(other));
+        self.encoded = OnceLock::from(Arc::new(enc));
     }
 
     /// The dictionary encoding of the current contents: built on the first
     /// call (thread-safe), then shared by every later call and every clone
-    /// until the next mutation. Always equal to
-    /// [`EncodedTable::encode`]`(self)`.
+    /// until the next mutation. Equal to [`EncodedTable::encode`]`(self)`
+    /// unless [`Table::encode_spanning`] or [`Table::set_keep_codes`] made
+    /// it; even then it decodes cell for cell like the table.
     pub fn encoded(&self) -> &Arc<EncodedTable> {
         self.encoded
             .get_or_init(|| Arc::new(EncodedTable::encode(self)))
@@ -283,20 +354,24 @@ impl Table {
 
     /// A deterministic 64-bit fingerprint of the table contents (schema
     /// shape + all values). Used by the memoizing repair oracle to key
-    /// coalition tables.
+    /// coalition tables. Hashed on the first call, then kept beside the
+    /// encoding until the next mutation, so clones and repeated game
+    /// builds over one table contents hash it once.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.schema.arity().hash(&mut h);
-        for name in self.schema.names() {
-            name.hash(&mut h);
-        }
-        self.rows.len().hash(&mut h);
-        for row in &self.rows {
-            for v in row {
-                v.hash(&mut h);
+        *self.fingerprint.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            self.schema.arity().hash(&mut h);
+            for name in self.schema.names() {
+                name.hash(&mut h);
             }
-        }
-        h.finish()
+            self.rows.len().hash(&mut h);
+            for row in &self.rows {
+                for v in row {
+                    v.hash(&mut h);
+                }
+            }
+            h.finish()
+        })
     }
 
     /// Pretty-print with column headers; nulls render as `∅`.
@@ -470,6 +545,86 @@ mod tests {
         t.push_row(vec![Value::str("w"), Value::int(3)]);
         assert!(!Arc::ptr_eq(&before_push, t.encoded()), "push_row drops it");
         assert_eq!(t.encoded().num_rows(), 3);
+    }
+
+    /// The fingerprint of `t`'s contents, hashed from scratch.
+    fn fresh_fingerprint(t: &Table) -> u64 {
+        let rows = (0..t.num_rows()).map(|r| t.row(r).to_vec()).collect();
+        Table::from_rows(t.schema().clone(), rows).fingerprint()
+    }
+
+    #[test]
+    fn cached_fingerprint_is_shared_and_tracks_every_mutation() {
+        let mut t = small();
+        assert_eq!(t.fingerprint(), fresh_fingerprint(&t));
+        let copy = t.clone();
+        assert_eq!(copy.fingerprint(), t.fingerprint(), "clones share it");
+        t.set(CellRef::new(0, AttrId(0)), Value::str("z"));
+        assert_eq!(t.fingerprint(), fresh_fingerprint(&t));
+        assert_ne!(t.fingerprint(), copy.fingerprint());
+        t.push_row(vec![Value::str("w"), Value::int(3)]);
+        assert_eq!(t.fingerprint(), fresh_fingerprint(&t));
+        let _ = t.encoded();
+        t.set_keep_codes(CellRef::new(2, AttrId(1)), Value::int(1));
+        assert_eq!(t.fingerprint(), fresh_fingerprint(&t));
+        t.set_keep_codes(CellRef::new(2, AttrId(1)), Value::int(99));
+        assert_eq!(t.fingerprint(), fresh_fingerprint(&t));
+        assert_eq!(copy.fingerprint(), fresh_fingerprint(&copy));
+    }
+
+    #[test]
+    fn set_keep_codes_patches_known_values_and_drops_on_new_ones() {
+        let mut t = small();
+        let first = Arc::clone(t.encoded());
+        let shared = t.clone();
+        let cell = CellRef::new(1, AttrId(0));
+        assert_eq!(t.set_keep_codes(cell, Value::str("x")), Value::str("y"));
+        assert_eq!(t.encoded().decode(1, AttrId(0)), &Value::str("x"));
+        assert_eq!(
+            t.encoded().dict(AttrId(0)).len(),
+            2,
+            "\"y\" keeps its entry"
+        );
+        assert!(
+            Arc::ptr_eq(&first, shared.encoded()),
+            "the clone keeps its own codes"
+        );
+        assert_eq!(shared.encoded().decode(1, AttrId(0)), &Value::str("y"));
+        let patched = Arc::clone(t.encoded());
+        t.set_keep_codes(cell, Value::str("new"));
+        assert!(!Arc::ptr_eq(&patched, t.encoded()), "a new value drops it");
+        let fresh = EncodedTable::encode(&t);
+        for a in 0..t.arity() {
+            let attr = AttrId(a);
+            assert_eq!(t.encoded().dict(attr).values(), fresh.dict(attr).values());
+            assert_eq!(t.encoded().codes(attr), fresh.codes(attr));
+        }
+    }
+
+    #[test]
+    fn a_spanning_encoding_holds_both_tables_values() {
+        let dirty = small();
+        let mut masked = dirty.clone();
+        masked.set(CellRef::new(0, AttrId(0)), Value::Null);
+        masked.set(CellRef::new(1, AttrId(1)), Value::LabeledNull(3));
+        masked.encode_spanning(&dirty);
+        let enc = Arc::clone(masked.encoded());
+        assert_eq!(
+            enc.dict(AttrId(0)).values(),
+            &[Value::Null, Value::str("x"), Value::str("y")]
+        );
+        for (c, v) in masked.cells_with_values() {
+            assert_eq!(enc.decode(c.row, c.attr), v);
+        }
+        // Writing the dirty values back patches codes, never re-encodes.
+        for (c, v) in dirty.cells_with_values() {
+            masked.set_keep_codes(c, v.clone());
+            assert_eq!(masked.encoded().dict(c.attr).len(), enc.dict(c.attr).len());
+        }
+        assert_eq!(masked, dirty);
+        for (c, v) in masked.cells_with_values() {
+            assert_eq!(masked.encoded().decode(c.row, c.attr), v);
+        }
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //! slice (`trex_repair::Reach`) are the unsliced explanations bit for bit
 //! at every thread count.
 //!
+//! So does the masked cell game's walk hook (`Game::walk_values` on one
+//! working table per walk): its prefix values are the per-prefix
+//! `Game::value` answers and the reference coalition tables' answers, and
+//! the oracle's absolute hit/miss counts on the Figure 2 rankings are
+//! pinned, so a key change that merged or split coalitions would show. The
+//! working table's code-keeping writes (`Table::set_keep_codes` over a
+//! spanning encoding) scan and repair exactly like a fresh copy.
+//!
 //! The giant-bucket block split of `find_all_violations_par` rides along:
 //! it keeps the violation scan's output the 1-thread output on a table
 //! whose rows all share one equality-bucket key.
@@ -33,12 +41,12 @@
 use trex::{CellGameMasked, CellGameSampled, ExecConfig, Explainer, MaskMode, Session};
 use trex_constraints::DenialConstraint;
 use trex_datagen::laliga;
-use trex_repair::{RepairAlgorithm, RepairResult};
+use trex_repair::{OracleStats, RepairAlgorithm, RepairResult};
 use trex_shapley::{
-    parallel, player_seed, sampling, AnytimeControl, Estimate, Game, ParallelConfig,
+    parallel, player_seed, sampling, AnytimeControl, Coalition, Estimate, Game, ParallelConfig,
     SamplingConfig, StochasticGame,
 };
-use trex_table::{Table, Value};
+use trex_table::{CellRef, Table, Value};
 
 /// The thread counts every sweep exercises: 1, 2, 3, 4, 8 and 16, plus the
 /// CI thread-matrix count from `TREX_TEST_THREADS` when set.
@@ -524,5 +532,190 @@ fn sampled_game_estimates_stay_in_range_across_threads() {
             "player {i}: marginal mean {} out of range",
             e.value
         );
+    }
+}
+
+/// xorshift64: the fixed-seed stream of the walk and write tests below.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+
+    /// A uniform permutation of `0..n` (Fisher–Yates).
+    fn permutation(&mut self, n: usize) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, self.below(i + 1));
+        }
+        perm
+    }
+}
+
+/// Figure 2 with two keyed cells already null: under the Null mask their
+/// included and masked states are one table, so they share one key and a
+/// walk step over them flips nothing.
+fn nulled_figure_2() -> Table {
+    let mut dirty = laliga::dirty_table();
+    let (city, league) = (dirty.schema().id("City"), dirty.schema().id("League"));
+    dirty.set(CellRef::new(1, city), Value::Null);
+    dirty.set(CellRef::new(5, league), Value::Null);
+    dirty
+}
+
+#[test]
+fn figure_2_rankings_make_the_pinned_oracle_queries_at_any_thread_count() {
+    // Absolute counts, not just equal across thread counts: a coalition
+    // key that merged or split equality classes would move them. Each
+    // ranking runs on a fresh cache.
+    let dcs = laliga::constraints();
+    let alg = laliga::algorithm1();
+    let (shipped, nulled) = (laliga::dirty_table(), nulled_figure_2());
+    use MaskMode::{Distinct, Null};
+    let pins = [
+        ("shipped", &shipped, Null, 80, 3, 1_261, 1_619),
+        ("shipped", &shipped, Null, 200, 4, 3_290, 3_910),
+        ("shipped", &shipped, Distinct, 80, 3, 1_261, 1_619),
+        ("shipped", &shipped, Distinct, 200, 4, 3_290, 3_910),
+        ("nulled", &nulled, Null, 80, 3, 1_423, 1_457),
+        ("nulled", &nulled, Null, 200, 4, 3_725, 3_475),
+        ("nulled", &nulled, Distinct, 80, 3, 1_261, 1_619),
+        ("nulled", &nulled, Distinct, 200, 4, 3_290, 3_910),
+    ];
+    for (table, dirty, mode, walks, seed, hits, misses) in pins {
+        let cell = laliga::cell_of_interest(dirty);
+        for threads in with_test_threads(vec![1, 2]) {
+            let game = CellGameMasked::new(&alg, &dcs, dirty, cell, Value::str("Spain"), mode);
+            parallel::estimate_all_walk(&game, ParallelConfig::new(walks, seed, threads));
+            assert_eq!(
+                game.oracle_stats(),
+                OracleStats {
+                    hits,
+                    misses,
+                    evictions: 0
+                },
+                "{table} {mode:?}, {walks} walks, seed {seed}, threads = {threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_walk_hook_answers_like_per_prefix_values_and_the_reference_tables() {
+    // Figure 2 as shipped, and with two keyed cells already null.
+    let dcs = laliga::constraints();
+    let alg = laliga::algorithm1();
+    let (shipped, nulled) = (laliga::dirty_table(), nulled_figure_2());
+    let mut rng = Xorshift(0x7761_6c6b_686f_6f6b);
+    for dirty in [&shipped, &nulled] {
+        let cell = laliga::cell_of_interest(dirty);
+        let target = Explainer::new(&alg)
+            .repair_target(&dcs, dirty, cell)
+            .unwrap();
+        assert_eq!(target, Value::str("Spain"));
+        for mode in [MaskMode::Null, MaskMode::Distinct] {
+            let walked = CellGameMasked::new(&alg, &dcs, dirty, cell, target.clone(), mode);
+            let valued = CellGameMasked::new(&alg, &dcs, dirty, cell, target.clone(), mode);
+            let n = Game::num_players(&walked);
+            let (mut prefix, mut values) = (Coalition::empty(n), Vec::new());
+            for _ in 0..30 {
+                let perm = rng.permutation(n);
+                walked.walk_values(&perm, &mut prefix, &mut values);
+                let mut coalition = Coalition::empty(n);
+                for (step, &value) in values.iter().enumerate() {
+                    if step > 0 {
+                        coalition.insert(perm[step - 1]);
+                    }
+                    assert_eq!(value, valued.value(&coalition), "{mode:?}, step {step}");
+                    // The whole program on the fully masked table.
+                    let table = walked.coalition_table(&coalition);
+                    let reference = trex_repair::repairs_cell_to(&alg, &dcs, &table, cell, &target);
+                    assert_eq!(
+                        value,
+                        f64::from(u8::from(reference)),
+                        "{mode:?}, step {step}"
+                    );
+                }
+                assert_eq!(prefix, coalition, "the hook leaves the full prefix");
+            }
+            let stats = walked.oracle_stats();
+            assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
+            assert_eq!(stats, valued.oracle_stats(), "{mode:?}");
+        }
+    }
+}
+
+#[test]
+fn code_keeping_writes_scan_and_repair_like_a_fresh_copy() {
+    // A working copy as the masked cell game makes one: a third of the
+    // cells masked, an encoding spanning the dirty values, then rounds of
+    // random writes that keep the codes. After each round the codes decode
+    // cell for cell, and the violation scan and Algorithm 1 give exactly
+    // what they give on a fresh copy of the same contents.
+    use trex_datagen::scenario::{generate, ScenarioConfig, SchemaKind};
+    let scenario = generate(&ScenarioConfig::new(SchemaKind::Soccer, 200, 7));
+    let dirty = scenario.dirty();
+    let dcs: Vec<DenialConstraint> = scenario
+        .constraints
+        .iter()
+        .map(|dc| dc.resolved(dirty.schema()).unwrap())
+        .collect();
+    let arity = dirty.arity();
+    let mut rng = Xorshift(0x6b65_6570_636f_6465);
+    let mut work = dirty.clone();
+    for cell in dirty.cells() {
+        match rng.below(6) {
+            0 => {
+                work.set(cell, Value::Null);
+            }
+            1 => {
+                work.set(cell, Value::LabeledNull(cell.flat_index(arity) as u64));
+            }
+            _ => {}
+        }
+    }
+    work.encode_spanning(dirty);
+    for round in 0..6 {
+        for _ in 0..40 {
+            let cell = CellRef::from_flat(rng.below(dirty.num_cells()), arity);
+            let value = match rng.below(4) {
+                0 => Value::Null,
+                _ => dirty
+                    .get(CellRef::new(rng.below(dirty.num_rows()), cell.attr))
+                    .clone(),
+            };
+            work.set_keep_codes(cell, value);
+        }
+        let rows = (0..work.num_rows()).map(|r| work.row(r).to_vec()).collect();
+        let fresh = Table::from_rows(work.schema().clone(), rows);
+        let (kept, exact) = (work.encoded(), fresh.encoded());
+        for (c, v) in work.cells_with_values() {
+            assert_eq!(kept.decode(c.row, c.attr), v, "round {round}");
+        }
+        assert!(
+            (0..arity).any(|a| {
+                let attr = trex_table::AttrId(a);
+                kept.dict(attr).len() > exact.dict(attr).len()
+            }),
+            "round {round}: the kept codes should span unused values"
+        );
+        for threads in with_test_threads(vec![1, 2]) {
+            assert_eq!(
+                trex_constraints::find_all_violations_par(&dcs, &work, threads),
+                trex_constraints::find_all_violations_par(&dcs, &fresh, threads),
+                "round {round}, threads = {threads}"
+            );
+        }
+        let (ours, theirs) = (
+            scenario.repairer.repair(&scenario.constraints, &work),
+            scenario.repairer.repair(&scenario.constraints, &fresh),
+        );
+        assert_eq!(ours.clean, theirs.clean, "round {round}");
+        assert_eq!(ours.changes, theirs.changes, "round {round}");
+        assert!(!ours.changes.is_empty(), "round {round}: nothing to repair");
     }
 }
