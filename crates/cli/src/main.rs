@@ -74,6 +74,8 @@ LINT:
   satisfiability (contradictions, empty intervals, tautologies), pairwise
   subsumption, and a per-constraint scan-cost plan. Exit code 1 if any
   error-severity diagnostic is found, 0 otherwise (warnings don't fail).
+  violations, repair, explain and serve refuse a program with an
+  error-severity finding the same way (exit 1, the diagnostic on stderr).
   --json emits one machine-readable document instead of text.
   --rules FILE also checks a rule list (the --engine rules syntax) the
   way repair, explain and serve load it: every rule must name a
@@ -82,9 +84,11 @@ LINT:
 
 ORACLE CAPACITY:
   --oracle-cap N bounds the repair-oracle memo cache of explain to N
-  entries (second-chance eviction once full; 0 disables caching). Results
-  are identical at any capacity — a smaller cache only recomputes more.
-  Default: 1048576 entries.
+  entries (second-chance eviction once full; 0 disables caching). An
+  entry is one repair, shared by the repair target and every constraint
+  coalition over the same program and table, or one answer of the masked
+  cell game. Results are identical at any capacity — a smaller cache only
+  recomputes more. Default: 1048576 entries.
 
 SERVE:
   trex serve loads one (table, constraints, engine) triple and answers
@@ -170,14 +174,31 @@ fn load_table(path: &str) -> Result<Table, ArgError> {
     read_csv_inferred(&text).map_err(|e| ArgError(format!("{path}: {e}")))
 }
 
-/// Load `--table` and `--dcs`: the inputs of violations, repair, explain,
-/// serve and lint.
-fn load_inputs(args: &Args) -> Result<(Table, Vec<DenialConstraint>), ArgError> {
+/// Read `--table` and `--dcs` as written: the program `trex lint` reports
+/// on.
+fn read_inputs(args: &Args) -> Result<(Table, Vec<DenialConstraint>), ArgError> {
     let table = load_table(args.require("table")?)?;
     let dcs_path = args.require("dcs")?;
     let dcs_text = std::fs::read_to_string(dcs_path)
         .map_err(|e| ArgError(format!("cannot read {dcs_path}: {e}")))?;
     let dcs = parse_dcs(&dcs_text).map_err(|e| ArgError(format!("{dcs_path}: {e}")))?;
+    Ok((table, dcs))
+}
+
+/// Load `--table` and `--dcs` for violations, repair, explain and serve,
+/// failing closed: every constraint must resolve against the table, and
+/// the program must have none of the error-severity findings `trex lint`
+/// exits 1 on (`TREX-E001`–`E003`, see `trex_constraints::typecheck`). A
+/// predicate that can never hold would make its constraint silently
+/// unviolable.
+fn load_inputs(args: &Args) -> Result<(Table, Vec<DenialConstraint>), ArgError> {
+    let (table, dcs) = read_inputs(args)?;
+    resolve_all(&table, &dcs)?;
+    if let Err(errors) = trex_constraints::typecheck(&dcs, table.schema()) {
+        let rendered: Vec<String> = errors.iter().map(|d| d.render()).collect();
+        let dcs_path = args.require("dcs")?;
+        return Err(ArgError(format!("{dcs_path}: {}", rendered.join("\n"))));
+    }
     Ok((table, dcs))
 }
 
@@ -280,7 +301,6 @@ fn cmd_repair(args: &Args) -> Result<(), ArgError> {
     let cfg = args.exec_config()?;
     let engine = load_engine(args, &cfg, &table, &dcs)?;
     args.reject_unknown()?;
-    resolve_all(&table, &dcs)?;
     let result = engine.repair(&dcs, &table);
     println!("engine: {}\n", engine.name());
     println!("{}", render_repair_screen(&table, &result.changes));
@@ -332,7 +352,6 @@ fn cmd_explain(args: &Args) -> Result<(), ArgError> {
     if batch == 0 {
         return Err(ArgError("--batch must be at least 1".to_string()));
     }
-    resolve_all(&table, &dcs)?;
 
     let explainer = Explainer::new(engine.as_ref()).with_config(cfg);
     let constraints = explainer
@@ -397,7 +416,6 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     if http_threads == 0 {
         return Err(ArgError("--http-threads must be at least 1".to_string()));
     }
-    resolve_all(&table, &dcs)?;
     let session = Session::new(engine, table, dcs).with_config(cfg);
     let config = trex_server::ServerConfig { addr, http_threads };
     let handle = trex_server::serve(session, &config)
@@ -417,7 +435,7 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
 /// error-severity diagnostic was found (warnings and infos exit 0), or
 /// iff the `--rules` list fails the check `load_engine` runs.
 fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
-    let (table, dcs) = load_inputs(args)?;
+    let (table, dcs) = read_inputs(args)?;
     // Lint shares the exec-flag group with the scan commands so pipelines
     // can pass one flag set everywhere; none of the flags changes its
     // report.
@@ -881,6 +899,50 @@ mod tests {
                 );
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn commands_reject_a_dc_that_fails_the_typecheck() {
+        // Regression: `Year` is an integer column, so `t1.Year = "abc"`
+        // never holds and `violations` printed "table is clean", while
+        // `trex lint` failed the same program with TREX-E002.
+        let dir = std::env::temp_dir().join(format!("trex-typecheck-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dcs = dir.join("typo.dcs");
+        std::fs::write(&dcs, "C1: !(t1.League = t2.League & t1.Year = \"abc\")\n").unwrap();
+        let (table, dcs) = (
+            shipped("laliga_dirty.csv"),
+            dcs.to_str().unwrap().to_string(),
+        );
+        let rules = shipped("algorithm1.rules");
+        let base = [
+            "--table", &table, "--dcs", &dcs, "--engine", "rules", "--rules", &rules,
+        ];
+        let args = |command: &str, extra: &[&str]| {
+            let raw = [command]
+                .into_iter()
+                .chain(base)
+                .chain(extra.iter().copied());
+            Args::parse(raw).unwrap()
+        };
+        let errors = [
+            cmd_violations(&args("violations", &[])).unwrap_err(),
+            cmd_repair(&args("repair", &[])).unwrap_err(),
+            cmd_explain(&args("explain", &["--cell", "t5.Country"])).unwrap_err(),
+            load_inputs(&args("serve", &[])).unwrap_err(),
+        ];
+        for err in errors {
+            let err = err.to_string();
+            assert!(
+                err.starts_with(&format!("{dcs}: error[TREX-E002] C1")),
+                "{err}"
+            );
+            assert!(err.contains("never holds"), "{err}");
+        }
+        // Lint reports the same finding and exits 1.
+        let lint = Args::parse(["lint", "--table", &table, "--dcs", &dcs]).unwrap();
+        assert_eq!(cmd_lint(&lint).unwrap(), ExitCode::FAILURE);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

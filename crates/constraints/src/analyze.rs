@@ -481,6 +481,24 @@ pub fn analyze(dcs: &[DenialConstraint], schema: Option<&Schema>) -> Analysis {
     analyze_impl(dcs, schema, None)
 }
 
+/// The program's error-severity findings against `schema`: unknown
+/// attributes and comparisons that can never hold at the columns' types
+/// (`TREX-E001`–`E003`), in report order. `Ok` when there are none.
+///
+/// Every boundary that takes user DCs runs this before a session sees
+/// them (the `trex` subcommands' input loader, `POST /constraint`): a
+/// predicate that can never hold makes its DC unviolable, so a scan or a
+/// repair would ignore it without a word. `trex lint` reports the same
+/// findings, with the warnings beside them.
+pub fn typecheck(dcs: &[DenialConstraint], schema: &Schema) -> Result<(), Vec<Diagnostic>> {
+    let errors: Vec<Diagnostic> = analyze(dcs, Some(schema)).errors().cloned().collect();
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
+}
+
 /// Analyze a DC program against a concrete table: everything [`analyze`]
 /// does, plus type inference over the table's contents (`TREX-W104`,
 /// sharper `TREX-E002` hints) and the per-DC scan-cost plan report.
@@ -932,6 +950,30 @@ mod tests {
         assert_eq!(d.message, "unknown attribute \"team\"");
         assert_eq!(d.hint.as_deref(), Some("did you mean \"Team\"?"));
         assert!(a.has_errors());
+    }
+
+    #[test]
+    fn typecheck_returns_exactly_the_error_findings() {
+        let dcs = parse_dcs(
+            "Ok: !(t1.Team = t2.Team & t1.Year != t2.Year)\n\
+             Dead: !(t1.Year < t2.Year & t1.Year > t2.Year)\n\
+             Typo: !(t1.Team = t2.Team & t1.Year = \"abc\")\n\
+             Gone: !(t1.Nope = t2.Nope)\n",
+        )
+        .unwrap();
+        assert_eq!(typecheck(&dcs[..2], &schema()), Ok(()), "a warning passes");
+        let errors = typecheck(&dcs, &schema()).unwrap_err();
+        let found: Vec<(&str, &str)> = errors
+            .iter()
+            .map(|d| (d.constraint.as_str(), d.code))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("Typo", codes::TYPE_MISMATCH),
+                ("Gone", codes::UNKNOWN_ATTR)
+            ]
+        );
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub mod parallel;
 pub mod parser;
 
 pub use analyze::{
-    analyze, analyze_with_table, statically_unviolable, Analysis, DcPlan, DcVerdict, PlanStrategy,
+    analyze, analyze_with_table, statically_unviolable, typecheck, Analysis, DcPlan, DcVerdict,
+    PlanStrategy,
 };
 pub use ast::{CmpOp, DenialConstraint, Operand, Predicate, ResolveError, Span, TupleVar};
 pub use diagnostics::{Diagnostic, Severity};

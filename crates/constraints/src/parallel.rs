@@ -35,7 +35,12 @@
 //! * other binary DCs chunk the outer row of the `(i, j)` nested loop, and
 //!   unary DCs chunk the row range.
 //!
-//! `threads = 1` runs inline on the caller's thread, with no spawn.
+//! `threads = 1` runs inline on the caller's thread, with no spawn, and so
+//! does any scan too small to pay for a second worker: a scan gets one
+//! worker per `PROBES_PER_WORKER` predicate probes it measures, up to
+//! its thread count. The repair engines scan a small working table for
+//! every rule of every coalition repair, so those scans stay inline while
+//! a large table still splits.
 
 use crate::ast::DenialConstraint;
 use crate::compiled::{BoundDc, CompiledDc};
@@ -44,6 +49,18 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 use trex_table::{AttrId, Dictionary, EncodedTable, Table};
+
+/// The work, in predicate probes, that pays for one scan worker: one probe
+/// per row of a unary DC, per ordered row pair of a binary one. A scoped
+/// spawn and join cost tens of microseconds, about what this many probes
+/// take, so a smaller share would spend more on the worker than it saves.
+const PROBES_PER_WORKER: usize = 1 << 15;
+
+/// The workers a scan of `probes` probes gets: one per
+/// [`PROBES_PER_WORKER`], at least one, at most `threads`.
+fn workers_for(probes: usize, threads: usize) -> usize {
+    (probes / PROBES_PER_WORKER).clamp(1, threads)
+}
 
 /// Find every violation of the resolved DCs `dcs` on `threads` workers:
 /// DCs in order, each DC's witnesses in scan order. Dead DCs (see the
@@ -66,7 +83,13 @@ pub fn find_all_violations_par(
     let mut out = Vec::new();
     for dc in dcs {
         if crate::analyze::statically_unviolable(dc).is_none() {
-            scan_dc(dc, table, enc, threads, &mut out);
+            scan_dc(
+                dc,
+                table,
+                enc,
+                |probes| workers_for(probes, threads),
+                &mut out,
+            );
         }
     }
     out
@@ -89,27 +112,43 @@ pub fn find_violations_par_with(
 ) -> Vec<Violation> {
     assert!(threads >= 1, "threads must be >= 1 (resolve 0 first)");
     let mut out = Vec::new();
-    scan_dc(dc, table, enc, threads, &mut out);
+    scan_dc(
+        dc,
+        table,
+        enc,
+        |probes| workers_for(probes, threads),
+        &mut out,
+    );
     out
 }
 
-/// Append the witnesses of one DC to `out`.
+/// Append the witnesses of one DC to `out`, on `workers(probes)` workers
+/// for the scan's measured probe count. Every worker count gives the same
+/// output.
 fn scan_dc(
     dc: &DenialConstraint,
     table: &Table,
     enc: &EncodedTable,
-    threads: usize,
+    workers: impl Fn(usize) -> usize,
     out: &mut Vec<Violation>,
 ) {
-    // Clamp to the available work: spawning more workers than rows (the
-    // finest work unit either path has) only burns spawn/join cycles.
-    let threads = threads.min(table.num_rows()).max(1);
     let cdc = CompiledDc::compile(dc);
     let Some((key, groups)) = equality_groups(dc, table, enc) else {
+        let n = table.num_rows();
+        let probes = if dc.is_binary() {
+            n * n.saturating_sub(1)
+        } else {
+            n
+        };
+        // More workers than rows (the finest unit of the row split) only
+        // burns spawn/join cycles.
+        let threads = workers(probes).min(n).max(1);
         nested_loop(&cdc, table, enc, threads, out);
         return;
     };
     let bound = cdc.bind(enc, &key);
+    let pairs = groups.iter().map(|g| g.len() * (g.len() - 1)).sum();
+    let threads = workers(pairs).max(1);
     if threads == 1 {
         for rows in &groups {
             scan_block(&cdc, &bound, table, rows, 0..rows.len(), out);
@@ -473,8 +512,21 @@ mod tests {
                 find_violations_par_with(&dc, t, t.encoded(), threads),
                 "{src} at {threads} threads, per-DC entry point"
             );
+            // Tables this small scan inline; split them anyway.
+            let mut forced = Vec::new();
+            scan_dc(&dc, t, t.encoded(), |_| threads, &mut forced);
+            assert_eq!(one, forced, "{src} forced onto {threads} workers");
         }
         one
+    }
+
+    #[test]
+    fn scans_take_one_worker_per_share_of_measured_work() {
+        assert_eq!(workers_for(0, 8), 1);
+        assert_eq!(workers_for(PROBES_PER_WORKER - 1, 8), 1);
+        assert_eq!(workers_for(3 * PROBES_PER_WORKER, 8), 3);
+        assert_eq!(workers_for(usize::MAX, 2), 2);
+        assert_eq!(workers_for(usize::MAX, 1), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::ranking::Ranking;
 use std::fmt;
 use std::sync::Arc;
 use trex_constraints::{DenialConstraint, ResolveError};
-use trex_repair::{OracleCache, Reach, RepairAlgorithm, ShardedOracle};
+use trex_repair::{repaired_value, OracleCache, Reach, RepairAlgorithm, ShardedOracle};
 use trex_shapley::{
     parallel, shapley_exact, shapley_exact_rational, AnytimeCheckpoint, AnytimeControl, Estimate,
     ExactError, ExecConfig, Game, ParallelConfig, Rational, SamplingConfig,
@@ -176,11 +176,13 @@ fn cell_explanation(
 /// multi-core sampling. Every thread count returns the serial estimate bit
 /// for bit — threads change wall time only.
 ///
-/// The memoizing repair oracle behind the coalition games grows with the
-/// number of distinct coalition tables visited;
-/// [`ExecConfig::with_oracle_cap`] bounds it (entries, second-chance
-/// eviction) without changing any result. Every coalition query goes
-/// through that one oracle, whose misses the wrapped algorithm answers.
+/// Every repair an explanation asks for goes through one memoizing oracle,
+/// whose misses the wrapped algorithm answers: the repair target and the
+/// game's coalitions, so a constraint game's grand coalition reads the
+/// target's repair. Without a shared cache
+/// ([`Explainer::with_oracle_cache`]) each call builds one private cache
+/// for both and drops it afterwards. [`ExecConfig::with_oracle_cap`] bounds
+/// it (entries, second-chance eviction) without changing any result.
 pub struct Explainer<'a> {
     alg: &'a dyn RepairAlgorithm,
     cfg: ExecConfig,
@@ -198,12 +200,12 @@ impl<'a> Explainer<'a> {
         }
     }
 
-    /// Memoize coalition repairs in `cache` instead of a fresh private
-    /// cache per oracle. Several explainers (or several requests against
-    /// one long-lived `Session`) sharing one [`OracleCache`] pool their
-    /// coalition answers: oracle keys embed the table fingerprint and the
-    /// DC-set hash, so entries computed under one `(table, constraints)`
-    /// pair can never answer a query for another. The cache's
+    /// Memoize repairs in `cache` instead of a fresh private cache per
+    /// call. Several explainers (or several requests against one
+    /// long-lived `Session`) sharing one [`OracleCache`] pool their
+    /// repairs: oracle keys embed the table fingerprint and the program
+    /// hash, so entries computed under one `(table, constraints)` pair can
+    /// never answer a query for another. The cache's
     /// [`OracleCache::stats`] then count every explanation run through it.
     ///
     /// A shared cache carries its own capacity, so it overrides
@@ -223,8 +225,8 @@ impl<'a> Explainer<'a> {
         self
     }
 
-    /// Build a coalition oracle: the shared cache when one is attached,
-    /// else a private cache under the configured capacity bound.
+    /// Build the oracle of one call: the shared cache when one is
+    /// attached, else a private cache under the configured capacity bound.
     fn build_oracle(&self) -> ShardedOracle<'a> {
         match &self.cache {
             Some(cache) => ShardedOracle::with_shared_cache(self.alg, Arc::clone(cache)),
@@ -242,9 +244,23 @@ impl<'a> Explainer<'a> {
     /// Every explanation starts here. The repair runs only the slice of
     /// the program the engine declares can reach `cell`'s column
     /// ([`Reach`]), which by the declaration's promise assigns `cell` the
-    /// value the whole program would.
+    /// value the whole program would. It is memoized like any other
+    /// repair: on a shared cache, a later call over the same sliced
+    /// program and table runs no engine.
     pub fn repair_target(
         &self,
+        dcs: &[DenialConstraint],
+        dirty: &Table,
+        cell: CellRef,
+    ) -> Result<Value, ExplainError> {
+        self.target_on(&self.build_oracle(), dcs, dirty, cell)
+    }
+
+    /// [`Explainer::repair_target`] through `oracle`, the one the call's
+    /// game then queries.
+    fn target_on(
+        &self,
+        oracle: &ShardedOracle<'_>,
         dcs: &[DenialConstraint],
         dirty: &Table,
         cell: CellRef,
@@ -257,12 +273,9 @@ impl<'a> Explainer<'a> {
                 .map_err(ExplainError::UnresolvedConstraint)?;
         }
         let program = Reach::of(self.alg, dcs, dirty.schema(), cell.attr).program(dcs);
-        let result = self.alg.repair(&program, dirty);
-        let target = result.clean.get(cell);
-        if target == dirty.get(cell) {
-            return Err(ExplainError::CellNotRepaired { cell });
-        }
-        Ok(target.clone())
+        repaired_value(&oracle.repair(&program, dirty), cell)
+            .cloned()
+            .ok_or(ExplainError::CellNotRepaired { cell })
     }
 
     /// Explain the influence of each **constraint** on the repair of
@@ -275,9 +288,9 @@ impl<'a> Explainer<'a> {
         dirty: &Table,
         cell: CellRef,
     ) -> Result<ConstraintExplanation, ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game =
-            ConstraintGame::with_oracle(self.build_oracle(), dcs, dirty, cell, target.clone());
+        let oracle = self.build_oracle();
+        let target = self.target_on(&oracle, dcs, dirty, cell)?;
+        let game = ConstraintGame::with_oracle(oracle, dcs, dirty, cell, target.clone());
         // The rational solver has the lower player cap, so it runs first:
         // an oversized program fails before any coalition is repaired.
         let rationals = shapley_exact_rational(&game).map_err(too_many_constraints)?;
@@ -400,15 +413,9 @@ impl<'a> Explainer<'a> {
         checkpoint_every: usize,
         on_checkpoint: impl FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
     ) -> Result<(CellExplanation, bool), ExplainError> {
-        let target = self.repair_target(dcs, dirty, cell)?;
-        let game = CellGameMasked::with_oracle(
-            self.build_oracle(),
-            dcs,
-            dirty,
-            cell,
-            target.clone(),
-            mode,
-        );
+        let oracle = self.build_oracle();
+        let target = self.target_on(&oracle, dcs, dirty, cell)?;
+        let game = CellGameMasked::with_oracle(oracle, dcs, dirty, cell, target.clone(), mode);
         let (estimates, finished) = parallel::estimate_all_walk_anytime(
             &game,
             ParallelConfig::from_sampling(config, self.cfg.threads()),

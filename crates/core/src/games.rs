@@ -20,7 +20,14 @@
 //! All three games are `Sync` (the `Game`/`StochasticGame` traits demand
 //! it), so the parallel sampling engine's workers can evaluate one shared
 //! game. [`ConstraintGame`] and [`CellGameMasked`] memoize through
-//! `trex_repair::ShardedOracle` and share cache hits across workers;
+//! `trex_repair::ShardedOracle` and share cache hits across workers:
+//! * a constraint coalition is a repair of the dirty table under the
+//!   coalition's program, so it reads the oracle's repair entry for that
+//!   (program, table) pair, which the explainer's repair target, other
+//!   cells' explanations and a session's Repair button share;
+//! * a masked cell coalition repairs its own masked table and asks about
+//!   one cell, so it keeps a one-bit cell-game entry.
+//!
 //! [`CellGameSampled`] is stateless — replacement tables are fresh draws,
 //! so there is nothing to cache and every in-slice sample pair pays two
 //! sliced repairs.
@@ -52,7 +59,10 @@ use rand::RngCore;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use trex_constraints::DenialConstraint;
-use trex_repair::{hash_value, OracleStats, Reach, RepairAlgorithm, ShardedOracle};
+use trex_repair::{
+    hash_dc, hash_dcs, hash_program, hash_value, repaired_value, OracleStats, Reach,
+    RepairAlgorithm, ShardedOracle,
+};
 use trex_shapley::{Coalition, Game, StochasticGame};
 use trex_table::{AttrId, CellRef, EncodedTable, Table, TableSamplers, Value};
 
@@ -85,6 +95,11 @@ pub enum MaskMode {
 }
 
 /// The constraint game: `Shap(C, Alg|t[A], Cᵢ)` of §2.2.
+///
+/// A coalition's value is read off the oracle's repair of the dirty table
+/// under the coalition's in-slice members: one entry per distinct
+/// sub-program, shared with every other reader of the same (program,
+/// table) pair.
 pub struct ConstraintGame<'a> {
     oracle: ShardedOracle<'a>,
     dcs: &'a [DenialConstraint],
@@ -94,12 +109,9 @@ pub struct ConstraintGame<'a> {
     /// The slice of `dcs` that can reach `cell`'s column: a coalition
     /// keys and repairs on its in-slice members only.
     reach: Reach,
-    /// Precomputed oracle-key components: the table fingerprint and target
-    /// hash are coalition-invariant, and the per-DC display hashes let
-    /// [`Game::value`] fingerprint a subset without cloning it — the DC
-    /// clones happen only inside a cache miss.
-    dirty_fp: u64,
-    target_hash: u64,
+    /// Per-DC hashes ([`hash_dc`]): [`Game::value`] hashes a coalition's
+    /// program from them without cloning it — the DC clones happen only
+    /// inside a cache miss.
     dc_hashes: Vec<u64>,
 }
 
@@ -115,14 +127,6 @@ impl<'a> ConstraintGame<'a> {
         cell: CellRef,
         target: Value,
     ) -> Self {
-        let dc_hashes = dcs
-            .iter()
-            .map(|dc| {
-                let mut h = DefaultHasher::new();
-                dc.to_string().hash(&mut h);
-                h.finish()
-            })
-            .collect();
         let reach = Reach::of(oracle.algorithm(), dcs, dirty.schema(), cell.attr);
         ConstraintGame {
             oracle,
@@ -130,10 +134,8 @@ impl<'a> ConstraintGame<'a> {
             dirty,
             cell,
             reach,
-            dirty_fp: dirty.fingerprint(),
-            target_hash: hash_value(&target),
             target,
-            dc_hashes,
+            dc_hashes: dcs.iter().map(hash_dc).collect(),
         }
     }
 
@@ -159,21 +161,6 @@ impl<'a> ConstraintGame<'a> {
     fn members<'c>(&'c self, coalition: &'c Coalition) -> impl Iterator<Item = usize> + 'c {
         coalition.iter().filter(|&i| self.reach.keeps(i))
     }
-
-    /// Fingerprint the in-slice subset from the precomputed per-DC hashes:
-    /// two coalitions share a key exactly when their in-slice members form
-    /// the same DC display sequence, the same sharing `hash_dcs` over the
-    /// cloned subset produced. DC clones are deferred into cache misses.
-    fn coalition_key(&self, coalition: &Coalition) -> trex_repair::OracleKey {
-        let mut h = DefaultHasher::new();
-        let mut len = 0usize;
-        for i in self.members(coalition) {
-            self.dc_hashes[i].hash(&mut h);
-            len += 1;
-        }
-        len.hash(&mut h);
-        (h.finish(), self.dirty_fp, self.cell, self.target_hash)
-    }
 }
 
 impl Game for ConstraintGame<'_> {
@@ -182,25 +169,17 @@ impl Game for ConstraintGame<'_> {
     }
 
     fn value(&self, coalition: &Coalition) -> f64 {
-        let key = self.coalition_key(coalition);
-        let repaired = self.oracle.query_keyed(key, || {
+        let program = hash_program(self.members(coalition).map(|i| self.dc_hashes[i]));
+        let changes = self.oracle.repair_keyed(program, self.dirty, || {
             let subset: Vec<DenialConstraint> = self
                 .members(coalition)
                 .map(|i| self.dcs[i].clone())
                 .collect();
-            trex_repair::repairs_cell_to(
-                self.oracle.algorithm(),
-                &subset,
-                self.dirty,
-                self.cell,
-                &self.target,
-            )
+            self.oracle.algorithm().repair(&subset, self.dirty).changes
         });
-        if repaired {
-            1.0
-        } else {
-            0.0
-        }
+        f64::from(u8::from(
+            repaired_value(&changes, self.cell) == Some(&self.target),
+        ))
     }
 
     fn player_label(&self, i: usize) -> String {
@@ -265,8 +244,9 @@ pub struct CellGameMasked<'a> {
     /// table drops it and reorder a scan's witnesses, so writes drop the
     /// codes and every miss encodes afresh.
     spanning: bool,
-    dcs_hash: u64,
-    target_hash: u64,
+    /// What every coalition asks ([`ShardedOracle::cell_answer`]): the
+    /// hash of the sliced program, the cell of interest and the target.
+    question: u64,
 }
 
 /// The Zobrist hash of `player` holding the cell fingerprint `fp`.
@@ -316,9 +296,11 @@ impl<'a> CellGameMasked<'a> {
         if spanning {
             masked.encode_spanning(dirty);
         }
+        let mut question = DefaultHasher::new();
+        (hash_dcs(&program), cell, hash_value(&target)).hash(&mut question);
         CellGameMasked {
             oracle,
-            dcs_hash: trex_repair::hash_dcs(&program),
+            question: question.finish(),
             program,
             dirty,
             cell,
@@ -328,7 +310,6 @@ impl<'a> CellGameMasked<'a> {
             empty_key,
             masked,
             spanning,
-            target_hash: hash_value(&target),
             target,
         }
     }
@@ -388,12 +369,11 @@ impl<'a> CellGameMasked<'a> {
     /// The oracle's answer for the coalition keyed `key`, as a game value;
     /// `repair` runs only on a miss.
     fn query(&self, key: u64, repair: impl FnOnce() -> bool) -> f64 {
-        let key = (self.dcs_hash, key, self.cell, self.target_hash);
-        if self.oracle.query_keyed(key, repair) {
-            1.0
-        } else {
-            0.0
-        }
+        f64::from(u8::from(self.oracle.cell_answer(
+            self.question,
+            key,
+            repair,
+        )))
     }
 
     /// Does the sliced program repair the cell of interest to the target

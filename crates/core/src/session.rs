@@ -11,7 +11,7 @@ use crate::games::MaskMode;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use trex_constraints::{DenialConstraint, ResolveError, Violation};
-use trex_repair::{OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
+use trex_repair::{hash_dcs, OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
 use trex_shapley::{ExecConfig, SamplingConfig};
 use trex_table::{CellRef, Table, Value};
 
@@ -28,11 +28,15 @@ pub struct HistoryEntry {
 ///
 /// `Session` is `Send + Sync`: the server shares one behind an `RwLock`,
 /// explanation methods take `&self`, and concurrent explanations pool
-/// their coalition answers through one shared [`OracleCache`].
+/// their repairs through one shared [`OracleCache`].
 pub struct Session {
     alg: Box<dyn RepairAlgorithm>,
     table: Table,
     dcs: Vec<DenialConstraint>,
+    /// `trex_repair::hash_dcs(&dcs)`: computed by the first repair of a
+    /// program and dropped by every program change, so a repair hashes no
+    /// constraint and a new session pays nothing for it.
+    program_hash: Option<u64>,
     history: VecDeque<HistoryEntry>,
     cfg: ExecConfig,
     oracle_cache: Arc<OracleCache>,
@@ -51,6 +55,7 @@ impl Session {
             alg,
             table,
             dcs,
+            program_hash: None,
             history: VecDeque::new(),
             cfg: ExecConfig::default(),
             oracle_cache: Arc::new(OracleCache::new()),
@@ -63,7 +68,7 @@ impl Session {
     /// explanation methods take their seed from the explicit
     /// [`SamplingConfig`] argument.
     ///
-    /// Rebuilds the session's shared coalition cache at the config's
+    /// Rebuilds the session's shared repair cache at the config's
     /// oracle capacity ([`ShardedOracle::DEFAULT_CAPACITY`] when unset).
     pub fn with_config(mut self, cfg: ExecConfig) -> Self {
         self.cfg = cfg;
@@ -78,22 +83,24 @@ impl Session {
         self.cfg
     }
 
-    /// The session's shared coalition-answer cache. Every explanation run
-    /// under a compatible oracle capacity memoizes into (and reads from)
-    /// this one cache, so a burst of requests against the same
-    /// `(table, constraints)` pair pays for each distinct coalition repair
-    /// once. Exposed for telemetry ([`OracleCache::stats`]) and explicit
-    /// flushes ([`Session::flush_oracle_cache`]).
+    /// The session's shared repair cache. [`Session::repair`] and every
+    /// explanation run under a compatible oracle capacity memoize into
+    /// (and read from) this one cache, so a burst of requests against the
+    /// same `(table, constraints)` pair pays for each distinct repair
+    /// once: a repeated Repair click, every explanation's repair target
+    /// and constraint coalitions, and each cell ranking's coalitions.
+    /// Exposed for telemetry ([`OracleCache::stats`]) and explicit flushes
+    /// ([`Session::flush_oracle_cache`]).
     pub fn oracle_cache(&self) -> &Arc<OracleCache> {
         &self.oracle_cache
     }
 
-    /// Drop every memoized coalition answer.
+    /// Drop every memoized repair and cell-game answer.
     ///
     /// The session calls this itself after every input mutation
     /// ([`Session::set_cell`], [`Session::upsert_constraint`],
     /// [`Session::remove_constraint`]): cache keys embed the table
-    /// fingerprint and DC-set hash, so stale entries were already
+    /// fingerprint and program hash, so stale entries were already
     /// unreachable, but flushing returns their memory and keeps the
     /// hit-rate telemetry honest about the new inputs.
     pub fn flush_oracle_cache(&self) {
@@ -106,7 +113,7 @@ impl Session {
     /// [`ExecConfig`] per request). Pass it [`Session::constraints`] and
     /// [`Session::table`] to explain the session's current inputs.
     ///
-    /// The session's shared coalition cache is attached whenever the
+    /// The session's shared repair cache is attached whenever the
     /// configuration's oracle capacity agrees with the cache's, so
     /// [`OracleCache::stats`] on [`Session::oracle_cache`] count the
     /// explanation; a configuration demanding a different capacity gets a
@@ -183,8 +190,28 @@ impl Session {
     }
 
     /// The "Repair" button: run the black box on the current inputs.
+    ///
+    /// The repair is memoized in [`Session::oracle_cache`] under the
+    /// program and the table, like every repair an explanation runs: a
+    /// repeat on unchanged inputs runs no engine and rebuilds `clean` as
+    /// the table plus the cached changes, which is the engine's own
+    /// `clean` by the change-list contract of
+    /// [`RepairResult::changes`].
     pub fn repair(&mut self) -> RepairResult {
-        let result = self.alg.repair(&self.dcs, &self.table);
+        let oracle =
+            ShardedOracle::with_shared_cache(self.alg.as_ref(), Arc::clone(&self.oracle_cache));
+        let mut fresh = None;
+        let program = *self.program_hash.get_or_insert_with(|| hash_dcs(&self.dcs));
+        let changes = oracle.repair_keyed(program, &self.table, || {
+            let result = self.alg.repair(&self.dcs, &self.table);
+            let changes = result.changes.clone();
+            fresh = Some(result);
+            changes
+        });
+        let result = fresh.unwrap_or_else(|| RepairResult {
+            clean: trex_table::apply(&self.table, &changes),
+            changes: changes.to_vec(),
+        });
         self.record("repair".to_string(), result.changes.len());
         result
     }
@@ -226,6 +253,7 @@ impl Session {
         let idx = self.dcs.iter().position(|d| d.name == name)?;
         self.record(format!("remove constraint {name}"), 0);
         self.flush_oracle_cache();
+        self.program_hash = None;
         Some(self.dcs.remove(idx))
     }
 
@@ -272,6 +300,7 @@ impl Session {
             Some(slot) => *slot = dc,
             None => self.dcs.push(dc),
         }
+        self.program_hash = None;
         Ok(())
     }
 }

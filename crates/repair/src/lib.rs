@@ -5,8 +5,8 @@
 //!
 //! * [`traits`] — the black-box interface: `Alg(C, T^d) → T^c` and the
 //!   binary view `Alg|t[A] ∈ {0,1}` of §2.1, plus the memoizing
-//!   [`ShardedOracle`] (ablation A1 turns its cache off with
-//!   `--oracle-cap 0`).
+//!   [`ShardedOracle`], whose entries are repairs keyed by (program,
+//!   table) (ablation A1 turns its cache off with `--oracle-cap 0`).
 //! * [`simple`] — the paper's **Algorithm 1**, generalized to rule lists
 //!   (`constraint → most-common / conditional-most-probable fix`).
 //! * [`holoclean`] — a from-scratch **HoloClean-style** probabilistic
@@ -38,8 +38,8 @@ pub use holoclean::{HoloCleanConfig, HoloCleanStyle};
 pub use metrics::{cell_accuracy, score_repair, score_tables, RepairQuality};
 pub use simple::{FixAction, Rule, RuleParseError, RuleRepair};
 pub use traits::{
-    hash_dcs, hash_value, repairs_cell_to, NoOpRepair, OracleCache, OracleKey, OracleStats,
-    PanicGuard, Reach, RepairAlgorithm, RepairResult, ShardedOracle,
+    hash_dc, hash_dcs, hash_program, hash_value, repaired_value, repairs_cell_to, NoOpRepair,
+    OracleCache, OracleStats, PanicGuard, Reach, RepairAlgorithm, RepairResult, ShardedOracle,
 };
 
 // Property tests, gated behind the `proptest` feature to keep plain

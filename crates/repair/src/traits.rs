@@ -12,20 +12,27 @@
 //! column ([`RepairAlgorithm::reach`], [`Reach`]); the explanation layers
 //! then ask only about that slice. The default declares nothing.
 //!
-//! Shapley computation evaluates the binary view on thousands of coalition
-//! variants of `(C, T^d)`; [`ShardedOracle`] memoizes those queries keyed by
-//! `(constraints, table, cell, target)` fingerprints so that coalitions
-//! revisited by different permutation samples are computed once (ablation
-//! A1 of DESIGN.md measures the effect). The memo is split over
-//! mutex-guarded shards so concurrent permutation workers share hits
-//! without serializing on one lock, is hard-bounded by second-chance
-//! eviction, and dedups concurrent cold keys by single-flight (one
-//! computation, all waiters share the answer). Every coalition query of
-//! the games goes through [`ShardedOracle::query_keyed`].
+//! **The oracle memoizes repairs, not answers.** The binary view of a cell
+//! is read off the full run, and the full run does not depend on the cell.
+//! So a [`ShardedOracle`] entry is one repair: keyed by the hash of the
+//! program actually run ([`hash_program`]) and the table's fingerprint,
+//! and holding that run's change list. Every reader of one (program,
+//! table) pair shares the entry: [`ShardedOracle::repairs_cell_to`] for any
+//! cell and target, the explainer's repair target, a session's Repair
+//! button, and the constraint game's coalitions. The masked cell game
+//! repairs a different table per coalition and asks about one cell only,
+//! so it keeps one-bit entries ([`ShardedOracle::cell_answer`]) under keys
+//! of their own kind: a repair key and a cell-game key can never be
+//! equal, whatever their hashes.
+//!
+//! The memo is split over mutex-guarded shards so concurrent permutation
+//! workers share hits without serializing on one lock, is hard-bounded by
+//! second-chance eviction, and dedups concurrent cold keys by single-flight
+//! (one engine run, all waiters share its result).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use trex_constraints::DenialConstraint;
@@ -36,7 +43,10 @@ use trex_table::{AttrId, CellChange, CellRef, Schema, Table, Value};
 pub struct RepairResult {
     /// The repaired table `T^c`.
     pub clean: Table,
-    /// The repaired cells (`dirty → clean` diff), in cell order.
+    /// The repaired cells, in cell order: exactly
+    /// `trex_table::diff(dirty, &clean)`. The memoizing oracle stores only
+    /// this list, reads the binary view off it ([`repaired_value`]) and
+    /// rebuilds `clean` from it (`trex_table::apply`).
     pub changes: Vec<CellChange>,
 }
 
@@ -62,7 +72,8 @@ impl RepairResult {
 /// the memoizing oracle assumes query stability.
 ///
 /// Implementations never mutate the input and never add/remove rows — the
-/// paper's repair model is cell updates only.
+/// paper's repair model is cell updates only — and report every changed
+/// cell in [`RepairResult::changes`] ([`RepairResult::from_tables`] does).
 ///
 /// `Send + Sync` are supertraits: the parallel Shapley engine evaluates
 /// coalition games from several worker threads that share one
@@ -221,31 +232,61 @@ pub fn repairs_cell_to(
     result.clean.get(cell) == target
 }
 
-/// Order-sensitive hash of a DC list (by display form). Part of the oracle
-/// cache key; public so games can pre-hash per-DC components and assemble
-/// subset keys without cloning the subset (see [`ShardedOracle::query_keyed`]).
-pub fn hash_dcs(dcs: &[DenialConstraint]) -> u64 {
+/// The value a repair's change list writes into `cell`, or `None` when the
+/// repair leaves it alone: the binary view, read off a memoized repair.
+pub fn repaired_value(changes: &[CellChange], cell: CellRef) -> Option<&Value> {
+    changes.iter().find(|c| c.cell == cell).map(|c| &c.to)
+}
+
+/// The hash of one constraint, by display form (name included): the
+/// per-constraint input of [`hash_program`].
+pub fn hash_dc(dc: &DenialConstraint) -> u64 {
     let mut h = DefaultHasher::new();
-    dcs.len().hash(&mut h);
-    for dc in dcs {
-        dc.to_string().hash(&mut h);
-    }
+    dc.to_string().hash(&mut h);
     h.finish()
 }
 
-/// Hash of a single value, as used in the oracle cache key.
+/// The program hash every reader of the oracle keys repairs on: an
+/// order-sensitive hash of the program's per-constraint hashes
+/// ([`hash_dc`]). The constraint game assembles a coalition's hash from
+/// hashes it computed once per game, without cloning the coalition's
+/// constraints; [`hash_dcs`] hashes a program it is handed. Both come out
+/// equal for the same constraint sequence, so a coalition and a repair
+/// target over the same sliced program share one entry.
+pub fn hash_program(dc_hashes: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = DefaultHasher::new();
+    let mut len = 0usize;
+    for dc in dc_hashes {
+        dc.hash(&mut h);
+        len += 1;
+    }
+    len.hash(&mut h);
+    h.finish()
+}
+
+/// [`hash_program`] of the constraint sequence `dcs`.
+pub fn hash_dcs(dcs: &[DenialConstraint]) -> u64 {
+    hash_program(dcs.iter().map(hash_dc))
+}
+
+/// Hash of a single value, as the cell game keys its target.
 pub fn hash_value(v: &Value) -> u64 {
     let mut h = DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
 }
 
-/// Cache statistics of a [`ShardedOracle`].
+/// Cache statistics of an [`OracleCache`].
+///
+/// The unit is one lookup: a repair (a program on a table) or a cell-game
+/// answer bit. Below capacity a miss is exactly one engine run, and every
+/// other lookup of that key is a hit, so the counts are a function of the
+/// workload alone (see [`ShardedOracle::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
-    /// Queries answered from the cache.
+    /// Lookups answered from the cache.
     pub hits: usize,
-    /// Queries that ran the underlying repair.
+    /// Lookups that ran the engine.
     pub misses: usize,
     /// Entries evicted to stay under the capacity bound (always 0 for an
     /// oracle that never exceeded its capacity).
@@ -253,12 +294,12 @@ pub struct OracleStats {
 }
 
 impl OracleStats {
-    /// Total queries.
+    /// Total lookups.
     pub fn total(&self) -> usize {
         self.hits + self.misses
     }
 
-    /// Fraction of queries served from cache (0 when no queries).
+    /// Fraction of lookups served from cache (0 when no lookups).
     pub fn hit_rate(&self) -> f64 {
         if self.total() == 0 {
             0.0
@@ -268,19 +309,77 @@ impl OracleStats {
     }
 }
 
-/// The memoization key: `(dcs, table, cell, target)` fingerprints.
-///
-/// Callers with a cheaper way to fingerprint a query than hashing a
-/// materialized table — the Shapley games fingerprint coalitions as packed
-/// dictionary-code vectors — build one of these directly and go through
-/// [`ShardedOracle::query_keyed`]; the key layout is theirs to define as
-/// long as equal keys mean equal queries.
-pub type OracleKey = (u64, u64, CellRef, u64);
+/// The memoization key. The two kinds of entry differ by construction —
+/// they live in different maps of a shard — so a repair can never answer
+/// a cell-game lookup or the other way round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum OracleKey {
+    /// The repair of one table under one program: the program's
+    /// [`hash_program`] and the table's [`Table::fingerprint`].
+    Repair { program: u64, table: u64 },
+    /// One answer bit of the masked cell game: `question` hashes the sliced
+    /// program, the explained cell and its target, and `coalition` hashes
+    /// the coalition's masked table (see
+    /// [`ShardedOracle::cell_answer`]).
+    Cell { question: u64, coalition: u64 },
+}
 
-/// One cached answer plus its second-chance reference bit.
-struct CacheSlot {
-    answer: bool,
+/// What a lookup returns: a repair's change list, shared by every reader
+/// of it, or one cell-game answer bit.
+#[derive(Clone)]
+enum Answer {
+    Repair(Arc<Vec<CellChange>>),
+    Bit(bool),
+}
+
+/// Hashes oracle keys. Their fields are already 64-bit hashes (program
+/// hashes, table fingerprints, Zobrist coalition keys), so folding them
+/// with one multiply each spreads them as well as SipHash would, for a
+/// fraction of the cost: every lookup hashes its key for the shard and
+/// for one or two maps.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(29) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_isize(&mut self, x: isize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A shard map keyed by oracle keys.
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// One cached value plus its second-chance reference bit.
+struct Slot<V> {
+    value: V,
     referenced: bool,
+}
+
+impl<V> Slot<V> {
+    fn new(value: V) -> Self {
+        Slot {
+            value,
+            referenced: false,
+        }
+    }
 }
 
 /// Wait/notify cell of one in-flight oracle computation — the single-flight
@@ -295,7 +394,7 @@ enum FlightState {
     /// The leader is still computing.
     Pending,
     /// The leader installed this answer.
-    Done(bool),
+    Done(Answer),
     /// The leader unwound without answering; a waiter must take over.
     Poisoned,
 }
@@ -308,10 +407,17 @@ impl Flight {
         })
     }
 
-    /// Publish the leader's answer and wake every waiter.
-    fn resolve(&self, answer: bool) {
+    /// Publish the leader's answer and wake every waiter. A waiter holds a
+    /// handle to the flight from before the leader deregistered it, so a
+    /// flight only its leader holds has no one to tell: it skips the lock
+    /// and the wake-up call, a system call that costs a cold miss
+    /// microseconds.
+    fn resolve(self: &Arc<Self>, answer: &Answer) {
+        if Arc::strong_count(self) == 1 {
+            return;
+        }
         let mut state = self.state.lock().expect("flight lock poisoned");
-        *state = FlightState::Done(answer);
+        *state = FlightState::Done(answer.clone());
         self.cv.notify_all();
     }
 
@@ -327,14 +433,14 @@ impl Flight {
 
     /// Block until the flight resolves. `None` means the leader failed and
     /// the caller must retake the key.
-    fn wait(&self) -> Option<bool> {
+    fn wait(&self) -> Option<Answer> {
         let mut state = self.state.lock().expect("flight lock poisoned");
         loop {
-            match *state {
+            match &*state {
                 FlightState::Pending => {
                     state = self.cv.wait(state).expect("flight lock poisoned");
                 }
-                FlightState::Done(answer) => return Some(answer),
+                FlightState::Done(answer) => return Some(answer.clone()),
                 FlightState::Poisoned => return None,
             }
         }
@@ -345,21 +451,28 @@ impl Flight {
 /// single-flight registries, and the hit/miss/eviction counters —
 /// everything except the algorithm borrow.
 ///
+/// An entry is either a repair — the change list of one engine run, keyed
+/// by (program hash, table fingerprint) — or one answer bit of the masked
+/// cell game (see the module docs). Both kinds share the shards, the one
+/// insertion path, the capacity bound and the counters.
+///
 /// A `ShardedOracle` built through [`ShardedOracle::new`] (or the other
-/// capacity constructors) owns a private cache, exactly as before. Long-lived
-/// owners — a `trex` `Session` serving many explanation requests, or the
+/// capacity constructors) owns a private cache. Long-lived owners — a
+/// `trex` `Session` serving many explanation requests, or the
 /// `trex-server` multiplexing concurrent clients — instead build one
-/// `Arc<OracleCache>` up front and hand clones to
-/// every per-request oracle via [`ShardedOracle::with_shared_cache`], so all
-/// requests against the same (table, constraints) pair warm one bounded
-/// cache. Sharing is safe because the games' [`OracleKey`]s fingerprint the
-/// full query (constraint set, coalition table, cell, target): two requests
-/// can only collide on a key when they ask the same question, and the answer
-/// is then identical by the oracle's determinism contract.
+/// `Arc<OracleCache>` up front and hand clones to every per-request oracle
+/// via [`ShardedOracle::with_shared_cache`], so all requests against the
+/// same (table, constraints) pair warm one bounded cache, and a session's
+/// own repairs land in it too. Sharing is safe because keys fingerprint the
+/// full input (program, table, and for a cell-game bit the explained cell
+/// and target): two requests can only collide on a key when they ask the
+/// same question, and the answer is then identical by the oracle's
+/// determinism contract.
 ///
 /// Capacity distribution, eviction policy, and the statistics contract are
 /// documented on [`ShardedOracle`]; they are properties of this struct and
-/// hold for every oracle sharing it.
+/// hold for every oracle sharing it. Capacity 0 caches nothing: every
+/// lookup, repairs included, runs the engine.
 pub struct OracleCache {
     /// Per-shard capacity quotas; index-aligned with `shards` and summing
     /// to the constructor's total capacity.
@@ -431,12 +544,12 @@ impl OracleCache {
         self.shard_caps.iter().sum()
     }
 
-    /// Number of live cached entries across all shards (always ≤
-    /// [`OracleCache::capacity`]).
+    /// Number of live cached entries, repairs and cell-game bits, across
+    /// all shards (always ≤ [`OracleCache::capacity`]).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("oracle shard poisoned").map.len())
+            .map(|s| s.lock().expect("oracle shard poisoned").len())
             .sum()
     }
 
@@ -461,15 +574,13 @@ impl OracleCache {
     /// This is the session-invalidation hook: owners that mutate the table
     /// or the constraint set between explanations call this so the next
     /// request starts from a cold (but definitely fresh) cache. Stale
-    /// answers were already unreachable — keys embed the table fingerprint
-    /// and the constraint-set hash, so an edit changes every key — but
-    /// flushing also frees the dead pre-edit entries and removes even the
+    /// entries were already unreachable — keys embed the table fingerprint
+    /// and the program hash, so an edit changes every key — but flushing
+    /// also frees the dead pre-edit entries and removes even the
     /// 64-bit-collision corner from the contract.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock().expect("oracle shard poisoned");
-            shard.map.clear();
-            shard.clock.clear();
+            shard.lock().expect("oracle shard poisoned").clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -483,54 +594,140 @@ impl Default for OracleCache {
     }
 }
 
-/// One mutex-guarded shard: the memo map, the clock queue ordering its
-/// eviction candidates (the queue always holds exactly the map's keys), and
-/// the single-flight registry of keys currently being computed.
+/// One mutex-guarded shard: the memo maps, the clock queue ordering their
+/// eviction candidates (the queue always holds exactly the maps' keys),
+/// and the single-flight registry of keys currently being computed.
 #[derive(Default)]
 struct OracleShard {
-    map: HashMap<OracleKey, CacheSlot>,
+    /// Repair entries, keyed by (program hash, table fingerprint).
+    repairs: KeyMap<(u64, u64), Slot<Arc<Vec<CellChange>>>>,
+    /// Cell-game entries, keyed by (question, coalition). A bit needs no
+    /// drop, so a flush resets this map without visiting its entries — a
+    /// cell ranking leaves thousands of them.
+    bits: KeyMap<(u64, u64), Slot<bool>>,
     clock: VecDeque<OracleKey>,
     /// Keys some thread is computing right now: later arrivals wait on the
-    /// registered flight instead of recomputing. Disjoint from `map` — a
-    /// key moves from here into the map when its leader installs it.
-    inflight: HashMap<OracleKey, Arc<Flight>>,
+    /// registered flight instead of recomputing. Disjoint from the maps —
+    /// a key moves from here into its map when its leader installs it.
+    inflight: KeyMap<OracleKey, Arc<Flight>>,
 }
 
 impl OracleShard {
+    fn len(&self) -> usize {
+        self.repairs.len() + self.bits.len()
+    }
+
+    /// The cached answer of `key`, if any; a hit earns its second chance.
+    fn hit(&mut self, key: OracleKey) -> Option<Answer> {
+        match key {
+            OracleKey::Repair { program, table } => {
+                self.repairs.get_mut(&(program, table)).map(|slot| {
+                    slot.referenced = true;
+                    Answer::Repair(Arc::clone(&slot.value))
+                })
+            }
+            OracleKey::Cell {
+                question,
+                coalition,
+            } => self.bits.get_mut(&(question, coalition)).map(|slot| {
+                slot.referenced = true;
+                Answer::Bit(slot.value)
+            }),
+        }
+    }
+
+    /// Install `answer` under `key` as the newest eviction candidate.
+    fn insert(&mut self, key: OracleKey, answer: &Answer) {
+        match (key, answer) {
+            (OracleKey::Repair { program, table }, Answer::Repair(changes)) => {
+                self.repairs
+                    .insert((program, table), Slot::new(Arc::clone(changes)));
+            }
+            (
+                OracleKey::Cell {
+                    question,
+                    coalition,
+                },
+                Answer::Bit(bit),
+            ) => {
+                self.bits.insert((question, coalition), Slot::new(*bit));
+            }
+            _ => unreachable!("a key holds an answer of its own kind"),
+        }
+        self.clock.push_back(key);
+    }
+
+    /// The reference bit of the cached `key`.
+    fn referenced(&mut self, key: OracleKey) -> &mut bool {
+        let slot = match key {
+            OracleKey::Repair { program, table } => self
+                .repairs
+                .get_mut(&(program, table))
+                .map(|slot| &mut slot.referenced),
+            OracleKey::Cell {
+                question,
+                coalition,
+            } => self
+                .bits
+                .get_mut(&(question, coalition))
+                .map(|slot| &mut slot.referenced),
+        };
+        slot.expect("clock tracks map keys")
+    }
+
+    fn remove(&mut self, key: OracleKey) {
+        match key {
+            OracleKey::Repair { program, table } => {
+                self.repairs.remove(&(program, table));
+            }
+            OracleKey::Cell {
+                question,
+                coalition,
+            } => {
+                self.bits.remove(&(question, coalition));
+            }
+        }
+    }
+
     /// Evict one entry by the second-chance (clock) policy: sweep from the
     /// oldest entry, giving each recently-hit entry one reprieve (clear its
     /// bit, rotate it to the back) and evicting the first entry found
-    /// unreferenced. Bounded by one full lap — a lap clears every bit, so
-    /// the lap's survivor at the front is evictable.
+    /// unreferenced. Ends within one lap and one step: a lap clears every
+    /// bit.
     fn evict_one(&mut self) {
-        for _ in 0..self.clock.len() {
+        loop {
             let key = self.clock.pop_front().expect("clock tracks map keys");
-            let slot = self.map.get_mut(&key).expect("clock tracks map keys");
-            if slot.referenced {
-                slot.referenced = false;
-                self.clock.push_back(key);
-            } else {
-                self.map.remove(&key);
-                return;
+            if !std::mem::take(self.referenced(key)) {
+                return self.remove(key);
             }
+            self.clock.push_back(key);
         }
-        let key = self.clock.pop_front().expect("clock tracks map keys");
-        self.map.remove(&key);
+    }
+
+    fn clear(&mut self) {
+        self.repairs.clear();
+        self.bits.clear();
+        self.clock.clear();
     }
 }
 
-/// Thread-safe memoizing oracle: the one path from a coalition game to the
-/// black box, behind a sharded lock so the parallel sampling workers can
-/// query it concurrently.
+/// Thread-safe memoizing oracle: the one path from the explanation layers
+/// to the black box, behind a sharded lock so the parallel sampling
+/// workers can query it concurrently.
+///
+/// It memoizes repairs ([`ShardedOracle::repair`]), which every binary
+/// view of the same (program, table) pair reads, and the masked cell
+/// game's answer bits ([`ShardedOracle::cell_answer`]); see the module
+/// docs.
 ///
 /// The key space is split across a configurable number of mutex-guarded
 /// shards ([`ShardedOracle::DEFAULT_SHARDS`] by default) selected by the
-/// coalition-table fingerprint, so workers evaluating different coalitions
-/// almost never contend, yet every worker sees every other worker's cached
-/// answers. Hit/miss statistics are aggregated with relaxed atomics and are
-/// **scheduling-independent**: a query counts as a miss only when it is the
-/// one that installs the key (see [`ShardedOracle::repairs_cell_to`]), so
-/// the same workload yields the same [`OracleStats`] at any thread count.
+/// key's hash, so workers evaluating different coalitions almost never
+/// contend, yet every worker sees every other worker's cached answers.
+/// Hit/miss statistics are aggregated with relaxed atomics and are
+/// **scheduling-independent**: a lookup counts as a miss only when it is
+/// the one that installs the key, so the same workload yields the same
+/// [`OracleStats`] at any thread count.
 ///
 /// **Bounded memory.** The capacity is a hard bound on live entries: the
 /// per-shard quotas sum to exactly `capacity` (shard `i` gets
@@ -549,9 +746,9 @@ impl OracleShard {
 /// answer — and a capacity at least the live-key count of the workload
 /// evicts nothing at all.
 ///
-/// **Single-flight.** Concurrent queries of the same cold key dedup via
+/// **Single-flight.** Concurrent lookups of the same cold key dedup via
 /// single-flight: the first arrival computes, everyone else blocks on its
-/// flight and shares the answer — one repair run per key no matter how
+/// flight and shares the result — one engine run per key no matter how
 /// many workers race.
 pub struct ShardedOracle<'a> {
     alg: &'a dyn RepairAlgorithm,
@@ -577,7 +774,7 @@ impl FlightLease<'_, '_> {
     /// Install the leader's freshly computed answer (the installer's miss),
     /// deregister its flight, and wake the waiters. This is the cache's
     /// single insertion point — the quota/eviction logic lives only here.
-    fn resolve(mut self, answer: bool) {
+    fn resolve(mut self, answer: &Answer) {
         self.resolved = true;
         let cache = &self.oracle.cache;
         {
@@ -587,18 +784,11 @@ impl FlightLease<'_, '_> {
             shard.inflight.remove(&self.key);
             let quota = cache.shard_caps[self.shard];
             if quota > 0 {
-                if shard.map.len() >= quota {
+                if shard.len() >= quota {
                     shard.evict_one();
                     cache.evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                shard.map.insert(
-                    self.key,
-                    CacheSlot {
-                        answer,
-                        referenced: false,
-                    },
-                );
-                shard.clock.push_back(self.key);
+                shard.insert(self.key, answer);
             }
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
@@ -705,30 +895,55 @@ impl<'a> ShardedOracle<'a> {
         self.cache.is_empty()
     }
 
+    /// The shard of `key`, from the high half of its hash: the maps use
+    /// the low bits and the top seven.
     fn shard_of(&self, key: &OracleKey) -> usize {
-        // The table fingerprint is the high-entropy component: coalition
-        // variants of one explanation differ almost exclusively there.
-        let mut h = DefaultHasher::new();
+        let mut h = KeyHasher::default();
         key.hash(&mut h);
-        (h.finish() as usize) % self.cache.shards.len()
+        ((h.finish() >> 32) as usize) % self.cache.shards.len()
     }
 
-    /// Memoized `Alg|cell(dcs, table) == target` query; safe to call from
-    /// many threads at once.
+    /// The memoized repair of `table` under `dcs`: the change list of
+    /// `Alg(dcs, table)`, run at most once per (program, table) pair while
+    /// the entry lives. Safe to call from many threads at once.
+    pub fn repair(&self, dcs: &[DenialConstraint], table: &Table) -> Arc<Vec<CellChange>> {
+        self.repair_keyed(hash_dcs(dcs), table, || self.alg.repair(dcs, table).changes)
+    }
+
+    /// [`ShardedOracle::repair`] for a program the caller has already
+    /// hashed with [`hash_program`]: `run` repairs `table` under that
+    /// program and runs only on a miss.
     ///
-    /// The shard lock is *not* held while the underlying repair runs.
-    /// Concurrent queries of the same brand-new key dedup via
-    /// *single-flight*: the first arrival (the leader) registers a flight
-    /// and computes; every later arrival blocks on that flight and shares
-    /// the leader's answer — one repair run per key, no matter how many
-    /// workers race. Statistics classify per *key*: the leader that
-    /// installs a key records the miss; every waiter records a hit,
-    /// exactly as if it had arrived after the insertion. Hit/miss totals
-    /// are therefore a function of the workload alone (as long as the
-    /// cache is not capacity-saturated), identical across runs and thread
-    /// counts. If a leader panics before answering, its flight is poisoned
-    /// and one waiter takes over as the new leader — an answer is never
-    /// fabricated.
+    /// The shard lock is *not* held while `run` runs. Concurrent lookups of
+    /// the same brand-new key dedup via *single-flight*: the first arrival
+    /// (the leader) registers a flight and runs; every later arrival blocks
+    /// on that flight and shares the leader's result. Statistics classify
+    /// per *key*: the leader that installs a key records the miss; every
+    /// waiter records a hit, exactly as if it had arrived after the
+    /// insertion. If a leader panics before answering, its flight is
+    /// poisoned and one waiter takes over as the new leader — a result is
+    /// never fabricated.
+    pub fn repair_keyed(
+        &self,
+        program: u64,
+        table: &Table,
+        run: impl FnOnce() -> Vec<CellChange>,
+    ) -> Arc<Vec<CellChange>> {
+        let key = OracleKey::Repair {
+            program,
+            table: table.fingerprint(),
+        };
+        match self.lookup(key, || Answer::Repair(Arc::new(run()))) {
+            Answer::Repair(changes) => changes,
+            Answer::Bit(_) => unreachable!("a repair key holds a repair"),
+        }
+    }
+
+    /// Memoized `Alg|cell(dcs, table) == target`, read off the memoized
+    /// repair ([`ShardedOracle::repair`]): every cell and target of one
+    /// (program, table) pair shares one entry and one engine run. A cell
+    /// whose dirty value already is `target` answers `false` without a
+    /// lookup, as [`repairs_cell_to`] answers it without a run.
     pub fn repairs_cell_to(
         &self,
         dcs: &[DenialConstraint],
@@ -736,19 +951,35 @@ impl<'a> ShardedOracle<'a> {
         cell: CellRef,
         target: &Value,
     ) -> bool {
-        let key = (hash_dcs(dcs), table.fingerprint(), cell, hash_value(target));
-        self.query_keyed(key, || repairs_cell_to(self.alg, dcs, table, cell, target))
+        table.get(cell) != target && repaired_value(&self.repair(dcs, table), cell) == Some(target)
     }
 
-    /// [`ShardedOracle::repairs_cell_to`] with a caller-built [`OracleKey`]:
-    /// the cache is consulted first and `compute` runs only on a genuine
-    /// miss. This is the hot path of the Shapley games — a hit costs one
-    /// key hash and one shard lock, never a coalition-table clone or a
-    /// repair run. Lock/eviction/statistics behavior is identical to
-    /// [`ShardedOracle::repairs_cell_to`] (the stats contract documented
-    /// there is this method's contract; `compute` must be deterministic and
-    /// equal keys must mean equal queries).
-    pub fn query_keyed(&self, key: OracleKey, compute: impl FnOnce() -> bool) -> bool {
+    /// One memoized answer bit of the masked cell game: `question` hashes
+    /// what is asked (the sliced program, the explained cell and its
+    /// target) and `coalition` the coalition's masked table; `compute`
+    /// runs only on a miss. Equal keys must mean equal questions on equal
+    /// tables, and `compute` must be deterministic. A bit is stored inline:
+    /// an entry allocates nothing beyond its map slot. Locking,
+    /// single-flight and statistics are [`ShardedOracle::repair_keyed`]'s.
+    pub fn cell_answer(
+        &self,
+        question: u64,
+        coalition: u64,
+        compute: impl FnOnce() -> bool,
+    ) -> bool {
+        let key = OracleKey::Cell {
+            question,
+            coalition,
+        };
+        match self.lookup(key, || Answer::Bit(compute())) {
+            Answer::Bit(answer) => answer,
+            Answer::Repair(_) => unreachable!("a cell-game key holds a bit"),
+        }
+    }
+
+    /// The one lookup path: the cache is consulted first and `compute` runs
+    /// only on a genuine miss, by the key's single-flight leader.
+    fn lookup(&self, key: OracleKey, compute: impl FnOnce() -> Answer) -> Answer {
         // `compute` must survive wait-retry laps (a poisoned flight sends a
         // waiter back around the loop); it is taken exactly once, on the
         // lead path, which always returns.
@@ -763,9 +994,7 @@ impl<'a> ShardedOracle<'a> {
                 let mut shard = self.cache.shards[shard_idx]
                     .lock()
                     .expect("oracle shard poisoned");
-                if let Some(slot) = shard.map.get_mut(&key) {
-                    slot.referenced = true; // a hit earns its second chance
-                    let answer = slot.answer;
+                if let Some(answer) = shard.hit(key) {
                     drop(shard);
                     self.cache.hits.fetch_add(1, Ordering::Relaxed);
                     return answer;
@@ -796,7 +1025,7 @@ impl<'a> ShardedOracle<'a> {
                         resolved: false,
                     };
                     let answer = (compute.take().expect("the lead path runs at most once"))();
-                    lease.resolve(answer);
+                    lease.resolve(&answer);
                     return answer;
                 }
             }
@@ -805,11 +1034,11 @@ impl<'a> ShardedOracle<'a> {
 
     /// Aggregated cache statistics so far.
     ///
-    /// `hits + misses` always equals the number of queries answered.
+    /// `hits + misses` always equals the number of lookups answered.
     /// Scheduling-independent below capacity: each distinct key accounts
-    /// for exactly one miss (the query that installed it — see
-    /// [`ShardedOracle::repairs_cell_to`]), every other query of that key
-    /// is a hit, so repeated runs of the same workload report identical
+    /// for exactly one miss (the lookup that installed it — see
+    /// [`ShardedOracle::repair_keyed`]), every other lookup of that key is
+    /// a hit, so repeated runs of the same workload report identical
     /// hit/miss totals at any thread count and `evictions` stays 0. Once
     /// capacity pressure triggers evictions, a re-queried evicted key
     /// recomputes (a fresh miss) and which key was evicted can depend on
@@ -1019,12 +1248,59 @@ mod tests {
         let _ = oracle.repairs_cell_to(&dcs, &t2, cell, &Value::str("FIXED"));
         let _ = oracle.repairs_cell_to(&[], &t, cell, &Value::str("FIXED"));
         let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("OTHER"));
-        // A changed table, DC set, or target each changes the key: four
-        // distinct inputs → four misses, four underlying runs.
-        assert_eq!(alg.calls(), 4);
-        assert_eq!(oracle.stats().misses, 4);
-        assert_eq!(oracle.stats().hits, 0);
-        assert_eq!(oracle.len(), 4);
+        // A changed table or DC set changes the key: three distinct
+        // repairs → three misses, three underlying runs. A changed target
+        // reads the same repair: a hit.
+        assert_eq!(alg.calls(), 3);
+        assert_eq!(oracle.stats().misses, 3);
+        assert_eq!(oracle.stats().hits, 1);
+        assert_eq!(oracle.len(), 3);
+    }
+
+    #[test]
+    fn one_repair_entry_serves_every_reader_and_cell_bits_are_their_own_kind() {
+        let alg = CountingRepair {
+            need: 1,
+            calls: AtomicUsize::new(0),
+        };
+        let oracle = ShardedOracle::new(&alg);
+        let t = TableBuilder::new()
+            .str_columns(["A", "B"])
+            .str_row(["dirty", "b"])
+            .build();
+        let dcs = [dc()];
+        let (a, b) = (CellRef::new(0, AttrId(0)), CellRef::new(0, AttrId(1)));
+        let changes = oracle.repair(&dcs, &t);
+        assert_eq!(*changes, alg.repair(&dcs, &t).changes);
+        assert_eq!(repaired_value(&changes, a), Some(&Value::str("FIXED")));
+        assert_eq!(repaired_value(&changes, b), None);
+        // Every cell and target of the pair reads that one entry, and a
+        // caller-hashed program is the same key.
+        assert!(oracle.repairs_cell_to(&dcs, &t, a, &Value::str("FIXED")));
+        assert!(!oracle.repairs_cell_to(&dcs, &t, a, &Value::str("OTHER")));
+        assert!(!oracle.repairs_cell_to(&dcs, &t, b, &Value::str("FIXED")));
+        let program = hash_program(dcs.iter().map(hash_dc));
+        assert_eq!(program, hash_dcs(&dcs));
+        let same = oracle.repair_keyed(program, &t, || unreachable!("a hit"));
+        assert!(Arc::ptr_eq(&same, &changes));
+        // An unchanged cell already at its target needs no lookup.
+        assert!(!oracle.repairs_cell_to(&dcs, &t, b, &Value::str("b")));
+        assert_eq!(
+            oracle.stats(),
+            OracleStats {
+                hits: 4,
+                misses: 1,
+                evictions: 0
+            }
+        );
+        // A cell-game bit never meets a repair entry, even under equal
+        // hashes: its own miss, its own entry.
+        let table = t.fingerprint();
+        assert!(!oracle.cell_answer(program, table, || false));
+        assert!(!oracle.cell_answer(program, table, || unreachable!("a hit")));
+        assert_eq!(oracle.stats().misses, 2);
+        assert_eq!(oracle.len(), 2);
+        assert_eq!(alg.calls(), 2, "one repair run, one reference run above");
     }
 
     #[test]
@@ -1200,8 +1476,10 @@ mod tests {
             let got = oracle.repairs_cell_to(&dcs, tbl, cell, &Value::str(target));
             assert_eq!(got, want);
         }
-        assert_eq!(oracle.stats().misses, 3);
-        assert_eq!(oracle.stats().hits, 2);
+        // Two distinct (program, table) repairs; the other target of `t`
+        // reads `t`'s repair.
+        assert_eq!(oracle.stats().misses, 2);
+        assert_eq!(oracle.stats().hits, 3);
         assert_eq!(oracle.stats().evictions, 0);
     }
 
@@ -1343,8 +1621,8 @@ mod tests {
             assert_eq!(answers, base_answers, "{shards} shards");
             assert_eq!(stats, base_stats, "{shards} shards");
         }
-        assert_eq!(base_stats.misses, 3);
-        assert_eq!(base_stats.hits, 1);
+        assert_eq!(base_stats.misses, 2);
+        assert_eq!(base_stats.hits, 2);
     }
 
     /// A repairer that panics whenever the table contains a null — the kind

@@ -11,7 +11,7 @@
 //! | POST   | `/repair`      | run the repair algorithm, return the change set  |
 //! | GET    | `/explain`     | constraint or cell Shapley explanation           |
 //! | POST   | `/cell`        | mutate a table cell (flushes the oracle cache)   |
-//! | POST   | `/constraint`  | add or replace a denial constraint               |
+//! | POST   | `/constraint`  | add or replace a typechecked denial constraint   |
 //! | DELETE | `/constraint`  | remove a denial constraint by name               |
 //!
 //! Every endpoint accepts the CLI's execution knobs (`threads`,

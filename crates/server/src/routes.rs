@@ -2,9 +2,10 @@
 //!
 //! One shared [`trex::Session`] lives behind an `RwLock`: explanation and
 //! violation reads take the read lock (they run concurrently, pooling
-//! coalition answers through the session's shared `OracleCache`), repair
-//! and input mutations take the write lock (and the session flushes the
-//! cache itself). Per-request execution knobs (`?threads=…&seed=…`) are
+//! repairs through the session's shared `OracleCache`), repair and input
+//! mutations take the write lock (a repeated repair reads the same cache,
+//! and the session flushes it on every mutation). A new constraint must
+//! pass the analyzer's typecheck (`trex_constraints::typecheck`). Per-request execution knobs (`?threads=…&seed=…`) are
 //! validated by `trex_shapley::exec_config_from_knobs` — the exact
 //! validation path and error wording of the CLI flags — and resolved
 //! against the session's own configuration (see [`request_exec`]).
@@ -312,6 +313,14 @@ fn upsert_constraint(state: &ServerState, req: &Request, stream: &mut Conn) -> i
         let name = req.param("name").unwrap_or(&default_name);
         let dc = trex_constraints::parse_dc_named(text, name)
             .map_err(|e| BadRequest::new(e.to_string()))?;
+        // Fail closed, as the CLI loads a program: a predicate that can
+        // never hold would make the constraint silently unviolable.
+        trex_constraints::typecheck(std::slice::from_ref(&dc), session.table().schema()).map_err(
+            |errors| {
+                let rendered: Vec<String> = errors.iter().map(|d| d.render()).collect();
+                BadRequest::new(rendered.join("\n"))
+            },
+        )?;
         let name = dc.name.clone();
         session
             .upsert_constraint(dc)

@@ -294,6 +294,30 @@ fn constraint_upsert_roundtrip() {
 }
 
 #[test]
+fn a_constraint_failing_the_typecheck_is_rejected_and_changes_nothing() {
+    // Regression: `Year` is an integer column, so `t1.Year = "abc"` never
+    // holds; the upsert answered 200 and the constraint joined the
+    // program as a silently dead one.
+    let server = start_server();
+    let (_, violations) = get(&server, "/violations");
+    let (_, explanation) = get(&server, "/explain?kind=constraints&cell=t5.Country");
+    let (status, _, body) = request(
+        &server,
+        "POST",
+        "/constraint?name=C9&dc=%21(t1.League%3Dt2.League%20%26%20t1.Year%3D%22abc%22)",
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("error[TREX-E002] C9"), "{body}");
+    assert!(body.contains("never holds"), "{body}");
+    // The session is unchanged: same program, same answers.
+    assert_eq!(get(&server, "/violations"), (200, violations));
+    let again = get(&server, "/explain?kind=constraints&cell=t5.Country");
+    assert_eq!(again, (200, explanation));
+    let (status, _, body) = request(&server, "DELETE", "/constraint?name=C9");
+    assert_eq!(status, 404, "{body}");
+}
+
+#[test]
 fn unresolvable_constraint_is_rejected_and_the_worker_survives() {
     // One worker: before the fix the upsert answered 200, the next repair
     // panicked inside the engine, and /health timed out.

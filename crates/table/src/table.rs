@@ -13,10 +13,15 @@
 //! order of [`Table::cells`].
 //!
 //! A table owns its dictionary encoding ([`Table::encoded`]) and its
-//! fingerprint ([`Table::fingerprint`]): each is built on first use,
-//! shared by clones, and dropped by every mutation, so each distinct table
-//! contents is encoded and hashed at most once however many scans, games,
-//! repairs and oracle keys read it.
+//! fingerprint ([`Table::fingerprint`]), each built on first use. The
+//! encoding is shared by clones and dropped by every mutation, so each
+//! distinct table contents is encoded at most once however many scans,
+//! games and repairs read it. The fingerprint is an XOR of one hash per
+//! cell, so a cell write patches it with two cell hashes instead of
+//! dropping it: a session that edits its table keeps its oracle key
+//! current for free. A clone starts without one, because clones are the
+//! working copies of repairs and games, whose writes should not pay for
+//! patching a key nobody reads.
 //!
 //! **Fresh and spanning encodings.** [`Table::set`] and [`Table::push_row`]
 //! drop the encoding, so a table only they have mutated always holds
@@ -84,11 +89,19 @@ impl fmt::Display for CellRef {
     }
 }
 
+/// The hash one cell contributes to [`Table::fingerprint`]: its row-major
+/// index and its value.
+fn cell_hash(flat: usize, v: &Value) -> u64 {
+    let mut h = DefaultHasher::new();
+    flat.hash(&mut h);
+    v.hash(&mut h);
+    h.finish()
+}
+
 /// A row-major, dynamically-typed relation with a fixed [`Schema`].
 ///
-/// Equality compares schema and cells only; the cached encoding is not
-/// part of a table's value.
-#[derive(Clone)]
+/// Equality compares schema and cells only; the cached encoding and
+/// fingerprint are not part of a table's value.
 pub struct Table {
     schema: Schema,
     rows: Vec<Vec<Value>>,
@@ -98,9 +111,21 @@ pub struct Table {
     /// fresh encode unless [`Table::encode_spanning`] or
     /// [`Table::set_keep_codes`] made it (see the module docs).
     encoded: OnceLock<Arc<EncodedTable>>,
-    /// [`Table::fingerprint`] of the current contents, built on first use;
-    /// clones copy it and every mutation drops it.
+    /// [`Table::fingerprint`] of the current contents, built on first use,
+    /// patched by cell writes and dropped by [`Table::push_row`]; clones
+    /// start without it.
     fingerprint: OnceLock<u64>,
+}
+
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        Table {
+            schema: self.schema.clone(),
+            rows: self.rows.clone(),
+            encoded: self.encoded.clone(),
+            fingerprint: OnceLock::new(),
+        }
+    }
 }
 
 impl PartialEq for Table {
@@ -208,19 +233,29 @@ impl Table {
     }
 
     /// Overwrite a cell value, returning the previous value. Drops the
-    /// cached encoding and fingerprint; the next [`Table::encoded`] and
-    /// [`Table::fingerprint`] rebuild them.
+    /// cached encoding (the next [`Table::encoded`] rebuilds it) and
+    /// patches a cached fingerprint.
     pub fn set(&mut self, cell: CellRef, v: Value) -> Value {
         self.encoded.take();
-        self.fingerprint.take();
-        std::mem::replace(&mut self.rows[cell.row][cell.attr.0], v)
+        self.replace(cell, v)
+    }
+
+    /// Write `v` into `cell`, patching a cached fingerprint: the old
+    /// value's cell hash leaves the XOR and the new one's enters it.
+    fn replace(&mut self, cell: CellRef, v: Value) -> Value {
+        let flat = cell.flat_index(self.schema.arity());
+        let slot = &mut self.rows[cell.row][cell.attr.0];
+        if let Some(fp) = self.fingerprint.get_mut() {
+            *fp ^= cell_hash(flat, slot) ^ cell_hash(flat, &v);
+        }
+        std::mem::replace(slot, v)
     }
 
     /// Overwrite a cell value like [`Table::set`], but keep the cached
     /// encoding when the column's dictionary already holds `v`: the cell's
     /// code is patched in place (copying the codes first if a clone still
     /// shares them). A value new to its column drops the encoding, as
-    /// [`Table::set`] does. The fingerprint is always dropped.
+    /// [`Table::set`] does. A cached fingerprint is patched.
     ///
     /// Weaker contract than [`Table::set`]: the kept encoding decodes cell
     /// for cell like the table, but its dictionaries may hold entries no
@@ -228,14 +263,13 @@ impl Table {
     /// longer [`EncodedTable::encode`]`(self)`; the module docs say what a
     /// scan sees then.
     pub fn set_keep_codes(&mut self, cell: CellRef, v: Value) -> Value {
-        self.fingerprint.take();
         if let Some(enc) = self.encoded.get_mut() {
             match enc.dict(cell.attr).code_of(&v) {
                 Some(code) => Arc::make_mut(enc).set_code(cell.row, cell.attr, code),
                 None => drop(self.encoded.take()),
             }
         }
-        std::mem::replace(&mut self.rows[cell.row][cell.attr.0], v)
+        self.replace(cell, v)
     }
 
     /// Cache an encoding of the current contents whose column dictionaries
@@ -352,11 +386,12 @@ impl Table {
         self.rows.iter().map(move |r| &r[attr.0])
     }
 
-    /// A deterministic 64-bit fingerprint of the table contents (schema
-    /// shape + all values). Used by the memoizing repair oracle to key
-    /// coalition tables. Hashed on the first call, then kept beside the
-    /// encoding until the next mutation, so clones and repeated game
-    /// builds over one table contents hash it once.
+    /// A deterministic 64-bit fingerprint of the table contents: a hash of
+    /// the schema shape and row count, XORed with one hash per cell of its
+    /// row-major index and value. The memoizing repair oracle keys tables
+    /// by it. Hashed on the first call, then kept and patched by every cell
+    /// write (see the module docs), so repeated game builds, repairs and
+    /// oracle lookups over one table hash it once.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             let mut h = DefaultHasher::new();
@@ -365,12 +400,9 @@ impl Table {
                 name.hash(&mut h);
             }
             self.rows.len().hash(&mut h);
-            for row in &self.rows {
-                for v in row {
-                    v.hash(&mut h);
-                }
-            }
-            h.finish()
+            self.cells_with_values().fold(h.finish(), |fp, (cell, v)| {
+                fp ^ cell_hash(cell.flat_index(self.schema.arity()), v)
+            })
         })
     }
 
@@ -554,11 +586,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_fingerprint_is_shared_and_tracks_every_mutation() {
+    fn cached_fingerprint_tracks_every_mutation_and_every_clone() {
         let mut t = small();
         assert_eq!(t.fingerprint(), fresh_fingerprint(&t));
         let copy = t.clone();
-        assert_eq!(copy.fingerprint(), t.fingerprint(), "clones share it");
+        assert_eq!(copy.fingerprint(), t.fingerprint(), "a clone hashes alike");
         t.set(CellRef::new(0, AttrId(0)), Value::str("z"));
         assert_eq!(t.fingerprint(), fresh_fingerprint(&t));
         assert_ne!(t.fingerprint(), copy.fingerprint());
