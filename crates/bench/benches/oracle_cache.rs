@@ -6,14 +6,16 @@
 //! `ShardedOracle::DEFAULT_SHARDS` choice: hot cache hits hammered from
 //! every hardware thread at 1/4/16/64 shards. One shard serializes all
 //! workers on a single mutex; the sweep shows where adding shards stops
-//! paying (16 on every machine profiled so far — see `with_config`'s docs).
+//! paying (16 on every machine profiled so far — see
+//! `OracleCache::with_config`'s docs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use trex::ConstraintGame;
 use trex_constraints::{parse_dcs, DenialConstraint};
 use trex_datagen::laliga;
-use trex_repair::{RepairAlgorithm, RepairResult, ShardedOracle};
+use trex_repair::{OracleCache, RepairAlgorithm, RepairResult, ShardedOracle};
 use trex_shapley::{available_threads, shapley_exact, shapley_exact_rational};
 use trex_table::{AttrId, CellRef, Table, TableBuilder, Value};
 
@@ -34,7 +36,8 @@ fn bench_oracle_cache(c: &mut Criterion) {
     });
     group.bench_function("uncached_double_solve", |b| {
         b.iter(|| {
-            let oracle = ShardedOracle::with_capacity(&alg, 0);
+            let oracle =
+                ShardedOracle::with_shared_cache(&alg, Arc::new(OracleCache::with_capacity(0)));
             let game = ConstraintGame::with_oracle(oracle, &dcs, &dirty, cell, Value::str("Spain"));
             let f = shapley_exact(black_box(&game)).unwrap();
             let r = shapley_exact_rational(black_box(&game)).unwrap();
@@ -80,7 +83,8 @@ fn bench_oracle_shards(c: &mut Criterion) {
     let workers = available_threads();
     let mut group = c.benchmark_group("oracle_shards");
     for shards in [1usize, 4, 16, 64] {
-        let oracle = ShardedOracle::with_config(&alg, ShardedOracle::DEFAULT_CAPACITY, shards);
+        let cache = OracleCache::with_config(ShardedOracle::DEFAULT_CAPACITY, shards);
+        let oracle = ShardedOracle::with_shared_cache(&alg, Arc::new(cache));
         // Warm every key so the measured loop is pure cache hits.
         for t in &tables {
             let _ = oracle.repairs_cell_to(&dcs, t, cell, &Value::str("FIXED"));

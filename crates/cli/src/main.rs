@@ -83,12 +83,14 @@ LINT:
   error (exit 1).
 
 ORACLE CAPACITY:
-  --oracle-cap N bounds the repair-oracle memo cache of explain to N
-  entries (second-chance eviction once full; 0 disables caching). An
-  entry is one repair, shared by the repair target and every constraint
-  coalition over the same program and table, or one answer of the masked
-  cell game. Results are identical at any capacity — a smaller cache only
-  recomputes more. Default: 1048576 entries.
+  --oracle-cap N bounds the repair-oracle memo cache to N entries
+  (second-chance eviction once full; 0 disables caching). explain keeps
+  one cache for the constraint explanation and the cell ranking, and
+  serve one for its session, shared by every request. An entry is one
+  repair, shared by the repair target and every constraint coalition over
+  the same program and table, or one answer of the masked cell game.
+  Results are identical at any capacity — a smaller cache only recomputes
+  more. Default: 1048576 entries.
 
 SERVE:
   trex serve loads one (table, constraints, engine) triple and answers
@@ -97,11 +99,13 @@ SERVE:
   /health, GET /violations, POST /repair, GET /explain (add
   budget_ms=N or stream=1 for the anytime chunked NDJSON stream of
   running Shapley estimates), POST /cell, POST and DELETE /constraint.
-  Every endpoint takes the exec flags as query parameters (threads=4&
-  seed=7&...), validated exactly like the command-line flags; exec flags
+  Every endpoint takes threads and seed as query parameters (threads=4&
+  seed=7), validated exactly like the command-line flags; exec flags
   given to serve itself set the session defaults. A parameter a request
-  leaves unset takes serve's value (so requests share the session's
-  oracle cache), and a request's threads is capped at serve's --threads.
+  leaves unset takes serve's value, and a request's threads is capped at
+  serve's --threads. serve's --oracle-cap sizes the one session cache
+  every request shares; a request cannot change it (oracle-cap is an
+  unknown parameter).
 
 DATAGEN:
   trex datagen generates a scenario-corpus member and writes the files the

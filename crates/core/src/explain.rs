@@ -14,7 +14,7 @@
 use crate::games::{cell_label, CellGameMasked, CellGameSampled, ConstraintGame, MaskMode};
 use crate::ranking::Ranking;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use trex_constraints::{DenialConstraint, ResolveError};
 use trex_repair::{repaired_value, OracleCache, Reach, RepairAlgorithm, ShardedOracle};
 use trex_shapley::{
@@ -48,6 +48,9 @@ pub enum ExplainError {
     /// A constraint names a column the table does not have, so no repair
     /// of it can run.
     UnresolvedConstraint(ResolveError),
+    /// An adaptive cell explanation asked for rounds of zero samples
+    /// ([`AdaptiveConfig::batch`]), which could never meet a tolerance.
+    ZeroAdaptiveBatch,
 }
 
 impl fmt::Display for ExplainError {
@@ -66,6 +69,9 @@ impl fmt::Display for ExplainError {
                  {limit}-constraint limit; remove constraints or explain cells instead"
             ),
             ExplainError::UnresolvedConstraint(e) => write!(f, "{e}"),
+            ExplainError::ZeroAdaptiveBatch => {
+                write!(f, "an adaptive batch must be at least 1 sample")
+            }
         }
     }
 }
@@ -88,8 +94,8 @@ fn too_many_constraints(e: ExactError) -> ExplainError {
 pub struct ConstraintExplanation {
     /// Constraints ranked by Shapley value.
     pub ranking: Ranking,
-    /// Exact values as rationals (denominator `|C|!`), in constraint order —
-    /// only present when the repair oracle is 0/1 (it always is here).
+    /// Exact values as reduced rationals, in constraint order — only
+    /// present when the repair oracle is 0/1 (it always is here).
     pub exact: Vec<(String, Rational)>,
     /// The repaired (target) value of the cell of interest.
     pub target: Value,
@@ -165,6 +171,13 @@ fn cell_explanation(
     }
 }
 
+/// A cache at `cfg`'s oracle capacity, the default one when it sets none.
+pub(crate) fn oracle_cache_for(cfg: &ExecConfig) -> Arc<OracleCache> {
+    Arc::new(OracleCache::with_capacity(
+        cfg.oracle_cap().unwrap_or(ShardedOracle::DEFAULT_CAPACITY),
+    ))
+}
+
 /// The T-REx explainer.
 ///
 /// Wraps a black-box [`RepairAlgorithm`]; every method treats it purely
@@ -179,14 +192,18 @@ fn cell_explanation(
 /// Every repair an explanation asks for goes through one memoizing oracle,
 /// whose misses the wrapped algorithm answers: the repair target and the
 /// game's coalitions, so a constraint game's grand coalition reads the
-/// target's repair. Without a shared cache
-/// ([`Explainer::with_oracle_cache`]) each call builds one private cache
-/// for both and drops it afterwards. [`ExecConfig::with_oracle_cap`] bounds
-/// it (entries, second-chance eviction) without changing any result.
+/// target's repair. An explainer keeps exactly one [`OracleCache`] for all
+/// of its calls: the one lent by [`Explainer::with_oracle_cache`], else its
+/// own, built on the first call at [`ExecConfig::with_oracle_cap`]'s
+/// capacity ([`ShardedOracle::DEFAULT_CAPACITY`] when unset). So a constraint
+/// explanation and a cell ranking of the same cell repair their target
+/// once. The cache stays bounded by its capacity (entries, second-chance
+/// eviction), which never changes a result; for a cold cache, build a new
+/// explainer.
 pub struct Explainer<'a> {
     alg: &'a dyn RepairAlgorithm,
     cfg: ExecConfig,
-    cache: Option<Arc<OracleCache>>,
+    cache: OnceLock<Arc<OracleCache>>,
 }
 
 impl<'a> Explainer<'a> {
@@ -196,45 +213,40 @@ impl<'a> Explainer<'a> {
         Explainer {
             alg,
             cfg: ExecConfig::default(),
-            cache: None,
+            cache: OnceLock::new(),
         }
     }
 
-    /// Memoize repairs in `cache` instead of a fresh private cache per
-    /// call. Several explainers (or several requests against one
+    /// Memoize repairs in `cache` instead of a cache of the explainer's
+    /// own. Several explainers (or several requests against one
     /// long-lived `Session`) sharing one [`OracleCache`] pool their
     /// repairs: oracle keys embed the table fingerprint and the program
     /// hash, so entries computed under one `(table, constraints)` pair can
     /// never answer a query for another. The cache's
     /// [`OracleCache::stats`] then count every explanation run through it.
     ///
-    /// A shared cache carries its own capacity, so it overrides
+    /// A lent cache carries its own capacity, so it overrides
     /// [`ExecConfig::with_oracle_cap`] for this explainer.
     pub fn with_oracle_cache(mut self, cache: Arc<OracleCache>) -> Self {
-        self.cache = Some(cache);
+        self.cache = OnceLock::from(cache);
         self
     }
 
     /// Apply an execution configuration wholesale: thread count and oracle
     /// capacity in one value shared with `Session` and the
-    /// repair engines. The config's `seed`, if set, is not consumed here —
-    /// sampling methods take their seed from the explicit
-    /// [`SamplingConfig`] argument.
+    /// repair engines. The capacity sizes the cache the explainer builds
+    /// on its first call, unless one was lent. The config's `seed`, if
+    /// set, is not consumed here — sampling methods take their seed from
+    /// the explicit [`SamplingConfig`] argument.
     pub fn with_config(mut self, cfg: ExecConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    /// Build the oracle of one call: the shared cache when one is
-    /// attached, else a private cache under the configured capacity bound.
-    fn build_oracle(&self) -> ShardedOracle<'a> {
-        match &self.cache {
-            Some(cache) => ShardedOracle::with_shared_cache(self.alg, Arc::clone(cache)),
-            None => match self.cfg.oracle_cap() {
-                Some(cap) => ShardedOracle::with_capacity(self.alg, cap),
-                None => ShardedOracle::new(self.alg),
-            },
-        }
+    /// An oracle on the explainer's one cache.
+    fn oracle(&self) -> ShardedOracle<'a> {
+        let cache = self.cache.get_or_init(|| oracle_cache_for(&self.cfg));
+        ShardedOracle::with_shared_cache(self.alg, Arc::clone(cache))
     }
 
     /// Determine the repair target of `cell`: the clean value the full run
@@ -245,22 +257,10 @@ impl<'a> Explainer<'a> {
     /// the program the engine declares can reach `cell`'s column
     /// ([`Reach`]), which by the declaration's promise assigns `cell` the
     /// value the whole program would. It is memoized like any other
-    /// repair: on a shared cache, a later call over the same sliced
-    /// program and table runs no engine.
+    /// repair: a later call over the same sliced program and table, on
+    /// this explainer or any other sharing its cache, runs no engine.
     pub fn repair_target(
         &self,
-        dcs: &[DenialConstraint],
-        dirty: &Table,
-        cell: CellRef,
-    ) -> Result<Value, ExplainError> {
-        self.target_on(&self.build_oracle(), dcs, dirty, cell)
-    }
-
-    /// [`Explainer::repair_target`] through `oracle`, the one the call's
-    /// game then queries.
-    fn target_on(
-        &self,
-        oracle: &ShardedOracle<'_>,
         dcs: &[DenialConstraint],
         dirty: &Table,
         cell: CellRef,
@@ -273,7 +273,7 @@ impl<'a> Explainer<'a> {
                 .map_err(ExplainError::UnresolvedConstraint)?;
         }
         let program = Reach::of(self.alg, dcs, dirty.schema(), cell.attr).program(dcs);
-        repaired_value(&oracle.repair(&program, dirty), cell)
+        repaired_value(&self.oracle().repair(&program, dirty), cell)
             .cloned()
             .ok_or(ExplainError::CellNotRepaired { cell })
     }
@@ -288,9 +288,8 @@ impl<'a> Explainer<'a> {
         dirty: &Table,
         cell: CellRef,
     ) -> Result<ConstraintExplanation, ExplainError> {
-        let oracle = self.build_oracle();
-        let target = self.target_on(&oracle, dcs, dirty, cell)?;
-        let game = ConstraintGame::with_oracle(oracle, dcs, dirty, cell, target.clone());
+        let target = self.repair_target(dcs, dirty, cell)?;
+        let game = ConstraintGame::with_oracle(self.oracle(), dcs, dirty, cell, target.clone());
         // The rational solver has the lower player cap, so it runs first:
         // an oversized program fails before any coalition is repaired.
         let rationals = shapley_exact_rational(&game).map_err(too_many_constraints)?;
@@ -344,7 +343,8 @@ impl<'a> Explainer<'a> {
     /// round-laddered estimator (`trex_shapley::estimate_player_adaptive_rounds`)
     /// with per-player seeds laddered exactly like
     /// [`Explainer::explain_cells_sampled`]'s, so the result depends on
-    /// `config.seed` alone — never on the thread count.
+    /// `config.seed` alone — never on the thread count. A zero
+    /// `config.batch` is an error, returned before any repair runs.
     pub fn explain_cells_adaptive(
         &self,
         dcs: &[DenialConstraint],
@@ -352,6 +352,9 @@ impl<'a> Explainer<'a> {
         cell: CellRef,
         config: AdaptiveConfig,
     ) -> Result<(CellExplanation, Vec<bool>), ExplainError> {
+        if config.batch == 0 {
+            return Err(ExplainError::ZeroAdaptiveBatch);
+        }
         let target = self.repair_target(dcs, dirty, cell)?;
         let game = CellGameSampled::new(self.alg, dcs, dirty, cell, target.clone());
         let (estimates, converged): (Vec<_>, Vec<_>) = parallel::estimate_all_adaptive(
@@ -413,9 +416,9 @@ impl<'a> Explainer<'a> {
         checkpoint_every: usize,
         on_checkpoint: impl FnMut(&AnytimeCheckpoint<'_>) -> AnytimeControl,
     ) -> Result<(CellExplanation, bool), ExplainError> {
-        let oracle = self.build_oracle();
-        let target = self.target_on(&oracle, dcs, dirty, cell)?;
-        let game = CellGameMasked::with_oracle(oracle, dcs, dirty, cell, target.clone(), mode);
+        let target = self.repair_target(dcs, dirty, cell)?;
+        let game =
+            CellGameMasked::with_oracle(self.oracle(), dcs, dirty, cell, target.clone(), mode);
         let (estimates, finished) = parallel::estimate_all_walk_anytime(
             &game,
             ParallelConfig::from_sampling(config, self.cfg.threads()),
@@ -740,6 +743,37 @@ mod tests {
             .position(|c| *c == CellRef::new(0, dirty.schema().id("Place")))
             .unwrap();
         assert!(conv_a[place_idx], "dummy cells stop early");
+    }
+
+    /// An engine that panics if it is ever run.
+    struct NeverRuns;
+
+    impl RepairAlgorithm for NeverRuns {
+        fn name(&self) -> &str {
+            "never-runs"
+        }
+
+        fn repair(&self, _: &[DenialConstraint], _: &Table) -> trex_repair::RepairResult {
+            panic!("no repair may run")
+        }
+    }
+
+    #[test]
+    fn a_zero_adaptive_batch_is_an_error_before_any_repair() {
+        // Regression: a zero batch used to panic inside the sampling
+        // engine; now the explainer refuses it before the engine runs.
+        let dirty = laliga::dirty_table();
+        let dcs = laliga::constraints();
+        let cell = laliga::cell_of_interest(&dirty);
+        let config = AdaptiveConfig {
+            batch: 0,
+            ..AdaptiveConfig::default()
+        };
+        let err = Explainer::new(&NeverRuns)
+            .explain_cells_adaptive(&dcs, &dirty, cell, config)
+            .unwrap_err();
+        assert_eq!(err, ExplainError::ZeroAdaptiveBatch);
+        assert!(err.to_string().contains("at least 1"), "{err}");
     }
 
     #[test]

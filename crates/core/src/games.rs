@@ -116,10 +116,10 @@ pub struct ConstraintGame<'a> {
 }
 
 impl<'a> ConstraintGame<'a> {
-    /// Build the game around a caller-configured oracle — capacity bound,
-    /// shard count, or a cache shared across requests; see
-    /// [`ShardedOracle`]'s builders. Answers are identical to
-    /// [`ConstraintGame::new`].
+    /// Build the game around a caller-built oracle, typically on a cache
+    /// shared with other queries ([`ShardedOracle::with_shared_cache`]) or
+    /// sized to a capacity ([`trex_repair::OracleCache::with_config`]).
+    /// Answers are identical to [`ConstraintGame::new`].
     pub fn with_oracle(
         oracle: ShardedOracle<'a>,
         dcs: &'a [DenialConstraint],
@@ -139,8 +139,9 @@ impl<'a> ConstraintGame<'a> {
         }
     }
 
-    /// Build the game. `target` is the clean value `t^c[A]` the repair is
-    /// expected to produce (obtain it from a full repair run).
+    /// Build the game on a private cache of the default capacity
+    /// ([`ShardedOracle::new`]). `target` is the clean value `t^c[A]` the
+    /// repair is expected to produce (obtain it from a full repair run).
     pub fn new(
         alg: &'a dyn RepairAlgorithm,
         dcs: &'a [DenialConstraint],
@@ -151,9 +152,9 @@ impl<'a> ConstraintGame<'a> {
         Self::with_oracle(ShardedOracle::new(alg), dcs, dirty, cell, target)
     }
 
-    /// Oracle cache statistics (hits/misses) accumulated so far.
+    /// Statistics of the oracle's cache (hits/misses) accumulated so far.
     pub fn oracle_stats(&self) -> OracleStats {
-        self.oracle.stats()
+        self.oracle.cache().stats()
     }
 
     /// The coalition's in-slice members, in program order: the
@@ -257,10 +258,10 @@ fn zobrist(player: usize, fp: u64) -> u64 {
 }
 
 impl<'a> CellGameMasked<'a> {
-    /// Build the game around a caller-configured oracle — capacity bound,
-    /// shard count, or a cache shared across requests; see
-    /// [`ShardedOracle`]'s builders. Answers are identical to
-    /// [`CellGameMasked::new`].
+    /// Build the game around a caller-built oracle, typically on a cache
+    /// shared with other queries ([`ShardedOracle::with_shared_cache`]) or
+    /// sized to a capacity ([`trex_repair::OracleCache::with_config`]).
+    /// Answers are identical to [`CellGameMasked::new`].
     pub fn with_oracle(
         oracle: ShardedOracle<'a>,
         dcs: &'a [DenialConstraint],
@@ -314,7 +315,8 @@ impl<'a> CellGameMasked<'a> {
         }
     }
 
-    /// Build the game over all cells except the cell of interest.
+    /// Build the game over all cells except the cell of interest, on a
+    /// private cache of the default capacity ([`ShardedOracle::new`]).
     pub fn new(
         alg: &'a dyn RepairAlgorithm,
         dcs: &'a [DenialConstraint],
@@ -331,9 +333,9 @@ impl<'a> CellGameMasked<'a> {
         &self.players
     }
 
-    /// Oracle cache statistics.
+    /// Statistics of the oracle's cache.
     pub fn oracle_stats(&self) -> OracleStats {
-        self.oracle.stats()
+        self.oracle.cache().stats()
     }
 
     /// The reference coalition table: players in `coalition` keep their

@@ -6,7 +6,9 @@
 //! object so example binaries and integration tests can drive exactly the
 //! workflow the demonstration walks the audience through.
 
-use crate::explain::{CellExplanation, ConstraintExplanation, ExplainError, Explainer};
+use crate::explain::{
+    oracle_cache_for, CellExplanation, ConstraintExplanation, ExplainError, Explainer,
+};
 use crate::games::MaskMode;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -69,12 +71,11 @@ impl Session {
     /// [`SamplingConfig`] argument.
     ///
     /// Rebuilds the session's shared repair cache at the config's
-    /// oracle capacity ([`ShardedOracle::DEFAULT_CAPACITY`] when unset).
+    /// oracle capacity ([`ShardedOracle::DEFAULT_CAPACITY`] when unset):
+    /// the one place a session's capacity is set.
     pub fn with_config(mut self, cfg: ExecConfig) -> Self {
         self.cfg = cfg;
-        self.oracle_cache = Arc::new(OracleCache::with_capacity(
-            cfg.oracle_cap().unwrap_or(ShardedOracle::DEFAULT_CAPACITY),
-        ));
+        self.oracle_cache = oracle_cache_for(&cfg);
         self
     }
 
@@ -84,11 +85,11 @@ impl Session {
     }
 
     /// The session's shared repair cache. [`Session::repair`] and every
-    /// explanation run under a compatible oracle capacity memoize into
-    /// (and read from) this one cache, so a burst of requests against the
-    /// same `(table, constraints)` pair pays for each distinct repair
-    /// once: a repeated Repair click, every explanation's repair target
-    /// and constraint coalitions, and each cell ranking's coalitions.
+    /// explanation ([`Session::explainer`]) memoize into (and read from)
+    /// this one cache, so a burst of requests against the same
+    /// `(table, constraints)` pair pays for each distinct repair once: a
+    /// repeated Repair click, every explanation's repair target and
+    /// constraint coalitions, and each cell ranking's coalitions.
     /// Exposed for telemetry ([`OracleCache::stats`]) and explicit flushes
     /// ([`Session::flush_oracle_cache`]).
     pub fn oracle_cache(&self) -> &Arc<OracleCache> {
@@ -113,20 +114,15 @@ impl Session {
     /// [`ExecConfig`] per request). Pass it [`Session::constraints`] and
     /// [`Session::table`] to explain the session's current inputs.
     ///
-    /// The session's shared repair cache is attached whenever the
-    /// configuration's oracle capacity agrees with the cache's, so
-    /// [`OracleCache::stats`] on [`Session::oracle_cache`] count the
-    /// explanation; a configuration demanding a different capacity gets a
-    /// private, correctly-sized oracle instead (results are identical
-    /// either way — only memo reuse differs).
+    /// The explainer always borrows the session's repair cache and builds
+    /// none, whatever `exec`'s oracle capacity: the session's capacity is
+    /// set by [`Session::with_config`], and answers never depend on it.
+    /// [`OracleCache::stats`] on [`Session::oracle_cache`] therefore count
+    /// every explanation.
     pub fn explainer(&self, exec: &ExecConfig) -> Explainer<'_> {
-        let ex = Explainer::new(self.alg.as_ref()).with_config(*exec);
-        let requested = exec.oracle_cap().unwrap_or(ShardedOracle::DEFAULT_CAPACITY);
-        if requested == self.oracle_cache.capacity() {
-            ex.with_oracle_cache(Arc::clone(&self.oracle_cache))
-        } else {
-            ex
-        }
+        Explainer::new(self.alg.as_ref())
+            .with_config(*exec)
+            .with_oracle_cache(Arc::clone(&self.oracle_cache))
     }
 
     /// The current (possibly user-edited) dirty table.
@@ -614,14 +610,20 @@ mod tests {
         let second = s.oracle_cache().stats();
         assert_eq!(second.misses, first.misses, "{second:?}");
         assert!(second.hits > first.hits, "{second:?}");
-        // A request pinning a different oracle capacity gets a private
-        // oracle and leaves the shared cache untouched.
+        // A configuration naming a different oracle capacity still reads
+        // the session cache: all hits, no new entry, and the session's
+        // capacity stays its own.
         let exec = ExecConfig::new().with_oracle_cap(4);
+        let entries = s.oracle_cache().len();
         let _ = s
             .explainer(&exec)
             .explain_constraints(s.constraints(), s.table(), cell)
             .unwrap();
-        assert_eq!(s.oracle_cache().stats(), second);
+        let third = s.oracle_cache().stats();
+        assert_eq!(third.misses, second.misses, "{third:?}");
+        assert_eq!(third.hits, second.hits + (second.hits - first.hits));
+        assert_eq!(s.oracle_cache().len(), entries);
+        assert_eq!(s.oracle_cache().capacity(), ShardedOracle::DEFAULT_CAPACITY);
     }
 
     #[test]

@@ -281,7 +281,7 @@ pub fn hash_value(v: &Value) -> u64 {
 /// The unit is one lookup: a repair (a program on a table) or a cell-game
 /// answer bit. Below capacity a miss is exactly one engine run, and every
 /// other lookup of that key is a hit, so the counts are a function of the
-/// workload alone (see [`ShardedOracle::stats`]).
+/// workload alone (see [`OracleCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Lookups answered from the cache.
@@ -447,32 +447,45 @@ impl Flight {
     }
 }
 
-/// The shareable state of a [`ShardedOracle`]: the sharded memo maps, the
-/// single-flight registries, and the hit/miss/eviction counters —
-/// everything except the algorithm borrow.
+/// The memo of the oracle: the sharded memo maps, the single-flight
+/// registries, and the hit/miss/eviction counters. A [`ShardedOracle`] is
+/// an engine plus a handle to one of these; callers size a cache and read
+/// its counters here.
 ///
 /// An entry is either a repair — the change list of one engine run, keyed
 /// by (program hash, table fingerprint) — or one answer bit of the masked
 /// cell game (see the module docs). Both kinds share the shards, the one
 /// insertion path, the capacity bound and the counters.
 ///
-/// A `ShardedOracle` built through [`ShardedOracle::new`] (or the other
-/// capacity constructors) owns a private cache. Long-lived owners — a
-/// `trex` `Session` serving many explanation requests, or the
-/// `trex-server` multiplexing concurrent clients — instead build one
-/// `Arc<OracleCache>` up front and hand clones to every per-request oracle
-/// via [`ShardedOracle::with_shared_cache`], so all requests against the
-/// same (table, constraints) pair warm one bounded cache, and a session's
-/// own repairs land in it too. Sharing is safe because keys fingerprint the
-/// full input (program, table, and for a cell-game bit the explained cell
-/// and target): two requests can only collide on a key when they ask the
-/// same question, and the answer is then identical by the oracle's
-/// determinism contract.
+/// Each owner keeps one cache for everything it asks: a `trex` `Session`
+/// for its repairs and every explanation (the server's requests included),
+/// an `Explainer` for all of its calls. Every oracle it builds clones the
+/// handle ([`ShardedOracle::with_shared_cache`]), so all queries against
+/// the same (table, constraints) pair warm one bounded cache. Sharing is
+/// safe because keys fingerprint the full input (program, table, and for a
+/// cell-game bit the explained cell and target): two queries can only
+/// collide on a key when they ask the same question, and the answer is
+/// then identical by the oracle's determinism contract.
 ///
-/// Capacity distribution, eviction policy, and the statistics contract are
-/// documented on [`ShardedOracle`]; they are properties of this struct and
-/// hold for every oracle sharing it. Capacity 0 caches nothing: every
-/// lookup, repairs included, runs the engine.
+/// The key space is split across mutex-guarded shards
+/// ([`ShardedOracle::DEFAULT_SHARDS`] by default) selected by the key's
+/// hash, so workers evaluating different coalitions almost never contend,
+/// yet every worker sees every other worker's cached answers.
+///
+/// **Bounded memory.** The capacity is a hard bound on live entries: the
+/// per-shard quotas sum to exactly `capacity` (see
+/// [`OracleCache::with_config`]), and a shard at quota **evicts** by a
+/// per-shard second-chance (clock) policy before inserting — recently
+/// re-queried entries survive the sweep, cold entries go first. Long
+/// sampling runs over tables with millions of coalition variants therefore
+/// stop growing the cache instead of eating the heap, at the price of
+/// recomputing an evicted key if it is queried again (the recompute is
+/// counted as a fresh miss, and every eviction increments
+/// [`OracleStats::evictions`]). Results are *always* identical to an
+/// unbounded cache — eviction only ever costs time, never changes an
+/// answer — and a capacity at least the live-key count of the workload
+/// evicts nothing at all. Capacity 0 caches nothing: every lookup, repairs
+/// included, runs the engine.
 pub struct OracleCache {
     /// Per-shard capacity quotas; index-aligned with `shards` and summing
     /// to the constructor's total capacity.
@@ -499,9 +512,26 @@ impl OracleCache {
         Self::with_config(capacity, ShardedOracle::DEFAULT_SHARDS)
     }
 
-    /// A cache with an explicit total capacity and shard count; see
-    /// [`ShardedOracle::with_config`] for the quota distribution and the
-    /// shard-count guidance.
+    /// A cache with an explicit total capacity and shard count. Shard `i`
+    /// gets a quota of `capacity / shards`, plus one of the remainder
+    /// entries for the first `capacity % shards` shards, so the quotas sum
+    /// to exactly `capacity`; a non-zero capacity below the shard count
+    /// clamps the shard count so every shard can hold at least one entry.
+    ///
+    /// More shards cut lock contention on many-core machines; `shards = 1`
+    /// degenerates to a single-lock cache (useful as a contention baseline
+    /// and in tests). Any shard count ≥ 1 is valid. Non-power-of-two counts
+    /// are deliberately *not* rounded up: shard selection reduces the key
+    /// hash with a modulo, not a bitmask, so an odd count distributes keys
+    /// just as uniformly, and silently rounding would change the per-shard
+    /// quotas behind the caller's back.
+    ///
+    /// The default of [`ShardedOracle::DEFAULT_SHARDS`] (16) comes from the
+    /// `oracle_cache` bench's contention sweep (1/4/16/64 shards hammered
+    /// by up to 8 workers): 1 shard serializes every worker on one lock,
+    /// 4 still collide measurably at 8 workers, while 16 is within noise
+    /// of 64 on every machine profiled — so 16 takes the smallest
+    /// per-entry bookkeeping that already removes the contention.
     ///
     /// # Panics
     /// If `shards` is 0 (there would be no shard to hold an entry).
@@ -558,8 +588,19 @@ impl OracleCache {
         self.len() == 0
     }
 
-    /// Aggregated cache statistics so far; see [`ShardedOracle::stats`] for
-    /// the scheduling-independence contract.
+    /// Aggregated cache statistics so far, over every oracle sharing this
+    /// cache.
+    ///
+    /// `hits + misses` always equals the number of lookups answered.
+    /// Scheduling-independent below capacity: each distinct key accounts
+    /// for exactly one miss (the lookup that installed it — see
+    /// [`ShardedOracle::repair_keyed`]), every other lookup of that key is
+    /// a hit, so repeated runs of the same workload report identical
+    /// hit/miss totals at any thread count and `evictions` stays 0. Once
+    /// capacity pressure triggers evictions, a re-queried evicted key
+    /// recomputes (a fresh miss) and which key was evicted can depend on
+    /// query interleaving, so only the invariants — not the exact split —
+    /// are schedule-independent under pressure.
     pub fn stats(&self) -> OracleStats {
         OracleStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -712,39 +753,14 @@ impl OracleShard {
 }
 
 /// Thread-safe memoizing oracle: the one path from the explanation layers
-/// to the black box, behind a sharded lock so the parallel sampling
-/// workers can query it concurrently.
+/// to the black box. It is an engine plus a handle to an [`OracleCache`],
+/// which holds the memo, its capacity bound and its counters; the parallel
+/// sampling workers query it concurrently.
 ///
 /// It memoizes repairs ([`ShardedOracle::repair`]), which every binary
 /// view of the same (program, table) pair reads, and the masked cell
 /// game's answer bits ([`ShardedOracle::cell_answer`]); see the module
 /// docs.
-///
-/// The key space is split across a configurable number of mutex-guarded
-/// shards ([`ShardedOracle::DEFAULT_SHARDS`] by default) selected by the
-/// key's hash, so workers evaluating different coalitions almost never
-/// contend, yet every worker sees every other worker's cached answers.
-/// Hit/miss statistics are aggregated with relaxed atomics and are
-/// **scheduling-independent**: a lookup counts as a miss only when it is
-/// the one that installs the key, so the same workload yields the same
-/// [`OracleStats`] at any thread count.
-///
-/// **Bounded memory.** The capacity is a hard bound on live entries: the
-/// per-shard quotas sum to exactly `capacity` (shard `i` gets
-/// `capacity / shards`, plus one of the remainder entries for the first
-/// `capacity % shards` shards; a non-zero capacity below the shard count
-/// clamps the shard count so every shard can hold at least one entry), and
-/// a shard at quota **evicts** by a
-/// per-shard second-chance (clock) policy before inserting — recently
-/// re-queried entries survive the sweep, cold entries go first. Long
-/// sampling runs over tables with millions of coalition variants therefore
-/// stop growing the cache instead of eating the heap, at the price of
-/// recomputing an evicted key if it is queried again (the recompute is
-/// counted as a fresh miss, and every eviction increments
-/// [`OracleStats::evictions`]). Results are *always* identical to an
-/// unbounded oracle — eviction only ever costs time, never changes an
-/// answer — and a capacity at least the live-key count of the workload
-/// evicts nothing at all.
 ///
 /// **Single-flight.** Concurrent lookups of the same cold key dedup via
 /// single-flight: the first arrival computes, everyone else blocks on its
@@ -752,9 +768,8 @@ impl OracleShard {
 /// many workers race.
 pub struct ShardedOracle<'a> {
     alg: &'a dyn RepairAlgorithm,
-    /// The memo maps and counters — private to this oracle through the
-    /// capacity constructors, or shared across oracles through
-    /// [`ShardedOracle::with_shared_cache`].
+    /// The memo maps and counters, shared with every other oracle holding
+    /// the same handle.
     cache: Arc<OracleCache>,
 }
 
@@ -817,53 +832,24 @@ impl<'a> ShardedOracle<'a> {
     /// Default number of independent shards.
     pub const DEFAULT_SHARDS: usize = 16;
 
-    /// Wrap `alg` with the default capacity and shard count.
+    /// Wrap `alg` around a private cache of the default capacity and shard
+    /// count ([`OracleCache::new`]).
     pub fn new(alg: &'a dyn RepairAlgorithm) -> Self {
-        Self::with_config(alg, Self::DEFAULT_CAPACITY, Self::DEFAULT_SHARDS)
+        Self::with_shared_cache(alg, Arc::new(OracleCache::new()))
     }
 
-    /// Wrap `alg` with an explicit total cache capacity (0 disables caching)
-    /// and the default shard count.
-    pub fn with_capacity(alg: &'a dyn RepairAlgorithm, capacity: usize) -> Self {
-        Self::with_config(alg, capacity, Self::DEFAULT_SHARDS)
-    }
-
-    /// Wrap `alg` with an explicit total capacity and shard count. More
-    /// shards cut lock contention on many-core machines; `shards = 1`
-    /// degenerates to a single-lock cache (useful as a contention baseline
-    /// and in tests).
-    ///
-    /// Any shard count ≥ 1 is valid — zero is rejected (there would be no
-    /// shard to hold an entry). Non-power-of-two counts are deliberately
-    /// *not* rounded up: shard selection reduces the key hash with a
-    /// modulo (see [`Self::shard_of`]), not a bitmask, so an odd count
-    /// distributes keys just as uniformly, and silently rounding would
-    /// change the per-shard capacity quotas behind the caller's back.
-    ///
-    /// The default of [`ShardedOracle::DEFAULT_SHARDS`] (16) comes from the
-    /// `oracle_cache` bench's contention sweep (1/4/16/64 shards hammered
-    /// by up to 8 workers): 1 shard serializes every worker on one lock,
-    /// 4 still collide measurably at 8 workers, while 16 is within noise
-    /// of 64 on every machine profiled — so 16 takes the smallest
-    /// per-entry bookkeeping that already removes the contention.
-    pub fn with_config(alg: &'a dyn RepairAlgorithm, capacity: usize, shards: usize) -> Self {
-        Self::with_shared_cache(alg, Arc::new(OracleCache::with_config(capacity, shards)))
-    }
-
-    /// Wrap `alg` around an existing (typically shared) [`OracleCache`].
-    ///
-    /// This is the long-lived-session constructor: a `Session` or server
-    /// builds one `Arc<OracleCache>` and every per-request oracle clones the
-    /// handle, so concurrent explanations of the same (table, constraints)
-    /// pair warm and hit one bounded cache. Answers, eviction behavior, and
-    /// the statistics contract are identical to a private cache — the
-    /// counters simply aggregate across every oracle sharing the handle.
+    /// Wrap `alg` around an existing (typically shared) [`OracleCache`]:
+    /// build the cache at the capacity and shard count you want, and hand
+    /// every oracle that should pool its repairs a clone of the handle.
+    /// Answers, eviction behavior, and the statistics contract are those
+    /// of the cache; its counters aggregate across every oracle sharing
+    /// the handle.
     pub fn with_shared_cache(alg: &'a dyn RepairAlgorithm, cache: Arc<OracleCache>) -> Self {
         ShardedOracle { alg, cache }
     }
 
-    /// The cache handle this oracle queries; clone it to share the cache
-    /// with another oracle (see [`ShardedOracle::with_shared_cache`]).
+    /// The cache handle this oracle queries: its sizing and counters
+    /// ([`OracleCache::stats`]), and a clone shares it with another oracle.
     pub fn cache(&self) -> &Arc<OracleCache> {
         &self.cache
     }
@@ -873,30 +859,9 @@ impl<'a> ShardedOracle<'a> {
         self.alg
     }
 
-    /// The number of shards this oracle's cache was built with.
-    pub fn num_shards(&self) -> usize {
-        self.cache.num_shards()
-    }
-
-    /// Total capacity (the sum of the per-shard quotas): the hard bound on
-    /// [`ShardedOracle::len`].
-    pub fn capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// Number of live cached entries across all shards (always ≤
-    /// [`ShardedOracle::capacity`]).
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Whether the cache currently holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
     /// The shard of `key`, from the high half of its hash: the maps use
-    /// the low bits and the top seven.
+    /// the low bits and the top seven. A modulo, not a bitmask, so any
+    /// shard count spreads keys uniformly.
     fn shard_of(&self, key: &OracleKey) -> usize {
         let mut h = KeyHasher::default();
         key.hash(&mut h);
@@ -1031,30 +996,6 @@ impl<'a> ShardedOracle<'a> {
             }
         }
     }
-
-    /// Aggregated cache statistics so far.
-    ///
-    /// `hits + misses` always equals the number of lookups answered.
-    /// Scheduling-independent below capacity: each distinct key accounts
-    /// for exactly one miss (the lookup that installed it — see
-    /// [`ShardedOracle::repair_keyed`]), every other lookup of that key is
-    /// a hit, so repeated runs of the same workload report identical
-    /// hit/miss totals at any thread count and `evictions` stays 0. Once
-    /// capacity pressure triggers evictions, a re-queried evicted key
-    /// recomputes (a fresh miss) and which key was evicted can depend on
-    /// query interleaving, so only the invariants — not the exact split —
-    /// are schedule-independent under pressure. An oracle on a shared
-    /// cache reports the cache's aggregate counters, i.e. the combined
-    /// pressure of every oracle sharing the handle.
-    pub fn stats(&self) -> OracleStats {
-        self.cache.stats()
-    }
-
-    /// Drop all cached entries and reset statistics. In-flight computations
-    /// (single-flight registrations) are untouched — they resolve normally.
-    pub fn clear(&self) {
-        self.cache.clear()
-    }
 }
 
 /// Failure-isolation wrapper: catches panics in the wrapped algorithm and
@@ -1177,6 +1118,12 @@ mod tests {
         trex_constraints::parse_dc("!(t1.A != t2.A)").unwrap()
     }
 
+    /// An oracle on a cache of its own with `capacity` entries on `shards`
+    /// shards.
+    fn bounded(alg: &dyn RepairAlgorithm, capacity: usize, shards: usize) -> ShardedOracle<'_> {
+        ShardedOracle::with_shared_cache(alg, Arc::new(OracleCache::with_config(capacity, shards)))
+    }
+
     #[test]
     fn boxed_engines_forward_their_reach_and_black_boxes_keep_everything() {
         let t = TableBuilder::new()
@@ -1252,9 +1199,9 @@ mod tests {
         // repairs → three misses, three underlying runs. A changed target
         // reads the same repair: a hit.
         assert_eq!(alg.calls(), 3);
-        assert_eq!(oracle.stats().misses, 3);
-        assert_eq!(oracle.stats().hits, 1);
-        assert_eq!(oracle.len(), 3);
+        assert_eq!(oracle.cache().stats().misses, 3);
+        assert_eq!(oracle.cache().stats().hits, 1);
+        assert_eq!(oracle.cache().len(), 3);
     }
 
     #[test]
@@ -1286,7 +1233,7 @@ mod tests {
         // An unchanged cell already at its target needs no lookup.
         assert!(!oracle.repairs_cell_to(&dcs, &t, b, &Value::str("b")));
         assert_eq!(
-            oracle.stats(),
+            oracle.cache().stats(),
             OracleStats {
                 hits: 4,
                 misses: 1,
@@ -1298,8 +1245,8 @@ mod tests {
         let table = t.fingerprint();
         assert!(!oracle.cell_answer(program, table, || false));
         assert!(!oracle.cell_answer(program, table, || unreachable!("a hit")));
-        assert_eq!(oracle.stats().misses, 2);
-        assert_eq!(oracle.len(), 2);
+        assert_eq!(oracle.cache().stats().misses, 2);
+        assert_eq!(oracle.cache().len(), 2);
         assert_eq!(alg.calls(), 2, "one repair run, one reference run above");
     }
 
@@ -1317,11 +1264,11 @@ mod tests {
             assert!(oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED")));
         }
         assert_eq!(alg.calls(), 1);
-        let stats = oracle.stats();
+        let stats = oracle.cache().stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 4);
-        oracle.clear();
-        assert_eq!(oracle.stats(), OracleStats::default());
+        oracle.cache().clear();
+        assert_eq!(oracle.cache().stats(), OracleStats::default());
         let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
         assert_eq!(alg.calls(), 2);
     }
@@ -1332,7 +1279,7 @@ mod tests {
             need: 1,
             calls: AtomicUsize::new(0),
         };
-        let oracle = ShardedOracle::with_capacity(&alg, 0);
+        let oracle = bounded(&alg, 0, ShardedOracle::DEFAULT_SHARDS);
         let t = table();
         let cell = CellRef::new(0, AttrId(0));
         let dcs = [dc()];
@@ -1340,7 +1287,7 @@ mod tests {
             let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
         }
         assert_eq!(alg.calls(), 3);
-        assert_eq!(oracle.stats().hits, 0);
+        assert_eq!(oracle.cache().stats().hits, 0);
         assert_eq!(oracle.algorithm().name(), "counting");
     }
 
@@ -1370,7 +1317,7 @@ mod tests {
             assert_eq!(got, want);
         }
         assert_eq!(
-            sharded.stats(),
+            sharded.cache().stats(),
             OracleStats {
                 hits: 1,
                 misses: 4,
@@ -1402,7 +1349,7 @@ mod tests {
             }
         });
         assert_eq!(alg.calls(), 1);
-        let stats = oracle.stats();
+        let stats = oracle.cache().stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 200);
     }
@@ -1441,7 +1388,7 @@ mod tests {
                     });
                 }
             });
-            oracle.stats()
+            oracle.cache().stats()
         };
         for _ in 0..3 {
             let stats = run();
@@ -1458,8 +1405,8 @@ mod tests {
             need: 1,
             calls: AtomicUsize::new(0),
         };
-        let oracle = ShardedOracle::with_config(&alg, ShardedOracle::DEFAULT_CAPACITY, 1);
-        assert_eq!(oracle.num_shards(), 1);
+        let oracle = bounded(&alg, ShardedOracle::DEFAULT_CAPACITY, 1);
+        assert_eq!(oracle.cache().num_shards(), 1);
         let t = table();
         let mut t2 = t.clone();
         t2.set(CellRef::new(0, AttrId(0)), Value::str("other"));
@@ -1478,9 +1425,9 @@ mod tests {
         }
         // Two distinct (program, table) repairs; the other target of `t`
         // reads `t`'s repair.
-        assert_eq!(oracle.stats().misses, 2);
-        assert_eq!(oracle.stats().hits, 3);
-        assert_eq!(oracle.stats().evictions, 0);
+        assert_eq!(oracle.cache().stats().misses, 2);
+        assert_eq!(oracle.cache().stats().hits, 3);
+        assert_eq!(oracle.cache().stats().evictions, 0);
     }
 
     #[test]
@@ -1491,21 +1438,25 @@ mod tests {
         };
         // One shard so the whole capacity is one clock; 64 distinct keys
         // through a capacity of 5.
-        let oracle = ShardedOracle::with_config(&alg, 5, 1);
-        assert_eq!(oracle.capacity(), 5);
+        let oracle = bounded(&alg, 5, 1);
+        assert_eq!(oracle.cache().capacity(), 5);
         let cell = CellRef::new(0, AttrId(0));
         let dcs = [dc()];
         for i in 0..64 {
             let mut t = table();
             t.set(cell, Value::str(format!("v{i}")));
             let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
-            assert!(oracle.len() <= 5, "len {} after key {i}", oracle.len());
+            assert!(
+                oracle.cache().len() <= 5,
+                "len {} after key {i}",
+                oracle.cache().len()
+            );
         }
-        let stats = oracle.stats();
+        let stats = oracle.cache().stats();
         assert_eq!(stats.misses, 64);
         assert_eq!(stats.evictions, 64 - 5);
-        assert_eq!(oracle.len(), 5);
-        assert!(!oracle.is_empty());
+        assert_eq!(oracle.cache().len(), 5);
+        assert!(!oracle.cache().is_empty());
     }
 
     #[test]
@@ -1514,7 +1465,7 @@ mod tests {
             need: 1,
             calls: AtomicUsize::new(0),
         };
-        let oracle = ShardedOracle::with_config(&alg, 2, 1);
+        let oracle = bounded(&alg, 2, 1);
         let cell = CellRef::new(0, AttrId(0));
         let dcs = [dc()];
         let keyed = |i: usize| {
@@ -1540,7 +1491,7 @@ mod tests {
             need: 1,
             calls: AtomicUsize::new(0),
         };
-        let oracle = ShardedOracle::with_config(&alg, 1, 1);
+        let oracle = bounded(&alg, 1, 1);
         let cell = CellRef::new(0, AttrId(0));
         let dcs = [dc()];
         let t = table();
@@ -1550,7 +1501,7 @@ mod tests {
         let _ = oracle.repairs_cell_to(&dcs, &t2, cell, &Value::str("FIXED")); // evicts t's key
         let again = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
         assert_eq!(first, again);
-        let stats = oracle.stats();
+        let stats = oracle.cache().stats();
         assert_eq!(stats.misses, 3, "the re-query recomputes");
         assert_eq!(stats.evictions, 2);
         assert_eq!(stats.hits + stats.misses, 3, "every query is counted");
@@ -1566,29 +1517,33 @@ mod tests {
             need: 1,
             calls: AtomicUsize::new(0),
         };
-        let oracle = ShardedOracle::with_config(&alg, 3, 16);
-        assert_eq!(oracle.capacity(), 3);
-        assert_eq!(oracle.num_shards(), 3, "shards clamp to capacity");
+        let oracle = bounded(&alg, 3, 16);
+        assert_eq!(oracle.cache().capacity(), 3);
+        assert_eq!(oracle.cache().num_shards(), 3, "shards clamp to capacity");
         let cell = CellRef::new(0, AttrId(0));
         let dcs = [dc()];
         for i in 0..40 {
             let mut t = table();
             t.set(cell, Value::str(format!("v{i}")));
             let _ = oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED"));
-            assert!(oracle.len() <= 3, "len {} after key {i}", oracle.len());
+            assert!(
+                oracle.cache().len() <= 3,
+                "len {} after key {i}",
+                oracle.cache().len()
+            );
         }
-        assert_eq!(oracle.len(), 3, "every shard holds its one entry");
+        assert_eq!(oracle.cache().len(), 3, "every shard holds its one entry");
         // Capacity 0 still disables caching without touching shard count.
-        let off = ShardedOracle::with_config(&alg, 0, 16);
-        assert_eq!(off.num_shards(), 16);
-        assert_eq!(off.capacity(), 0);
+        let off = bounded(&alg, 0, 16);
+        assert_eq!(off.cache().num_shards(), 16);
+        assert_eq!(off.cache().capacity(), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let alg = NoOpRepair;
-        let _ = ShardedOracle::with_config(&alg, 16, 0);
+        let _ = bounded(&alg, 16, 0);
     }
 
     #[test]
@@ -1607,13 +1562,13 @@ mod tests {
                 need: 1,
                 calls: AtomicUsize::new(0),
             };
-            let oracle = ShardedOracle::with_config(&alg, ShardedOracle::DEFAULT_CAPACITY, shards);
-            assert_eq!(oracle.num_shards(), shards);
+            let oracle = bounded(&alg, ShardedOracle::DEFAULT_CAPACITY, shards);
+            assert_eq!(oracle.cache().num_shards(), shards);
             let answers: Vec<bool> = queries
                 .iter()
                 .map(|(tbl, target)| oracle.repairs_cell_to(&dcs, tbl, cell, &Value::str(*target)))
                 .collect();
-            (answers, oracle.stats())
+            (answers, oracle.cache().stats())
         };
         let (base_answers, base_stats) = run(16);
         for shards in [1usize, 3, 7, 13] {
@@ -1743,7 +1698,7 @@ mod tests {
             }
         });
         assert_eq!(alg.calls.load(Ordering::Relaxed), 1, "one computation");
-        let stats = oracle.stats();
+        let stats = oracle.cache().stats();
         assert_eq!(stats.misses, 1, "the leader's install");
         assert_eq!(stats.hits, 7, "every waiter shares the flight's answer");
     }
@@ -1806,7 +1761,7 @@ mod tests {
         // The key ends installed with the correct answer and stays hot.
         assert!(oracle.repairs_cell_to(&dcs, &t, cell, &Value::str("FIXED")));
         assert_eq!(
-            oracle.stats().misses,
+            oracle.cache().stats().misses,
             1,
             "only the successful install counts"
         );

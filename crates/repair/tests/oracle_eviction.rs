@@ -1,4 +1,4 @@
-//! Invariant suite for the bounded-memory [`ShardedOracle`]: whatever the
+//! Invariant suite for the bounded-memory [`OracleCache`]: whatever the
 //! capacity, eviction may only ever cost recomputation time — never change
 //! an answer, never let the cache outgrow its bound, never lose a query in
 //! the statistics.
@@ -10,8 +10,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use trex_constraints::{parse_dcs, DenialConstraint};
-use trex_repair::{OracleStats, RepairAlgorithm, RepairResult, ShardedOracle};
+use trex_repair::{OracleCache, OracleStats, RepairAlgorithm, RepairResult, ShardedOracle};
 use trex_table::{AttrId, CellRef, Table, TableBuilder, Value};
 
 /// Deterministic test repairer: sets cell (0,0) to "FIXED" whenever at
@@ -64,6 +65,12 @@ fn workload(distinct: usize, queries: usize, seed: u64) -> Vec<usize> {
     (0..queries).map(|_| rng.gen_range(0..distinct)).collect()
 }
 
+/// An oracle on a cache of its own with `capacity` entries on `shards`
+/// shards.
+fn bounded(alg: &dyn RepairAlgorithm, capacity: usize, shards: usize) -> ShardedOracle<'_> {
+    ShardedOracle::with_shared_cache(alg, Arc::new(OracleCache::with_config(capacity, shards)))
+}
+
 fn run(oracle: &ShardedOracle<'_>, keys: &[usize]) -> Vec<bool> {
     let dcs = dcs();
     let cell = CellRef::new(0, AttrId(0));
@@ -83,7 +90,7 @@ fn any_capacity_yields_the_unbounded_answers() {
     for capacity in [0usize, 1, 2, 5, 13, 24, 100] {
         for shards in [1usize, 4, 16] {
             let alg = CountingRepair::new();
-            let oracle = ShardedOracle::with_config(&alg, capacity, shards);
+            let oracle = bounded(&alg, capacity, shards);
             let answers = run(&oracle, &keys);
             assert_eq!(
                 answers, reference,
@@ -99,18 +106,26 @@ fn capacity_at_least_live_keys_is_identical_to_unbounded_with_zero_evictions() {
     let unbounded_alg = CountingRepair::new();
     let unbounded = ShardedOracle::new(&unbounded_alg);
     let reference = run(&unbounded, &keys);
-    let reference_stats = unbounded.stats();
+    let reference_stats = unbounded.cache().stats();
     assert_eq!(reference_stats.evictions, 0);
     // 20 distinct keys; one shard keeps quota rounding out of the picture,
     // so any capacity ≥ 20 must behave exactly like the unbounded oracle —
     // same answers, same stats, same live-entry count, no evictions.
     for capacity in [20usize, 21, 64, 1 << 20] {
         let alg = CountingRepair::new();
-        let oracle = ShardedOracle::with_config(&alg, capacity, 1);
+        let oracle = bounded(&alg, capacity, 1);
         let answers = run(&oracle, &keys);
         assert_eq!(answers, reference, "capacity {capacity}");
-        assert_eq!(oracle.stats(), reference_stats, "capacity {capacity}");
-        assert_eq!(oracle.len(), unbounded.len(), "capacity {capacity}");
+        assert_eq!(
+            oracle.cache().stats(),
+            reference_stats,
+            "capacity {capacity}"
+        );
+        assert_eq!(
+            oracle.cache().len(),
+            unbounded.cache().len(),
+            "capacity {capacity}"
+        );
         assert_eq!(alg.calls(), unbounded_alg.calls(), "capacity {capacity}");
     }
 }
@@ -120,9 +135,9 @@ fn hits_plus_misses_equals_queries_at_every_capacity() {
     let keys = workload(16, 250, 3);
     for capacity in [0usize, 1, 3, 8, 16, 50] {
         let alg = CountingRepair::new();
-        let oracle = ShardedOracle::with_config(&alg, capacity, 4);
+        let oracle = bounded(&alg, capacity, 4);
         let _ = run(&oracle, &keys);
-        let stats = oracle.stats();
+        let stats = oracle.cache().stats();
         assert_eq!(
             stats.hits + stats.misses,
             keys.len(),
@@ -137,18 +152,22 @@ fn hits_plus_misses_equals_queries_at_every_capacity() {
 fn no_evictions_until_capacity_pressure() {
     let alg = CountingRepair::new();
     // 8 entries on one shard; the first 8 distinct keys fit exactly.
-    let oracle = ShardedOracle::with_config(&alg, 8, 1);
+    let oracle = bounded(&alg, 8, 1);
     let dcs = dcs();
     let cell = CellRef::new(0, AttrId(0));
     for i in 0..8 {
         let _ = oracle.repairs_cell_to(&dcs, &table_for(i), cell, &Value::str("FIXED"));
-        assert_eq!(oracle.stats().evictions, 0, "under capacity after key {i}");
-        assert_eq!(oracle.len(), i + 1);
+        assert_eq!(
+            oracle.cache().stats().evictions,
+            0,
+            "under capacity after key {i}"
+        );
+        assert_eq!(oracle.cache().len(), i + 1);
     }
     // The ninth distinct key forces exactly one eviction.
     let _ = oracle.repairs_cell_to(&dcs, &table_for(8), cell, &Value::str("FIXED"));
-    assert_eq!(oracle.stats().evictions, 1);
-    assert_eq!(oracle.len(), 8);
+    assert_eq!(oracle.cache().stats().evictions, 1);
+    assert_eq!(oracle.cache().len(), 8);
 }
 
 #[test]
@@ -158,16 +177,16 @@ fn live_entries_never_exceed_capacity() {
     let cell = CellRef::new(0, AttrId(0));
     for (capacity, shards) in [(1usize, 1usize), (5, 1), (7, 3), (12, 16), (33, 16)] {
         let alg = CountingRepair::new();
-        let oracle = ShardedOracle::with_config(&alg, capacity, shards);
+        let oracle = bounded(&alg, capacity, shards);
         for (q, &i) in keys.iter().enumerate() {
             let _ = oracle.repairs_cell_to(&dcs, &table_for(i), cell, &Value::str("FIXED"));
             assert!(
-                oracle.len() <= capacity,
+                oracle.cache().len() <= capacity,
                 "capacity {capacity}/{shards} shards: {} live after query {q}",
-                oracle.len()
+                oracle.cache().len()
             );
         }
-        assert_eq!(oracle.capacity(), capacity);
+        assert_eq!(oracle.cache().capacity(), capacity);
     }
 }
 
@@ -179,7 +198,7 @@ fn requeried_evicted_key_recomputes_the_same_value() {
     let dcs = dcs();
     let cell = CellRef::new(0, AttrId(0));
     let alg = CountingRepair::new();
-    let oracle = ShardedOracle::with_config(&alg, 2, 1);
+    let oracle = bounded(&alg, 2, 1);
     let mut rng = StdRng::seed_from_u64(23);
     for _ in 0..200 {
         let i = rng.gen_range(0..10usize);
@@ -193,7 +212,7 @@ fn requeried_evicted_key_recomputes_the_same_value() {
         );
         assert_eq!(cached, fresh, "key {i} changed its answer after eviction");
     }
-    let stats = oracle.stats();
+    let stats = oracle.cache().stats();
     assert!(stats.evictions > 0, "the workload must thrash");
     assert!(
         stats.misses > 10,
@@ -208,7 +227,7 @@ fn concurrent_bounded_oracle_keeps_the_invariants() {
     // the bound holds at the end, and the stats still account for every
     // query even under eviction races.
     let alg = CountingRepair::new();
-    let oracle = ShardedOracle::with_config(&alg, 6, 3);
+    let oracle = bounded(&alg, 6, 3);
     let dcs = dcs();
     let cell = CellRef::new(0, AttrId(0));
     let per_thread = 150usize;
@@ -228,23 +247,23 @@ fn concurrent_bounded_oracle_keeps_the_invariants() {
             });
         }
     });
-    let stats = oracle.stats();
+    let stats = oracle.cache().stats();
     assert_eq!(stats.hits + stats.misses, threads * per_thread);
-    assert!(oracle.len() <= 6);
+    assert!(oracle.cache().len() <= 6);
     assert!(stats.evictions > 0, "15 keys through 6 slots must evict");
 }
 
 #[test]
 fn clear_resets_the_bounded_cache() {
     let alg = CountingRepair::new();
-    let oracle = ShardedOracle::with_config(&alg, 3, 1);
+    let oracle = bounded(&alg, 3, 1);
     let keys = workload(9, 60, 5);
     let _ = run(&oracle, &keys);
-    assert!(oracle.stats().evictions > 0);
-    oracle.clear();
-    assert_eq!(oracle.stats(), OracleStats::default());
-    assert!(oracle.is_empty());
+    assert!(oracle.cache().stats().evictions > 0);
+    oracle.cache().clear();
+    assert_eq!(oracle.cache().stats(), OracleStats::default());
+    assert!(oracle.cache().is_empty());
     // And the cleared cache fills back up correctly.
     let _ = run(&oracle, &keys);
-    assert!(oracle.len() <= 3);
+    assert!(oracle.cache().len() <= 3);
 }

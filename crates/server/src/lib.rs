@@ -14,12 +14,15 @@
 //! | POST   | `/constraint`  | add or replace a typechecked denial constraint   |
 //! | DELETE | `/constraint`  | remove a denial constraint by name               |
 //!
-//! Every endpoint accepts the CLI's execution knobs (`threads`,
-//! `oracle-cap`, `seed`) as query parameters, validated
-//! through the same `trex_shapley::exec_config_from_knobs` path as the CLI
-//! flags. A knob a request leaves unset takes the served session's value
+//! Every endpoint accepts the CLI's per-request execution knobs (`threads`,
+//! `seed`) as query parameters, validated through the same
+//! `trex_shapley::exec_config_from_knobs` path as the CLI flags. A knob a
+//! request leaves unset takes the served session's value
 //! (`Session::config`), and `threads` is capped at the session's count.
-//! `threads` never changes an answer, only how fast it arrives. A
+//! `threads` never changes an answer, only how fast it arrives. The oracle
+//! capacity is not a request knob: `trex serve --oracle-cap` sizes the
+//! session's one cache, and an `oracle-cap` parameter is rejected as
+//! unknown. A
 //! cell explanation's `samples` is capped at [`MAX_SAMPLES`]; a larger
 //! budget answers 400 before any work starts.
 //!

@@ -5,10 +5,11 @@
 //! repairs through the session's shared `OracleCache`), repair and input
 //! mutations take the write lock (a repeated repair reads the same cache,
 //! and the session flushes it on every mutation). A new constraint must
-//! pass the analyzer's typecheck (`trex_constraints::typecheck`). Per-request execution knobs (`?threads=…&seed=…`) are
-//! validated by `trex_shapley::exec_config_from_knobs` — the exact
-//! validation path and error wording of the CLI flags — and resolved
-//! against the session's own configuration (see [`request_exec`]).
+//! pass the analyzer's typecheck (`trex_constraints::typecheck`).
+//! Per-request execution knobs (`?threads=…&seed=…`) are validated by
+//! `trex_shapley::exec_config_from_knobs` — the exact validation path and
+//! error wording of the CLI flags — and resolved against the session's own
+//! configuration (see [`request_exec`]).
 
 use crate::http::{
     chunk_begin, chunk_finish, chunk_line, write_error, write_json, BadRequest, Conn, Request,
@@ -126,8 +127,10 @@ fn dispatch(state: &ServerState, req: &Request, stream: &mut Conn) -> Result<(),
 
 // --- parameter plumbing -------------------------------------------------
 
-/// Names [`request_exec`] consumes, shared by every endpoint allowlist.
-const EXEC_PARAMS: [&str; 3] = ["threads", "oracle-cap", "seed"];
+/// Names [`request_exec`] consumes, shared by every endpoint allowlist. The
+/// oracle capacity is not one of them: the session's cache serves every
+/// request, sized once by `trex serve --oracle-cap`.
+const EXEC_PARAMS: [&str; 2] = ["threads", "seed"];
 
 /// Reject query parameters no handler reads — a typoed `?shedule=` must
 /// error, not silently fall back to defaults (mirrors the CLI's
@@ -144,9 +147,9 @@ fn check_params(req: &Request, extra: &[&str]) -> Result<(), BadRequest> {
 /// Parse the request's execution knobs through the shared CLI/server
 /// validation path, then resolve them against `session`, the session's
 /// configuration (the `trex serve` exec flags): an unset knob takes the
-/// session's value, so requests share the session's oracle cache, and a
-/// set `threads` is capped at the session's count. Answers are identical
-/// at any thread count, so the cap never shows in output.
+/// session's value, and a set `threads` is capped at the session's count.
+/// Answers are identical at any thread count, so the cap never shows in
+/// output. Callers reject unknown parameters first ([`check_params`]).
 fn request_exec(req: &Request, session: &ExecConfig) -> Result<ExecConfig, BadRequest> {
     let asked =
         trex_shapley::exec_config_from_knobs(|name| req.param(name)).map_err(BadRequest::new)?;
@@ -154,14 +157,11 @@ fn request_exec(req: &Request, session: &ExecConfig) -> Result<ExecConfig, BadRe
         Some(_) => asked.threads().min(session.threads()),
         None => session.threads(),
     };
-    let mut exec = ExecConfig::new().with_threads(threads);
-    if let Some(cap) = asked.oracle_cap().or(session.oracle_cap()) {
-        exec = exec.with_oracle_cap(cap);
-    }
-    if let Some(seed) = asked.seed().or(session.seed()) {
-        exec = exec.with_seed(seed);
-    }
-    Ok(exec)
+    let exec = session.with_threads(threads);
+    Ok(match asked.seed() {
+        Some(seed) => exec.with_seed(seed),
+        None => exec,
+    })
 }
 
 /// Parse a `tROW.Attr` cell spec against the session table (1-based row,
@@ -213,9 +213,9 @@ fn health(req: &Request, stream: &mut Conn) -> io::Result<()> {
 
 fn violations(state: &ServerState, req: &Request, stream: &mut Conn) -> io::Result<()> {
     let session = state.read();
-    let (exec, ()) = match (request_exec(req, &session.config()), check_params(req, &[])) {
-        (Ok(e), Ok(())) => (e, ()),
-        (Err(bad), _) | (_, Err(bad)) => return write_error(stream, bad.status, &bad.message),
+    let exec = match check_params(req, &[]).and_then(|()| request_exec(req, &session.config())) {
+        Ok(exec) => exec,
+        Err(bad) => return write_error(stream, bad.status, &bad.message),
     };
     let violations = match session.violations_for(&exec) {
         Ok(v) => v,
@@ -682,18 +682,14 @@ mod tests {
 
     #[test]
     fn request_knobs_inherit_the_session_and_threads_are_capped_at_it() {
-        let session = ExecConfig::new().with_oracle_cap(5000).with_seed(7);
+        let session = ExecConfig::new().with_seed(7);
         // Unset knobs take the session's values.
         let exec = request_exec(&request(&[]), &session).unwrap();
         assert_eq!(exec, session);
         // Set knobs win, except that threads never exceed the session's;
         // resolving a config starts no threads.
-        let exec = request_exec(
-            &request(&[("threads", "1024"), ("oracle-cap", "9"), ("seed", "3")]),
-            &session,
-        )
-        .unwrap();
-        assert_eq!(exec, ExecConfig::new().with_oracle_cap(9).with_seed(3));
+        let exec = request_exec(&request(&[("threads", "1024"), ("seed", "3")]), &session).unwrap();
+        assert_eq!(exec, ExecConfig::new().with_seed(3));
         let four = ExecConfig::new().with_threads(4);
         assert_eq!(
             request_exec(&request(&[("threads", "2")]), &four)

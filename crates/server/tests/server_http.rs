@@ -404,6 +404,31 @@ fn bad_requests_get_pinned_errors() {
 }
 
 #[test]
+fn a_request_cannot_size_the_oracle_cache() {
+    // The session's one cache serves every request; `trex serve
+    // --oracle-cap` sizes it. A request naming a capacity is refused
+    // before any work, whatever the value, on every endpoint that takes
+    // the exec knobs.
+    let server = start_server();
+    for (method, path) in [
+        ("GET", "/explain?cell=t5.Country&"),
+        ("GET", "/explain?kind=constraints&cell=t5.Country&"),
+        ("GET", "/violations?"),
+        ("POST", "/repair?"),
+    ] {
+        for value in ["0", "4", "big"] {
+            let target = format!("{path}oracle-cap={value}");
+            let (status, _, body) = request(&server, method, &target);
+            assert_eq!(status, 400, "{method} {target}: {body}");
+            assert!(
+                body.contains("unknown parameter \\\"oracle-cap\\\""),
+                "{method} {target}: {body}"
+            );
+        }
+    }
+}
+
+#[test]
 fn concurrent_clients_share_one_session() {
     let server = start_server();
     let url: Vec<String> = (0..3)

@@ -10,16 +10,13 @@
 //! versus Shapley's size-weighted average. Banzhaf drops the efficiency
 //! axiom (values need not sum to `v(N)`) but keeps dummy and symmetry, and
 //! is a standard comparison point for attribution methods. T-REx uses
-//! Shapley; this module powers the "would a cheaper index give the same
-//! ranking?" extension experiment (`exp_banzhaf`), which is exactly the
-//! kind of question a user of the explanations would ask.
+//! Shapley; this module answers "would a cheaper index give the same
+//! ranking?" on the constraint game (the `exp_interaction` experiment),
+//! which is exactly the kind of question a user of the explanations would
+//! ask.
 
-use crate::convergence::RunningStats;
 use crate::exact::{ExactError, MAX_EXACT_PLAYERS};
-use crate::game::{Coalition, Game, StochasticGame};
-use crate::sampling::Estimate;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::game::{Coalition, Game};
 
 /// Exact Banzhaf values of every player by subset enumeration (`Θ(2^n)`).
 pub fn banzhaf_exact<G: Game + ?Sized>(game: &G) -> Result<Vec<f64>, ExactError> {
@@ -49,36 +46,6 @@ pub fn banzhaf_exact<G: Game + ?Sized>(game: &G) -> Result<Vec<f64>, ExactError>
         }
     }
     Ok(bz)
-}
-
-/// Monte-Carlo Banzhaf estimate for one player: `m` uniformly random
-/// coalitions of the other players (each player independently in/out with
-/// probability ½).
-pub fn banzhaf_estimate<G: StochasticGame + ?Sized>(
-    game: &G,
-    player: usize,
-    samples: usize,
-    seed: u64,
-) -> Estimate {
-    let n = game.num_players();
-    assert!(player < n, "player {player} out of range ({n} players)");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stats = RunningStats::new();
-    for _ in 0..samples {
-        let mut coalition = Coalition::empty(n);
-        for p in 0..n {
-            if p != player && rng.gen_bool(0.5) {
-                coalition.insert(p);
-            }
-        }
-        let (with, without) = game.eval_pair(&coalition, player, &mut rng);
-        stats.push(with - without);
-    }
-    Estimate {
-        value: stats.mean(),
-        std_dev: stats.std_dev(),
-        samples: stats.count(),
-    }
 }
 
 #[cfg(test)]
@@ -138,29 +105,6 @@ mod tests {
         let g = fixtures::paper_example_2_3();
         let bz = banzhaf_exact(&g).unwrap();
         assert_close(&bz, &[0.25, 0.25, 0.75, 0.0]);
-    }
-
-    #[test]
-    fn estimate_converges_to_exact() {
-        let g = fixtures::gloves(2, 3);
-        let exact = banzhaf_exact(&g).unwrap();
-        for (p, want) in exact.iter().enumerate() {
-            let est = banzhaf_estimate(&g, p, 20_000, 7);
-            assert!(
-                (est.value - want).abs() < 0.02,
-                "player {p}: {} vs {want}",
-                est.value
-            );
-        }
-    }
-
-    #[test]
-    fn estimate_deterministic_per_seed() {
-        let g = fixtures::majority(5);
-        assert_eq!(
-            banzhaf_estimate(&g, 0, 100, 3),
-            banzhaf_estimate(&g, 0, 100, 3)
-        );
     }
 
     #[test]

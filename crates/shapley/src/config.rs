@@ -41,7 +41,7 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default configuration: 1 thread, unbounded oracle cache,
+    /// The default configuration: 1 thread, the default oracle capacity,
     /// layer-default seed.
     pub fn new() -> Self {
         Self::default()
@@ -59,8 +59,10 @@ impl ExecConfig {
         self
     }
 
-    /// Bound the coalition-oracle cache to `cap` entries (default:
-    /// unbounded). `0` disables caching.
+    /// Bound the repair-oracle cache to `cap` entries (default:
+    /// `trex_repair::ShardedOracle::DEFAULT_CAPACITY`, 2^20 entries). `0`
+    /// disables caching. The capacity sizes the cache its owner builds —
+    /// a session's, or an explainer's own — and never changes an answer.
     pub fn with_oracle_cap(mut self, cap: usize) -> Self {
         self.oracle_cap = Some(cap);
         self
@@ -77,7 +79,8 @@ impl ExecConfig {
         self.threads
     }
 
-    /// Oracle cache bound in entries, or `None` for unbounded.
+    /// Oracle cache bound in entries, or `None` for the default capacity
+    /// (2^20 entries).
     pub fn oracle_cap(&self) -> Option<usize> {
         self.oracle_cap
     }
@@ -93,13 +96,15 @@ impl ExecConfig {
 /// query parameters.
 ///
 /// `get(name)` looks up the raw value of knob `name` (`None` when absent);
-/// recognized names are `threads`, `oracle-cap`, and `seed`. Validation
-/// and error wording are the contract here: `threads` absent or `0`
-/// resolves to the available parallelism via
+/// recognized names are `threads`, `oracle-cap`, and `seed`. A server
+/// request may set only `threads` and `seed`: the served session's cache is
+/// sized once, so the server rejects `oracle-cap` as an unknown parameter
+/// before it calls this. Validation and error wording are the contract
+/// here: `threads` absent or `0` resolves to the available parallelism via
 /// [`crate::parallel::resolve_threads`] (absurd counts keep the offending
-/// value and the cap in the message). Callers
-/// surface the returned message verbatim, so a bad `?threads=999999` on the
-/// server reads exactly like a bad `--threads 999999` on the CLI.
+/// value and the cap in the message). Callers surface the returned message
+/// verbatim, so a bad `?threads=999999` on the server reads exactly like a
+/// bad `--threads 999999` on the CLI.
 pub fn exec_config_from_knobs<'v>(
     get: impl Fn(&str) -> Option<&'v str>,
 ) -> Result<ExecConfig, String> {

@@ -201,40 +201,6 @@ pub fn shapley_exact_rational<G: Game + ?Sized>(game: &G) -> Result<Vec<Rational
         .collect())
 }
 
-/// Exact Shapley value of a *single* player without materializing the
-/// full-coalition table: enumerates the `2^(n-1)` subsets of `N \ {player}`.
-///
-/// Useful when only one player matters and `n` is a little above what
-/// [`shapley_exact`]'s all-players table would want to allocate.
-pub fn shapley_exact_player<G: Game + ?Sized>(game: &G, player: usize) -> Result<f64, ExactError> {
-    let n = game.num_players();
-    if n > MAX_EXACT_PLAYERS + 1 {
-        return Err(ExactError::TooManyPlayers {
-            n,
-            limit: MAX_EXACT_PLAYERS + 1,
-        });
-    }
-    assert!(player < n, "player {player} out of range ({n} players)");
-    let others: Vec<usize> = (0..n).filter(|i| *i != player).collect();
-    let m = others.len();
-    let fact = factorials(n);
-    let mut phi = 0.0;
-    for mask in 0u64..(1u64 << m) {
-        let mut s = Coalition::empty(n);
-        for (bit, p) in others.iter().enumerate() {
-            if mask >> bit & 1 == 1 {
-                s.insert(*p);
-            }
-        }
-        let without = game.value(&s);
-        s.insert(player);
-        let with = game.value(&s);
-        let size = (mask.count_ones()) as usize;
-        phi += fact[size] * fact[n - size - 1] / fact[n] * (with - without);
-    }
-    Ok(phi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,16 +267,6 @@ mod tests {
         let total: f64 = phi.iter().sum();
         let grand = g.value(&Coalition::full(5));
         assert!((total - grand).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_player_matches_all_players() {
-        let g = fixtures::gloves(2, 2);
-        let phi = shapley_exact(&g).unwrap();
-        for (i, want) in phi.iter().enumerate() {
-            let p = shapley_exact_player(&g, i).unwrap();
-            assert!((p - want).abs() < 1e-12);
-        }
     }
 
     #[test]

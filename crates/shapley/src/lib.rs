@@ -40,13 +40,10 @@ pub mod perm;
 pub mod sampling;
 pub mod stratified;
 
-pub use banzhaf::{banzhaf_estimate, banzhaf_exact};
+pub use banzhaf::banzhaf_exact;
 pub use config::{exec_config_from_knobs, ExecConfig};
 pub use convergence::{ConvergenceTrace, RunningStats, TracePoint};
-pub use exact::{
-    shapley_exact, shapley_exact_player, shapley_exact_rational, ExactError, Rational,
-    MAX_EXACT_PLAYERS,
-};
+pub use exact::{shapley_exact, shapley_exact_rational, ExactError, Rational, MAX_EXACT_PLAYERS};
 pub use game::{Coalition, FnGame, Game, StochasticGame};
 pub use interaction::shapley_interaction_exact;
 pub use parallel::{

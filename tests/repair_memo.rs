@@ -5,14 +5,14 @@
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use trex::Session;
+use trex::{MaskMode, Session};
 use trex_constraints::DenialConstraint;
 use trex_datagen::{generate_scenario, ErrorRates, ScenarioConfig, SchemaKind};
 use trex_repair::{
     hash_dcs, FdChaseRepair, HolisticRepair, HoloCleanStyle, NoOpRepair, PanicGuard, Reach,
     RepairAlgorithm, RepairResult, RuleRepair,
 };
-use trex_shapley::{ExecConfig, Rational};
+use trex_shapley::{ExecConfig, Rational, SamplingConfig};
 use trex_table::{AttrId, CellRef, Schema, Table, Value};
 
 /// The (program hash, table fingerprint) pair of every engine run.
@@ -157,19 +157,52 @@ fn a_private_explainer_shares_one_cache_between_its_target_and_its_game() {
     // repair target's: 8 runs, not 9.
     let dirty = trex_datagen::laliga::dirty_table();
     let dcs = trex_datagen::laliga::constraints();
-    let alg = trex_datagen::laliga::algorithm1();
     let cell = trex_datagen::laliga::cell_of_interest(&dirty);
-    let runs = RunLog::default();
-    let counted = Counting {
-        inner: alg,
-        runs: Arc::clone(&runs),
+    let counted = |runs: &RunLog| Counting {
+        inner: trex_datagen::laliga::algorithm1(),
+        runs: Arc::clone(runs),
     };
-    let ex = trex::Explainer::new(&counted);
+    let runs = RunLog::default();
+    let engine = counted(&runs);
+    let ex = trex::Explainer::new(&engine);
     let out = ex.explain_constraints(&dcs, &dirty, cell).unwrap();
     let exact: Vec<String> = out.exact.iter().map(|(_, r)| r.to_string()).collect();
     assert_eq!(exact, ["1/6", "1/6", "2/3", "0"]);
     assert_eq!(runs.lock().unwrap().len(), 8);
-    // Each call builds its own private cache: a second call runs again.
+    // The explainer keeps its one cache for every call: a second call runs
+    // nothing.
     ex.repair_target(&dcs, &dirty, cell).unwrap();
-    assert_eq!(runs.lock().unwrap().len(), 9);
+    assert_eq!(runs.lock().unwrap().len(), 8);
+
+    // The sequence of `trex explain --cells`: the constraint explanation
+    // above, then a cell ranking on the same explainer. The ranking reads
+    // its repair target from the cache, so it runs the engine once fewer
+    // than the same ranking on a fresh explainer, with the same answer.
+    let config = SamplingConfig {
+        samples: 50,
+        seed: 3,
+    };
+    let ranked = ex
+        .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, config)
+        .unwrap();
+    let fresh_runs = RunLog::default();
+    let fresh_engine = counted(&fresh_runs);
+    let fresh = trex::Explainer::new(&fresh_engine)
+        .explain_cells_masked(&dcs, &dirty, cell, MaskMode::Null, config)
+        .unwrap();
+    assert_eq!(ranked.values, fresh.values);
+    let ranking_runs = runs.lock().unwrap().len() - 8;
+    assert_eq!(ranking_runs, fresh_runs.lock().unwrap().len() - 1);
+    // Over both calls the target's (sliced program, table) pair ran as a
+    // repair once; its one other run is the masked game's grand
+    // coalition, whose answer bit is an entry of another kind.
+    let program = Reach::of(&engine, &dcs, dirty.schema(), cell.attr).program(&dcs);
+    let target = (hash_dcs(&program), dirty.fingerprint());
+    let target_runs = runs
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|&&r| r == target)
+        .count();
+    assert_eq!(target_runs, 2);
 }
